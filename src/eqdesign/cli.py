@@ -4,14 +4,15 @@ Four subcommands share one input convention: a game file, a target file
 (strategy or policy), and for ``verify`` a reward file.  One-shot games are
 routed through the one-stage embedding where a Markov object is needed.
 Every run prints a JSON report; exit status 0 means a positive verdict
-(installable, strict, optimal), 1 a negative one, and 2 a usage or input
-error.
+(installable, strict, optimal), 1 a negative one, 2 a usage or input error,
+and 3 a failure of the tool itself (a solver or post-solve check that broke
+down), which is no verdict at all.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import click
@@ -92,7 +93,6 @@ class JobSpec:
     out_path: Optional[str] = None
     max_gap: bool = False
     lp_dump: Optional[str] = None
-    extra: dict = field(default_factory=dict)
 
 
 def _default_class(concept: Concept) -> DeviationClass:
@@ -375,6 +375,9 @@ def _execute(job: JobSpec) -> None:
     except _INPUT_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    except RuntimeError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(3)
     _emit(job, code, report)
 
 

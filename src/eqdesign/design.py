@@ -1,10 +1,11 @@
 """LP-based reward design: minimal-cost rewards that install a target.
 
-Builds one linear program per request.  Markov programs carry the reward,
-action-value, and state-value tensors as variables tied together by their
-defining equalities (split into inequality pairs), plus one strictness row
-per deviation constraint and box bounds on rewards only.  Normal-form
-programs are the one-stage specialization over the utility tensor alone.
+Builds one linear program per request whose unknowns are the rewards, boxed
+by the bound, plus the auxiliary columns of the chosen cost.  With the
+target policy fixed, action and state values are linear in the rewards, so
+one backward-induction operator turns every deviation constraint into a
+single strictness row over rewards.  A normal-form game is designed as its
+one-stage, one-state Markov embedding.
 
 Costs: ``ONLINE`` weights reward changes by the target's visitation measure,
 ``OFFLINE`` counts them unweighted, ``SOCIAL_WELFARE`` maximizes the sum of
@@ -29,12 +30,13 @@ from .games import (
     RewardFunction,
     ShapeError,
     conditional_matrix,
+    genuine_deviations,
     is_product,
     nfg_as_markov,
     strategy_as_policy,
 )
 from .installability import Concept, DeviationClass, NotProductError
-from .lp import LinearProgram, LpSolution, LpStatus, solve
+from .lp import LinearProgram, LpStatus, solve
 from .verify import GapReport, check_strict, nfg_oracle, visitation
 
 # Post-solve verification allows this much slip below the requested slack.
@@ -95,72 +97,63 @@ class DesignResult:
     iterations: int = 0
 
 
-def _genuine_deviations(stage: JointMixedStrategy, player: int) -> list[int]:
-    marg = stage.marginal(player)
-    supported = np.flatnonzero(marg > 0.0)
-    actions = list(range(stage.action_counts[player]))
-    if supported.size == 1:
-        actions.remove(int(supported[0]))
-    return actions
-
-
 def _stage_rows(
-    stage: JointMixedStrategy,
-    concept: Concept,
-    qcol,
-    num_vars: int,
-    slack_col: Optional[int],
-    slack: float,
-) -> list[tuple[np.ndarray, str, float]]:
-    """Strictness rows for one stage.  ``qcol(i, a_flat)`` maps a player and
-    flat joint-action index to the column of the payoff variable (Q or u)."""
-    n = stage.num_players
+    stage: JointMixedStrategy, concept: Concept
+) -> list[tuple[int, np.ndarray]]:
+    """Strictness rows for one stage as ``(player, w)`` pairs: the margin of
+    each deviation constraint is ``w`` dotted with the player's action values
+    over the stage's flat joint actions."""
     counts = stage.action_counts
     flat = stage.probs.reshape(-1)
-    rows: list[tuple[np.ndarray, str, float]] = []
-
-    def emit(row: np.ndarray) -> None:
-        if slack_col is None:
-            rows.append((row, ">=", slack))
-        else:
-            row[slack_col] = -1.0
-            rows.append((row, ">=", 0.0))
-
-    for i in range(n):
+    cells = np.arange(flat.size).reshape(counts)
+    rows: list[tuple[int, np.ndarray]] = []
+    for i in range(stage.num_players):
         if counts[i] < 2:
             continue
-        axis_order = np.moveaxis(
-            np.arange(int(np.prod(counts))).reshape(counts), i, 0
-        ).reshape(counts[i], -1)
+        own = np.moveaxis(cells, i, 0).reshape(counts[i], -1)
         if concept in (Concept.NE, Concept.CCE):
             marg_other = stage.opponent_marginal(i).reshape(-1)
-            for m in _genuine_deviations(stage, i):
-                row = np.zeros(num_vars)
-                for a_flat, prob in enumerate(flat):
-                    if prob != 0.0:
-                        row[qcol(i, a_flat)] += prob
-                for pos, a_flat in enumerate(axis_order[m]):
-                    if marg_other[pos] != 0.0:
-                        row[qcol(i, int(a_flat))] -= marg_other[pos]
-                emit(row)
+            for m in genuine_deviations(stage, i):
+                w = flat.copy()
+                w[own[m]] -= marg_other
+                rows.append((i, w))
         else:  # CE
             p, conds = conditional_matrix(stage, i)
-            for j in range(counts[i]):
-                if p[j] <= 0.0:
-                    continue
-                # Conditional weights (not raw joint mass) so row slack is on
-                # the same scale as the verifier's per-recommendation gap.
-                weights = conds[j]
+            for j in np.flatnonzero(p > 0.0):
                 for k in range(counts[i]):
                     if k == j:
                         continue
-                    row = np.zeros(num_vars)
-                    for pos, w in enumerate(weights):
-                        if w != 0.0:
-                            row[qcol(i, int(axis_order[j, pos]))] += w
-                            row[qcol(i, int(axis_order[k, pos]))] -= w
-                    emit(row)
+                    # Conditional weights (not raw joint mass) so row slack is
+                    # on the same scale as the verifier's per-recommendation gap.
+                    w = np.zeros(flat.size)
+                    w[own[j]] = conds[j]
+                    w[own[k]] = -conds[j]
+                    rows.append((i, w))
     return rows
+
+
+def _value_operator(
+    skeleton: MarkovGameSkeleton, policy: MarkovPolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backward induction as matrices over one player's flat reward vector.
+
+    With the policy fixed, values are linear in rewards: ``L @ r`` gives the
+    action values in the (stage, state, joint action) order of ``r``, and
+    ``V0 @ r`` the stage-0 state values.  Returns ``(L, V0)``.
+    """
+    horizon, num_s = skeleton.horizon, skeleton.num_states
+    num_a = int(np.prod(skeleton.action_counts))
+    width = num_s * num_a
+    size = horizon * width
+    trans = skeleton.transitions.reshape(horizon, width, num_s)
+    pi = policy.stages.reshape(horizon, num_s, 1, num_a)
+    ops = np.zeros((horizon, width, size))
+    v_next = np.zeros((num_s, size))
+    for h in range(horizon - 1, -1, -1):
+        ops[h] = trans[h] @ v_next
+        ops[h, :, h * width : (h + 1) * width] += np.eye(width)
+        v_next = (pi[h] @ ops[h].reshape(num_s, num_a, size))[:, 0]
+    return ops.reshape(size, size), v_next
 
 
 def _resolve_baseline(
@@ -184,10 +177,11 @@ def build_mg_lp(
     cost: CostSpec,
     config: DesignConfig,
 ) -> tuple[LinearProgram, dict]:
-    """Assemble the Markov design program.
+    """Assemble the design program over the reward tensor.
 
-    Returns the program and a layout dict with the column offsets needed to
-    read tensors back out of a solution.
+    Returns the program and a layout dict.  The rewards are the first
+    columns, flattened from ``layout["shape"]``; ``layout["slack_col"]`` is
+    the margin column in max-gap mode.
     """
     if policy.horizon != skeleton.horizon or policy.num_states != skeleton.num_states:
         raise ShapeError("policy grid does not match the game")
@@ -206,12 +200,9 @@ def build_mg_lp(
                         "is correlated"
                     )
 
-    blk = n * horizon * num_s * num_a
-    r_off = 0
-    q_off = blk
-    v_off = 2 * blk
-    v_size = n * (horizon + 1) * num_s
-    cursor = v_off + v_size
+    size = horizon * num_s * num_a  # one player's rewards
+    blk = n * size
+    cursor = blk
     t_off = None
     if cost.kind in (CostKind.ONLINE, CostKind.OFFLINE) and not config.max_gap:
         t_off = cursor
@@ -226,114 +217,58 @@ def build_mg_lp(
         cursor += 1
     num_vars = cursor
 
-    def rcol(i: int, h: int, s: int, a: int) -> int:
-        return r_off + ((i * horizon + h) * num_s + s) * num_a + a
-
-    def qc(i: int, h: int, s: int, a: int) -> int:
-        return q_off + ((i * horizon + h) * num_s + s) * num_a + a
-
-    def vcol(i: int, h: int, s: int) -> int:
-        return v_off + (i * (horizon + 1) + h) * num_s + s
-
     lp = LinearProgram(num_vars)
-    for i in range(n):
-        for h in range(horizon):
-            for s in range(num_s):
-                for a in range(num_a):
-                    lp.set_bounds(rcol(i, h, s, a), -config.bound, config.bound)
+    for col in range(blk):
+        lp.set_bounds(col, -config.bound, config.bound)
 
-    def equality(row: np.ndarray, rhs: float) -> None:
-        lp.add_constraint(row, "<=", rhs)
-        lp.add_constraint(row, ">=", rhs)
-
-    trans_flat = skeleton.transitions.reshape(horizon, num_s, num_a, num_s)
-    for i in range(n):
-        for h in range(horizon):
-            for s in range(num_s):
-                for a in range(num_a):
-                    row = np.zeros(num_vars)
-                    row[qc(i, h, s, a)] = 1.0
-                    row[rcol(i, h, s, a)] = -1.0
-                    for s2 in range(num_s):
-                        p = trans_flat[h, s, a, s2]
-                        if p != 0.0:
-                            row[vcol(i, h + 1, s2)] -= p
-                    equality(row, 0.0)
-    for i in range(n):
-        for h in range(horizon):
-            for s in range(num_s):
-                row = np.zeros(num_vars)
-                row[vcol(i, h, s)] = 1.0
-                flat = policy.stages[h, s].reshape(-1)
-                for a, prob in enumerate(flat):
-                    if prob != 0.0:
-                        row[qc(i, h, s, a)] -= prob
-                equality(row, 0.0)
-    for i in range(n):
-        for s in range(num_s):
-            row = np.zeros(num_vars)
-            row[vcol(i, horizon, s)] = 1.0
-            equality(row, 0.0)
-
+    q_of_r, v0_of_r = _value_operator(skeleton, policy)
     for h in range(horizon):
         for s in range(num_s):
-            stage = policy.stage(h, s)
-            rows = _stage_rows(
-                stage,
-                concept,
-                lambda i, a, h=h, s=s: qc(i, h, s, a),
-                num_vars,
-                slack_col,
-                config.slack,
-            )
-            for row, rel, rhs in rows:
-                lp.add_constraint(row, rel, rhs)
+            at = (h * num_s + s) * num_a
+            for i, w in _stage_rows(policy.stage(h, s), concept):
+                row = np.zeros(num_vars)
+                row[i * size : (i + 1) * size] = w @ q_of_r[at : at + num_a]
+                if slack_col is None:
+                    lp.add_constraint(row, ">=", config.slack)
+                else:
+                    row[slack_col] = -1.0
+                    lp.add_constraint(row, ">=", 0.0)
 
     objective = np.zeros(num_vars)
+    # One player's expected initial value per reward entry.
+    value0 = skeleton.initial_dist @ v0_of_r
     if config.max_gap:
         objective[slack_col] = -1.0
-    elif cost.kind in (CostKind.ONLINE, CostKind.OFFLINE):
+    elif t_off is not None:
         shape = (n, horizon, num_s) + counts
-        base = _resolve_baseline(cost, skeleton, shape).reshape(
-            n, horizon, num_s, num_a
-        )
+        base = _resolve_baseline(cost, skeleton, shape).reshape(-1)
         if cost.kind == CostKind.ONLINE:
-            mu = visitation(skeleton, policy).reshape(horizon, num_s, num_a)
-            weights = np.broadcast_to(mu[None], (n, horizon, num_s, num_a))
+            weights = np.tile(visitation(skeleton, policy).reshape(-1), n)
         else:
-            weights = np.ones((n, horizon, num_s, num_a))
-        for i in range(n):
-            for h in range(horizon):
-                for s in range(num_s):
-                    for a in range(num_a):
-                        t_col = t_off + ((i * horizon + h) * num_s + s) * num_a + a
-                        lp.set_bounds(t_col, 0.0, math.inf)
-                        objective[t_col] = weights[i, h, s, a]
-                        row = np.zeros(num_vars)
-                        row[t_col] = 1.0
-                        row[rcol(i, h, s, a)] = -1.0
-                        lp.add_constraint(row, ">=", -base[i, h, s, a])
-                        row = np.zeros(num_vars)
-                        row[t_col] = 1.0
-                        row[rcol(i, h, s, a)] = 1.0
-                        lp.add_constraint(row, ">=", base[i, h, s, a])
+            weights = np.ones(blk)
+        for col in range(blk):
+            t_col = t_off + col
+            lp.set_bounds(t_col, 0.0, math.inf)
+            objective[t_col] = weights[col]
+            row = np.zeros(num_vars)
+            row[t_col] = 1.0
+            row[col] = -1.0
+            lp.add_constraint(row, ">=", -base[col])
+            row = np.zeros(num_vars)
+            row[t_col] = 1.0
+            row[col] = 1.0
+            lp.add_constraint(row, ">=", base[col])
     elif cost.kind == CostKind.SOCIAL_WELFARE:
-        for i in range(n):
-            for s in range(num_s):
-                objective[vcol(i, 0, s)] = -skeleton.initial_dist[s]
+        objective[:blk] = -np.tile(value0, n)
     elif cost.kind == CostKind.EGALITARIAN:
         objective[z_col] = -1.0
         for i in range(n):
             row = np.zeros(num_vars)
             row[z_col] = -1.0
-            for s in range(num_s):
-                row[vcol(i, 0, s)] = skeleton.initial_dist[s]
+            row[i * size : (i + 1) * size] = value0
             lp.add_constraint(row, ">=", 0.0)
     lp.set_objective(objective)
     layout = {
-        "r_off": r_off,
-        "q_off": q_off,
-        "v_off": v_off,
         "slack_col": slack_col,
         "num_vars": num_vars,
         "shape": (n, horizon, num_s) + counts,
@@ -348,90 +283,21 @@ def build_nfg_lp(
     config: DesignConfig,
     baseline: Optional[np.ndarray] = None,
 ) -> tuple[LinearProgram, dict]:
-    """Assemble the one-stage design program over the utility tensor."""
-    n = sigma.num_players
-    counts = sigma.action_counts
-    num_a = int(np.prod(counts))
-    if concept == Concept.NE and not is_product(sigma):
-        raise NotProductError("Nash design requires a product strategy")
-
-    u_size = n * num_a
-    cursor = u_size
-    t_off = None
-    if cost.kind in (CostKind.ONLINE, CostKind.OFFLINE) and not config.max_gap:
-        t_off = cursor
-        cursor += u_size
-    z_col = None
-    if cost.kind == CostKind.EGALITARIAN and not config.max_gap:
-        z_col = cursor
-        cursor += 1
-    slack_col = None
-    if config.max_gap:
-        slack_col = cursor
-        cursor += 1
-    num_vars = cursor
-
-    def ucol(i: int, a: int) -> int:
-        return i * num_a + a
-
-    lp = LinearProgram(num_vars)
-    for i in range(n):
-        for a in range(num_a):
-            lp.set_bounds(ucol(i, a), -config.bound, config.bound)
-
-    for row, rel, rhs in _stage_rows(
-        sigma, concept, ucol, num_vars, slack_col, config.slack
-    ):
-        lp.add_constraint(row, rel, rhs)
-
-    objective = np.zeros(num_vars)
-    shape = (n,) + counts
-    if baseline is None:
-        base = np.zeros(shape)
-    else:
-        base = np.asarray(baseline, dtype=float)
-        if base.shape != shape:
-            raise ShapeError(f"baseline shape {base.shape}, expected {shape}")
-    base_flat = base.reshape(n, num_a)
-    flat_sigma = sigma.probs.reshape(-1)
-    if config.max_gap:
-        objective[slack_col] = -1.0
-    elif cost.kind in (CostKind.ONLINE, CostKind.OFFLINE):
-        for i in range(n):
-            for a in range(num_a):
-                t_col = t_off + i * num_a + a
-                lp.set_bounds(t_col, 0.0, math.inf)
-                objective[t_col] = (
-                    flat_sigma[a] if cost.kind == CostKind.ONLINE else 1.0
-                )
-                row = np.zeros(num_vars)
-                row[t_col] = 1.0
-                row[ucol(i, a)] = -1.0
-                lp.add_constraint(row, ">=", -base_flat[i, a])
-                row = np.zeros(num_vars)
-                row[t_col] = 1.0
-                row[ucol(i, a)] = 1.0
-                lp.add_constraint(row, ">=", base_flat[i, a])
-    elif cost.kind == CostKind.SOCIAL_WELFARE:
-        for i in range(n):
-            for a in range(num_a):
-                objective[ucol(i, a)] = -flat_sigma[a]
-    elif cost.kind == CostKind.EGALITARIAN:
-        objective[z_col] = -1.0
-        for i in range(n):
-            row = np.zeros(num_vars)
-            row[z_col] = -1.0
-            for a in range(num_a):
-                row[ucol(i, a)] = flat_sigma[a]
-            lp.add_constraint(row, ">=", 0.0)
-    lp.set_objective(objective)
-    layout = {
-        "u_off": 0,
-        "slack_col": slack_col,
-        "num_vars": num_vars,
-        "shape": shape,
-    }
-    return lp, layout
+    """The one-stage design program: :func:`build_mg_lp` on the embedding of
+    ``sigma``, with ``baseline`` (default zeros) as the utility to modify."""
+    game = NormalFormGame(
+        tuple(tuple(range(c)) for c in sigma.action_counts),
+        np.zeros((sigma.num_players,) + sigma.action_counts)
+        if baseline is None
+        else baseline,
+    )
+    return build_mg_lp(
+        nfg_as_markov(game),
+        strategy_as_policy(sigma),
+        concept,
+        CostSpec(cost.kind),
+        config,
+    )
 
 
 def _verify_design(
@@ -464,55 +330,21 @@ def design(
     """Build, solve, extract, and verify one design program.
 
     Accepts a Markov game with a Markov policy or a normal-form game with a
-    joint strategy.  Non-optimal statuses return without tensors.
+    joint strategy; the latter is designed as its one-stage embedding and
+    also cross-checked by the one-stage oracle.  Non-optimal statuses return
+    without tensors.
     """
+    sigma = None
     if isinstance(game, NormalFormGame):
         if not isinstance(target, JointMixedStrategy):
             raise ShapeError("normal-form design expects a joint strategy")
         if target.action_counts != game.action_counts:
             raise ShapeError("strategy shape does not match the game")
-        base = cost.baseline if cost.baseline is not None else game.utility
-        lp, layout = build_nfg_lp(target, concept, cost, config, baseline=base)
-        sol = solve(lp)
-        if sol.status != LpStatus.OPTIMAL:
-            return DesignResult(
-                sol.status, concept, cost.kind, iterations=sol.iterations
-            )
-        shape = layout["shape"]
-        utility = np.clip(
-            sol.x[: int(np.prod(shape))].reshape(shape),
-            -config.bound,
-            config.bound,
-        )
-        achieved = (
-            float(sol.x[layout["slack_col"]]) if config.max_gap else None
-        )
-        required = achieved if config.max_gap else config.slack
-        skeleton = nfg_as_markov(game)
-        policy = strategy_as_policy(target)
-        reward = RewardFunction(
-            rewards=utility.reshape(
-                (game.num_players, 1, 1) + game.action_counts
-            ),
-            bound=config.bound,
-        )
-        report = _verify_design(skeleton, policy, concept, reward, required)
-        oracle = nfg_oracle(utility, target, concept)
-        if oracle.min_gap < required - GAP_SLIP:
-            raise RuntimeError("one-stage oracle disagrees with the design")
-        return DesignResult(
-            sol.status,
-            concept,
-            cost.kind,
-            objective=sol.objective,
-            reward=reward,
-            utility=utility,
-            achieved_slack=achieved,
-            report=report,
-            iterations=sol.iterations,
-        )
-
-    if not isinstance(target, MarkovPolicy):
+        if cost.baseline is not None:
+            game = NormalFormGame(game.action_sets, cost.baseline)
+        sigma, cost = target, CostSpec(cost.kind)
+        game, target = nfg_as_markov(game), strategy_as_policy(sigma)
+    elif not isinstance(target, MarkovPolicy):
         raise ShapeError("Markov design expects a Markov policy")
     lp, layout = build_mg_lp(game, target, concept, cost, config)
     sol = solve(lp)
@@ -521,22 +353,26 @@ def design(
             sol.status, concept, cost.kind, iterations=sol.iterations
         )
     shape = layout["shape"]
-    size = int(np.prod(shape))
     rewards = np.clip(
-        sol.x[layout["r_off"] : layout["r_off"] + size].reshape(shape),
-        -config.bound,
-        config.bound,
+        sol.x[: int(np.prod(shape))].reshape(shape), -config.bound, config.bound
     )
     reward = RewardFunction(rewards=rewards, bound=config.bound)
     achieved = float(sol.x[layout["slack_col"]]) if config.max_gap else None
     required = achieved if config.max_gap else config.slack
     report = _verify_design(game, target, concept, reward, required)
+    utility = None
+    if sigma is not None:
+        utility = rewards.reshape((sigma.num_players,) + sigma.action_counts)
+        oracle = nfg_oracle(utility, sigma, concept)
+        if oracle.min_gap < required - GAP_SLIP:
+            raise RuntimeError("one-stage oracle disagrees with the design")
     return DesignResult(
         sol.status,
         concept,
         cost.kind,
         objective=sol.objective,
         reward=reward,
+        utility=utility,
         achieved_slack=achieved,
         report=report,
         iterations=sol.iterations,

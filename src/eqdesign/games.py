@@ -163,6 +163,19 @@ def support(sigma: JointMixedStrategy, player: int) -> tuple[int, ...]:
     return tuple(int(j) for j in np.flatnonzero(marg > 0.0))
 
 
+def genuine_deviations(sigma: JointMixedStrategy, player: int) -> tuple[int, ...]:
+    """Actions of ``player`` whose play departs from the target.
+
+    Every action, except that one carrying the player's whole marginal mass
+    replicates the target and is left out.
+    """
+    sup = support(sigma, player)
+    actions = range(sigma.action_counts[player])
+    if len(sup) == 1:
+        return tuple(a for a in actions if a != sup[0])
+    return tuple(actions)
+
+
 def conditional_matrix(sigma: JointMixedStrategy, player: int) -> tuple[np.ndarray, np.ndarray]:
     """All conditionals of one player at once.
 
@@ -291,8 +304,15 @@ class MarkovGameSkeleton:
         if trans.shape != expected:
             raise ShapeError(f"transitions shape {trans.shape}, expected {expected}")
         rows = trans.reshape(-1, num_s)
-        for idx, row in enumerate(rows):
-            _check_distribution(row, f"transition row {idx}")
+        # One pass over all rows; rows it flags are re-checked one by one
+        # for the error message.
+        flagged = ~(
+            np.all(np.isfinite(rows), axis=1)
+            & np.all(rows >= 0.0, axis=1)
+            & (np.abs(rows.sum(axis=1) - 1.0) <= PROB_ATOL)
+        )
+        for idx in np.flatnonzero(flagged):
+            _check_distribution(rows[idx], f"transition row {idx}")
         init = np.array(self.initial_dist, dtype=float)
         if init.shape != (num_s,):
             raise ShapeError(f"initial_dist shape {init.shape}, expected ({num_s},)")

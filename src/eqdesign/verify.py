@@ -28,6 +28,7 @@ from .games import (
     ShapeError,
     ValueTables,
     conditional_matrix,
+    genuine_deviations,
     is_product,
 )
 from .installability import Concept, DeviationClass, NotProductError
@@ -132,29 +133,19 @@ def visitation(skeleton: MarkovGameSkeleton, policy: MarkovPolicy) -> np.ndarray
     return mu
 
 
-def _replica_actions(stage: JointMixedStrategy, player: int) -> tuple[int, ...]:
-    marg = stage.marginal(player)
-    supported = np.flatnonzero(marg > 0.0)
-    if supported.size == 1:
-        return (int(supported[0]),)
-    return ()
-
-
 def _allowed_actions(
     stage: JointMixedStrategy,
     player: int,
     dev_class: DeviationClass,
     where: str,
 ) -> np.ndarray:
-    count = stage.action_counts[player]
-    actions = np.arange(count)
-    if dev_class == DeviationClass.NEVER_TARGET:
-        banned = _replica_actions(stage, player)
-        actions = actions[~np.isin(actions, banned)]
-        if actions.size == 0:
-            raise ValueError(
-                f"never-target class leaves player {player} no action at {where}"
-            )
+    if dev_class != DeviationClass.NEVER_TARGET:
+        return np.arange(stage.action_counts[player])
+    actions = np.array(genuine_deviations(stage, player), dtype=int)
+    if actions.size == 0:
+        raise ValueError(
+            f"never-target class leaves player {player} no action at {where}"
+        )
     return actions
 
 
@@ -232,11 +223,7 @@ def _coarse_gaps(
         br = best_response(skeleton, reward, policy, i, dev_class)
         for h in range(skeleton.horizon):
             for s in range(skeleton.num_states):
-                stage = policy.stage(h, s)
-                replicas = _replica_actions(stage, i)
-                for m in range(skeleton.action_counts[i]):
-                    if m in replicas:
-                        continue
+                for m in genuine_deviations(policy.stage(h, s), i):
                     gaps[(i, h, s, m)] = float(values.v[i, h, s] - br.q[h, s, m])
     return gaps
 
@@ -357,10 +344,7 @@ def nfg_oracle(
             marg = sigma.opponent_marginal(i).reshape(-1)
             mat = np.moveaxis(u[i], i, 0).reshape(sigma.action_counts[i], -1)
             dev_vals = mat @ marg
-            replicas = _replica_actions(sigma, i)
-            for m in range(sigma.action_counts[i]):
-                if m in replicas:
-                    continue
+            for m in genuine_deviations(sigma, i):
                 gaps[(i, 0, 0, m)] = float(on_path - dev_vals[m])
     elif concept == Concept.CE:
         for i in range(n):

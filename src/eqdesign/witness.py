@@ -23,6 +23,7 @@ from .games import (
     RewardFunction,
     ShapeError,
     conditional_matrix,
+    genuine_deviations,
     support,
 )
 from .installability import (
@@ -104,16 +105,6 @@ def witness_utility(sigma: JointMixedStrategy) -> np.ndarray:
     return out
 
 
-def _deviation_actions(p: np.ndarray) -> np.ndarray:
-    """Actions that genuinely change play: all of them, unless one action
-    carries the whole mass, in which case that action is excluded."""
-    supported = np.flatnonzero(p > 0.0)
-    actions = np.arange(p.shape[0])
-    if supported.size == 1:
-        return actions[actions != supported[0]]
-    return actions
-
-
 def gamma_ce(sigma: JointMixedStrategy) -> GammaResult:
     """Largest strictness margin any unit-bound correlated witness achieves.
 
@@ -142,7 +133,7 @@ def _cce_margins(sigma: JointMixedStrategy, player: int, weighted: bool):
     """Per-deviation coarse margins for one player, or None if no deviation
     exists; weighted uses the marginal-mass weights of the guarantee."""
     p, conds = conditional_matrix(sigma, player)
-    devs = _deviation_actions(p)
+    devs = np.array(genuine_deviations(sigma, player), dtype=int)
     if devs.size == 0:
         return None
     supported = np.flatnonzero(p > 0.0)
@@ -277,11 +268,30 @@ def _check_compat(policy: MarkovPolicy, skeleton: MarkovGameSkeleton) -> None:
         )
 
 
-def _stage_values(
-    skeleton: MarkovGameSkeleton, h: int, s: int, v_next: np.ndarray
-) -> np.ndarray:
-    """Expected next-stage value per joint action, one row per player."""
-    return skeleton.transitions[h, s] @ v_next.T  # (*A, n)
+def _cancel_continuation(
+    policy: MarkovPolicy,
+    skeleton: MarkovGameSkeleton,
+    stage_u: dict,
+    bound: float,
+) -> RewardFunction:
+    """Rewards whose on-path action values at every ``(h, s)`` equal the
+    stage utility ``stage_u[(h, s)]``: backward induction subtracts each
+    stage's expected continuation value, then clips to the bound."""
+    n = skeleton.num_players
+    horizon, num_s = skeleton.horizon, skeleton.num_states
+    rewards = np.zeros((n, horizon, num_s) + skeleton.action_counts)
+    values = np.zeros((n, horizon + 1, num_s))
+    for h in range(horizon - 1, -1, -1):
+        for s in range(num_s):
+            probs = policy.stages[h, s]
+            # Expected next-stage value per joint action, one column per player.
+            ev = skeleton.transitions[h, s] @ values[:, h + 1].T
+            u = stage_u[(h, s)]
+            for i in range(n):
+                rewards[i, h, s] = u[i] - ev[..., i]
+                values[i, h, s] = float(np.sum(probs * u[i]))
+    np.clip(rewards, -bound, bound, out=rewards)
+    return RewardFunction(rewards=rewards, bound=bound)
 
 
 def markov_witness(
@@ -309,26 +319,12 @@ def markov_witness(
             f"{concept.value}-installable",
             stage=bad,
         )
-    n = skeleton.num_players
-    counts = skeleton.action_counts
-    num_s = skeleton.num_states
-    horizon = skeleton.horizon
-    rewards = np.zeros((n, horizon, num_s) + counts)
-    values = np.zeros((n, horizon + 1, num_s))
-    for h in range(horizon - 1, -1, -1):
-        for s in range(num_s):
-            stage = policy.stage(h, s)
-            ev = _stage_values(skeleton, h, s, values[:, h + 1])
-            for i in range(n):
-                _, conds = conditional_matrix(stage, i)
-                _, units = _unit_rows(conds)
-                field = _joint_field(units, i, counts)
-                rewards[i, h, s] = 0.5 * bound * field - ev[..., i]
-                values[i, h, s] = float(
-                    np.sum(stage.probs * (0.5 * bound * field))
-                )
-    np.clip(rewards, -bound, bound, out=rewards)
-    return RewardFunction(rewards=rewards, bound=bound)
+    stage_u = {
+        (h, s): 0.5 * bound * witness_utility(policy.stage(h, s))
+        for h in range(skeleton.horizon)
+        for s in range(skeleton.num_states)
+    }
+    return _cancel_continuation(policy, skeleton, stage_u, bound)
 
 
 def epsilon_markov_witness(
@@ -351,12 +347,9 @@ def epsilon_markov_witness(
         bound=config.bound / horizon,
         deviation_class=config.deviation_class,
     )
-    n = skeleton.num_players
-    counts = skeleton.action_counts
-    num_s = skeleton.num_states
     stage_u = {}
     for h in range(horizon):
-        for s in range(num_s):
+        for s in range(skeleton.num_states):
             try:
                 stage_u[(h, s)] = epsilon_witness(
                     policy.stage(h, s), concept, stage_cfg
@@ -365,15 +358,4 @@ def epsilon_markov_witness(
                 raise StageCheckError(
                     f"stage (h={h}, s={s}): {exc}", stage=(h, s)
                 ) from exc
-    rewards = np.zeros((n, horizon, num_s) + counts)
-    values = np.zeros((n, horizon + 1, num_s))
-    for h in range(horizon - 1, -1, -1):
-        for s in range(num_s):
-            stage = policy.stage(h, s)
-            ev = _stage_values(skeleton, h, s, values[:, h + 1])
-            u = stage_u[(h, s)]
-            for i in range(n):
-                rewards[i, h, s] = u[i] - ev[..., i]
-                values[i, h, s] = float(np.sum(stage.probs * u[i]))
-    np.clip(rewards, -config.bound, config.bound, out=rewards)
-    return RewardFunction(rewards=rewards, bound=config.bound)
+    return _cancel_continuation(policy, skeleton, stage_u, config.bound)

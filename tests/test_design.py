@@ -37,6 +37,7 @@ from conftest import (
     make_rng,
     random_skeleton,
     sigma_corr,
+    sigma_ex,
     zero_game,
 )
 
@@ -71,12 +72,14 @@ class TestBuilderLayout:
     def test_mg_variable_and_row_counts(self):
         sk = chain_skeleton()
         pol = full_support_policy()
+        # Columns are the rewards plus the cost's own; rows are the 16
+        # strictness rows plus the cost's own.
         blk = 2 * 2 * 2 * 4
         cases = {
-            CostKind.OFFLINE: (3 * blk + 12, 168),
-            CostKind.ONLINE: (3 * blk + 12, 168),
-            CostKind.SOCIAL_WELFARE: (2 * blk + 12, 104),
-            CostKind.EGALITARIAN: (2 * blk + 13, 106),
+            CostKind.OFFLINE: (2 * blk, 16 + 2 * blk),
+            CostKind.ONLINE: (2 * blk, 16 + 2 * blk),
+            CostKind.SOCIAL_WELFARE: (blk, 16),
+            CostKind.EGALITARIAN: (blk + 1, 18),
         }
         for kind, (num_vars, num_rows) in cases.items():
             lp, layout = build_mg_lp(
@@ -90,9 +93,9 @@ class TestBuilderLayout:
             sk, pol, Concept.CCE, CostSpec(CostKind.OFFLINE),
             DesignConfig(slack=0.0, bound=1.0, max_gap=True),
         )
-        assert lp.num_vars == 2 * blk + 13
-        assert len(lp.constraints) == 104
-        assert layout["slack_col"] == lp.num_vars - 1
+        assert lp.num_vars == blk + 1
+        assert len(lp.constraints) == 16
+        assert layout["slack_col"] == blk
 
     def test_mg_bounds_box_rewards_only(self):
         sk = chain_skeleton()
@@ -283,6 +286,113 @@ class TestNfgDesign:
                 CostSpec(CostKind.OFFLINE),
                 DesignConfig(slack=0.1, bound=1.0),
             )
+
+
+class TestOneStageEmbedding:
+    def test_nfg_design_is_its_one_stage_markov_design(self):
+        rng = make_rng("design-embedding")
+        targets = [
+            sigma_corr(),
+            sigma_ex(),
+            JointMixedStrategy(np.full((2, 2), 0.25)),
+        ]
+        for sigma in targets:
+            shape = (2,) + sigma.action_counts
+            sets = tuple(tuple(f"a{k}" for k in range(c)) for c in shape[1:])
+            game = NormalFormGame(sets, rng.uniform(-1.0, 1.0, shape))
+            override = rng.uniform(-1.0, 1.0, shape)
+            embedded = (nfg_as_markov(game), strategy_as_policy(sigma))
+            for concept in (Concept.CE, Concept.CCE):
+                for kind, max_gap, base in [
+                    (k, False, None) for k in CostKind
+                ] + [
+                    (CostKind.OFFLINE, False, override),
+                    (CostKind.OFFLINE, True, None),
+                ]:
+                    config = DesignConfig(slack=0.05, bound=1.0, max_gap=max_gap)
+                    one = design(
+                        game, sigma, concept, CostSpec(kind, baseline=base),
+                        config,
+                    )
+                    two = design(
+                        *embedded, concept,
+                        CostSpec(
+                            kind,
+                            baseline=None
+                            if base is None
+                            else base.reshape((2, 1, 1) + shape[1:]),
+                        ),
+                        config,
+                    )
+                    case = (sigma.probs.tolist(), concept, kind, max_gap)
+                    assert one.status == two.status, case
+                    assert one.objective == two.objective, case
+                    if one.reward is None:
+                        assert two.reward is None, case
+                        continue
+                    assert np.array_equal(
+                        one.reward.rewards, two.reward.rewards
+                    ), case
+                    assert np.array_equal(
+                        one.utility.reshape(one.reward.rewards.shape),
+                        one.reward.rewards,
+                    ), case
+
+
+class TestPinnedOptima:
+    """Optima of the criterion-5 recipe, recorded from the earlier program
+    that carried action and state values as variables.  Soundness checks
+    alone would pass a program that lost its optimum."""
+
+    # k -> objectives for online, offline, social, egalitarian, max-gap.
+    EXPECTED = {
+        0: (
+            0.03890014244180068, 1.0737917259675154, -11.94470742684814,
+            -5.971291503935567, -0.12447457285017244,
+        ),
+        1: (
+            0.007654673620667726, 0.2523080756973122, -11.984269165249984,
+            -5.990801899209318, -0.05094755883979736,
+        ),
+        2: (
+            0.013836034830832632, 0.368820450163891, -11.979447717388005,
+            -5.9890196341340065, -0.06428648597101608,
+        ),
+        3: (
+            0.045414651248632136, 1.0975385885658127, -7.939603620640729,
+            -3.9648064055759344, -0.22361915706567767,
+        ),
+    }
+
+    def test_criterion_5_optima_survive(self):
+        bound = 2.0
+        for k, expected in self.EXPECTED.items():
+            rng = make_rng(f"acc5-{k}")
+            sk = random_skeleton(
+                rng, max_states=3, max_horizon=3, max_actions=2
+            )
+            pol = installable_policy(rng, sk, allow_pure=False)
+            cap = min(
+                gamma_cce(pol.stage(h, s)).value
+                for h in range(sk.horizon)
+                for s in range(sk.num_states)
+            )
+            slack = min(0.4, 0.45 * bound * cap)
+            configs = [
+                (CostSpec(kind), DesignConfig(slack=slack, bound=bound))
+                for kind in CostKind
+            ] + [
+                (
+                    CostSpec(CostKind.OFFLINE),
+                    DesignConfig(slack=0.0, bound=bound, max_gap=True),
+                )
+            ]
+            for (cost, config), value in zip(configs, expected):
+                result = design(sk, pol, Concept.CCE, cost, config)
+                assert result.status == LpStatus.OPTIMAL, (k, cost.kind)
+                assert result.objective == pytest.approx(value, abs=1e-6), (
+                    k, cost.kind, config.max_gap,
+                )
 
 
 class TestMgDesign:

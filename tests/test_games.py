@@ -184,6 +184,19 @@ class TestMarkovObjects:
                 transitions=trans,
                 initial_dist=np.array([1.0]),
             )
+        # The message names the first bad row, whatever is wrong with it.
+        for row, bad in ((1, [1.0 + 1e-6, 0.0]), (5, [1.5, -0.5]),
+                         (7, [np.nan, 1.0])):
+            trans = np.full((1, 2, 2, 2, 2), 0.5)
+            trans.reshape(8, 2)[row] = bad
+            with pytest.raises(DistributionError, match=f"row {row}:"):
+                MarkovGameSkeleton(
+                    action_sets=(("a", "b"), ("a", "b")),
+                    states=("s0", "s1"),
+                    horizon=1,
+                    transitions=trans,
+                    initial_dist=np.array([0.5, 0.5]),
+                )
 
     def test_policy_product_flag_checked(self):
         stages = sigma_corr().probs.reshape(1, 1, 2, 2)

@@ -3,7 +3,7 @@
 CLI invocations run through click's test runner against JSON files written
 into tmp_path; every report is parsed back and checked for the
 tool/config/result envelope and the documented exit codes (0 positive
-verdict, 1 negative verdict, 2 input error).
+verdict, 1 negative verdict, 2 input error, 3 tool failure).
 """
 
 import json
@@ -387,6 +387,23 @@ class TestCliDesign:
         assert again.exit_code == 0, again.output
         report = json.loads(again.output)
         assert report["result"]["objective"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_tool_failure_exits_three(self, files, monkeypatch):
+        # A solver or post-solve check breaking down is no verdict: it must
+        # not surface as exit 1 ("infeasible") or as a traceback.
+        def broken(*args, **kwargs):
+            raise RuntimeError("simplex exceeded 7 pivots")
+
+        monkeypatch.setattr("eqdesign.cli.design", broken)
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", CORR_TARGET)
+        result = invoke(["design", game, target, "--slack", "0.1"])
+        assert result.exit_code == 3, result.output
+        assert result.exception is None or isinstance(
+            result.exception, SystemExit
+        )
+        assert "error: simplex exceeded 7 pivots" in result.stderr
+        assert result.stdout == ""
 
     def test_max_gap_mode(self, files):
         game = files("game.json", NFG_DOC)
