@@ -21,13 +21,11 @@ import numpy as np
 from . import __version__
 from .design import CostKind, CostSpec, DesignConfig, design
 from .games import (
-    DistributionError,
     JointMixedStrategy,
     MarkovGameSkeleton,
     MarkovPolicy,
     NormalFormGame,
     RewardFunction,
-    ShapeError,
     nfg_as_markov,
 )
 from .installability import (
@@ -35,7 +33,6 @@ from .installability import (
     DeviationClass,
     InstallabilityReport,
     MarkovInstallability,
-    NotProductError,
     check,
     check_markov,
 )
@@ -50,7 +47,7 @@ from .io import (
     reward_to_doc,
     utility_to_doc,
 )
-from .lp import LpInputError, LpStatus
+from .lp import LpStatus
 from .verify import GapReport, check_strict, nfg_oracle
 from .witness import (
     EpsilonConfig,
@@ -64,16 +61,6 @@ from .witness import (
     markov_witness,
     witness_utility,
 )
-
-_INPUT_ERRORS = (
-    InputFormatError,
-    ShapeError,
-    DistributionError,
-    NotProductError,
-    LpInputError,
-    ValueError,
-)
-
 
 @dataclass
 class JobSpec:
@@ -283,9 +270,8 @@ def _run_design(job: JobSpec) -> tuple[int, dict]:
         from .design import build_mg_lp, build_nfg_lp
 
         if one_shot:
-            base = baseline if baseline is not None else game.utility
             lp, _ = build_nfg_lp(
-                target, job.concept, cost, config, baseline=base
+                target, job.concept, cost, config, baseline=game.utility
             )
         else:
             lp, _ = build_mg_lp(skeleton, target, job.concept, cost, config)
@@ -372,7 +358,7 @@ def _emit(job: JobSpec, code: int, report: dict) -> None:
 def _execute(job: JobSpec) -> None:
     try:
         code, report = run(job)
-    except _INPUT_ERRORS as exc:
+    except ValueError as exc:  # every input error of the package is one
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except RuntimeError as exc:

@@ -4,8 +4,10 @@ Builds one linear program per request whose unknowns are the rewards, boxed
 by the bound, plus the auxiliary columns of the chosen cost.  With the
 target policy fixed, action and state values are linear in the rewards, so
 one backward-induction operator turns every deviation constraint into a
-single strictness row over rewards.  A normal-form game is designed as its
-one-stage, one-state Markov embedding.
+single strictness row over rewards.  The L1 costs write each reward as
+``base + d+ - d-`` with bounded deviation columns ``d+`` and ``d-`` in place
+of the rewards, so their programs have the strictness rows alone.  A
+normal-form game is designed as its one-stage, one-state Markov embedding.
 
 Costs: ``ONLINE`` weights reward changes by the target's visitation measure,
 ``OFFLINE`` counts them unweighted, ``SOCIAL_WELFARE`` maximizes the sum of
@@ -179,9 +181,11 @@ def build_mg_lp(
 ) -> tuple[LinearProgram, dict]:
     """Assemble the design program over the reward tensor.
 
-    Returns the program and a layout dict.  The rewards are the first
-    columns, flattened from ``layout["shape"]``; ``layout["slack_col"]`` is
-    the margin column in max-gap mode.
+    Returns the program and a layout dict.  The rewards, flattened from
+    ``layout["shape"]``, are the first columns, except under an L1 cost,
+    where the first two blocks are ``d+`` and ``d-`` and the reward is
+    ``layout["baseline"] + d+ - d-`` (the baseline is None otherwise).
+    ``layout["slack_col"]`` is the margin column in max-gap mode.
     """
     if policy.horizon != skeleton.horizon or policy.num_states != skeleton.num_states:
         raise ShapeError("policy grid does not match the game")
@@ -202,11 +206,23 @@ def build_mg_lp(
 
     size = horizon * num_s * num_a  # one player's rewards
     blk = n * size
-    cursor = blk
-    t_off = None
-    if cost.kind in (CostKind.ONLINE, CostKind.OFFLINE) and not config.max_gap:
-        t_off = cursor
-        cursor += blk
+    shape = (n, horizon, num_s) + counts
+    l1 = cost.kind in (CostKind.ONLINE, CostKind.OFFLINE) and not config.max_gap
+    bound = config.bound
+    if l1:
+        # r = base + d+ - d-, with d+ the first block and d- the second; the
+        # bounds keep r in the box whatever the baseline.
+        base = _resolve_baseline(cost, skeleton, shape).reshape(-1)
+        lower = np.concatenate(
+            [np.maximum(0.0, -bound - base), np.maximum(0.0, base - bound)]
+        )
+        upper = np.concatenate(
+            [np.maximum(0.0, bound - base), np.maximum(0.0, bound + base)]
+        )
+    else:
+        base = None
+        lower, upper = np.full(blk, -bound), np.full(blk, bound)
+    cursor = lower.size
     z_col = None
     if cost.kind == CostKind.EGALITARIAN and not config.max_gap:
         z_col = cursor
@@ -218,8 +234,8 @@ def build_mg_lp(
     num_vars = cursor
 
     lp = LinearProgram(num_vars)
-    for col in range(blk):
-        lp.set_bounds(col, -config.bound, config.bound)
+    for col in range(lower.size):
+        lp.set_bounds(col, lower[col], upper[col])
 
     q_of_r, v0_of_r = _value_operator(skeleton, policy)
     for h in range(horizon):
@@ -227,9 +243,14 @@ def build_mg_lp(
             at = (h * num_s + s) * num_a
             for i, w in _stage_rows(policy.stage(h, s), concept):
                 row = np.zeros(num_vars)
-                row[i * size : (i + 1) * size] = w @ q_of_r[at : at + num_a]
+                cut = slice(i * size, (i + 1) * size)
+                row[cut] = w @ q_of_r[at : at + num_a]
+                rhs = config.slack
+                if l1:
+                    rhs -= row[cut] @ base[cut]
+                    row[blk + i * size : blk + (i + 1) * size] = -row[cut]
                 if slack_col is None:
-                    lp.add_constraint(row, ">=", config.slack)
+                    lp.add_constraint(row, ">=", rhs)
                 else:
                     row[slack_col] = -1.0
                     lp.add_constraint(row, ">=", 0.0)
@@ -239,25 +260,12 @@ def build_mg_lp(
     value0 = skeleton.initial_dist @ v0_of_r
     if config.max_gap:
         objective[slack_col] = -1.0
-    elif t_off is not None:
-        shape = (n, horizon, num_s) + counts
-        base = _resolve_baseline(cost, skeleton, shape).reshape(-1)
+    elif l1:
         if cost.kind == CostKind.ONLINE:
             weights = np.tile(visitation(skeleton, policy).reshape(-1), n)
         else:
             weights = np.ones(blk)
-        for col in range(blk):
-            t_col = t_off + col
-            lp.set_bounds(t_col, 0.0, math.inf)
-            objective[t_col] = weights[col]
-            row = np.zeros(num_vars)
-            row[t_col] = 1.0
-            row[col] = -1.0
-            lp.add_constraint(row, ">=", -base[col])
-            row = np.zeros(num_vars)
-            row[t_col] = 1.0
-            row[col] = 1.0
-            lp.add_constraint(row, ">=", base[col])
+        objective[: 2 * blk] = np.tile(weights, 2)
     elif cost.kind == CostKind.SOCIAL_WELFARE:
         objective[:blk] = -np.tile(value0, n)
     elif cost.kind == CostKind.EGALITARIAN:
@@ -271,7 +279,8 @@ def build_mg_lp(
     layout = {
         "slack_col": slack_col,
         "num_vars": num_vars,
-        "shape": (n, horizon, num_s) + counts,
+        "shape": shape,
+        "baseline": base,
     }
     return lp, layout
 
@@ -284,7 +293,10 @@ def build_nfg_lp(
     baseline: Optional[np.ndarray] = None,
 ) -> tuple[LinearProgram, dict]:
     """The one-stage design program: :func:`build_mg_lp` on the embedding of
-    ``sigma``, with ``baseline`` (default zeros) as the utility to modify."""
+    ``sigma``, with ``cost.baseline``, else ``baseline``, else zeros, as the
+    utility to modify."""
+    if cost.baseline is not None:
+        baseline = cost.baseline
     game = NormalFormGame(
         tuple(tuple(range(c)) for c in sigma.action_counts),
         np.zeros((sigma.num_players,) + sigma.action_counts)
@@ -353,9 +365,11 @@ def design(
             sol.status, concept, cost.kind, iterations=sol.iterations
         )
     shape = layout["shape"]
-    rewards = np.clip(
-        sol.x[: int(np.prod(shape))].reshape(shape), -config.bound, config.bound
-    )
+    blk = int(np.prod(shape))
+    flat = sol.x[:blk]
+    if layout["baseline"] is not None:
+        flat = layout["baseline"] + flat - sol.x[blk : 2 * blk]
+    rewards = np.clip(flat.reshape(shape), -config.bound, config.bound)
     reward = RewardFunction(rewards=rewards, bound=config.bound)
     achieved = float(sol.x[layout["slack_col"]]) if config.max_gap else None
     required = achieved if config.max_gap else config.slack

@@ -195,32 +195,6 @@ def conditional_matrix(sigma: JointMixedStrategy, player: int) -> tuple[np.ndarr
     return p, conds
 
 
-def cosine_gap(c1: Conditional, c2: Conditional) -> float:
-    """Dominance margin ``|c1| * (1 - cos angle(c1, c2))`` between conditionals.
-
-    An all-zero second conditional counts as orthogonal (cos = 0), so the gap
-    degenerates to ``|c1|``.  Both all-zero is a domain error, as are
-    mismatched opponent-profile shapes.
-    """
-    if c1.dist.shape != c2.dist.shape:
-        raise ShapeError(
-            f"conditional shapes differ: {c1.dist.shape} vs {c2.dist.shape}"
-        )
-    v1 = c1.flat()
-    v2 = c2.flat()
-    n1 = float(np.linalg.norm(v1))
-    n2 = float(np.linalg.norm(v2))
-    if n1 == 0.0 and n2 == 0.0:
-        raise DistributionError("cosine gap of two all-zero conditionals")
-    if n1 == 0.0:
-        return 0.0
-    if n2 == 0.0:
-        return n1
-    cos = float(np.dot(v1, v2)) / (n1 * n2)
-    cos = min(1.0, max(-1.0, cos))
-    return n1 * (1.0 - cos)
-
-
 def product_marginals(probs: np.ndarray) -> list[np.ndarray]:
     marginals = []
     for ax in range(probs.ndim):

@@ -1,9 +1,18 @@
 """Self-contained dense linear programming, no external solver.
 
 Minimization over box-bounded variables with <=, >=, and = rows, solved by
-the textbook two-phase primal simplex on a dense tableau.  Bland's rule
-(lowest eligible index enters; ties in the ratio test break toward the
-lowest basic index) guarantees termination without cycling.  Determinism:
+a two-phase bounded-variable primal simplex on a dense tableau.  Each row
+gets one logical column ``s`` with ``a @ x + s = b``: ``s >= 0`` on <=,
+``s <= 0`` on >=, ``s = 0`` on =.  Every column keeps its own bounds, and a
+nonbasic column sits at one of them (at 0 if it is free).  Phase 1 adds
+artificials only on rows whose logical cannot absorb the start point's
+residual, and fixes them at 0 once it ends.
+
+The entering column is the lowest eligible index (Bland's rule); the
+leaving row comes from a Harris two-pass ratio test with tolerance
+``PIVOT_TOL``.  ``iterations`` counts pivots and bound flips.  An optimal
+point is checked against the original rows and bounds within ``FEAS_TOL``
+before it is returned, and a miss raises ``RuntimeError``.  Determinism:
 identical inputs pivot identically, so solutions are bit-reproducible.
 """
 
@@ -122,29 +131,60 @@ class LinearProgram:
         return "\n".join(lines)
 
 
-def _bland_simplex(
+def _simplex(
     tableau: np.ndarray,
     basis: np.ndarray,
-    crow: np.ndarray,
+    x: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    cost: np.ndarray,
     tol: float,
     limit: int,
 ) -> tuple[str, int]:
-    """Run primal simplex pivots in place; returns (outcome, pivot count)."""
+    """Minimize ``cost @ x`` in place; returns (outcome, steps taken).
+
+    Each step either moves the entering column to its other bound (a bound
+    flip) or pivots it into the basis.  The leaving row comes from a Harris
+    two-pass ratio test: the longest step that keeps every basic column
+    within its bounds widened by ``tol``, then the largest pivot among the
+    rows that limit it.
+    """
+    crow = cost - cost[basis] @ tableau
     count = 0
     while True:
-        eligible = np.flatnonzero(crow[:-1] < -tol)
+        crow[basis] = 0.0
+        eligible = np.flatnonzero(
+            ((crow < -tol) & (x < upper)) | ((crow > tol) & (x > lower))
+        )
         if eligible.size == 0:
             return "optimal", count
         col = int(eligible[0])
-        column = tableau[:, col]
-        rows = np.flatnonzero(column > tol)
-        if rows.size == 0:
-            return "unbounded", count
-        ratios = tableau[rows, -1] / column[rows]
-        best = ratios.min()
-        tied = rows[np.flatnonzero(ratios <= best + 1e-12)]
-        row = int(tied[np.argmin(basis[tied])])
-        _pivot(tableau, crow, basis, row, col)
+        direction = 1.0 if crow[col] < 0.0 else -1.0
+        # Basic values move by -step * alpha as the entering column moves.
+        alpha = direction * tableau[:, col]
+        values = x[basis]
+        room = np.where(
+            alpha > 0.0, values - lower[basis], upper[basis] - values
+        )
+        size = np.abs(alpha)
+        rows = np.flatnonzero(size > tol)
+        ratios = room[rows] / size[rows]
+        longest = ((room[rows] + tol) / size[rows]).min(initial=math.inf)
+        span = upper[col] - lower[col]
+        if span <= longest:
+            if math.isinf(span):
+                return "unbounded", count
+            x[col] = upper[col] if direction > 0.0 else lower[col]
+            x[basis] -= span * alpha
+        else:
+            limiting = rows[ratios <= longest]
+            row = int(limiting[np.argmax(size[limiting])])
+            step = max(room[row] / size[row], 0.0)
+            leaving = basis[row]
+            x[col] += direction * step
+            x[basis] -= step * alpha
+            x[leaving] = lower[leaving] if alpha[row] > 0.0 else upper[leaving]
+            _pivot(tableau, crow, basis, row, col)
         count += 1
         if count > limit:
             raise RuntimeError(f"simplex exceeded {limit} pivots")
@@ -161,15 +201,27 @@ def _pivot(
     basis[row] = col
 
 
-def _reduced_costs(
-    tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray
-) -> np.ndarray:
-    crow = np.concatenate([cost, [0.0]])
-    for r, bv in enumerate(basis):
-        if cost[bv] != 0.0:
-            crow -= cost[bv] * tableau[r]
-    crow[basis] = 0.0
-    return crow
+def _check_point(
+    lp: LinearProgram,
+    a: np.ndarray,
+    b: np.ndarray,
+    rel: np.ndarray,
+    x: np.ndarray,
+    tol: float,
+) -> None:
+    """Raise unless ``x`` meets every row ``a @ x rel b`` and every bound of
+    ``lp`` within ``tol``."""
+    lhs = a @ x
+    miss = np.select([rel == "<=", rel == ">="], [lhs - b, b - lhs], abs(lhs - b))
+    if miss.size and miss.max() > tol:
+        row = int(np.argmax(miss))
+        raise RuntimeError(f"simplex point misses row {row} by {miss[row]:.3g}")
+    off = np.maximum(lp.lower - x, x - lp.upper)
+    if off.max() > tol:
+        var = int(np.argmax(off))
+        raise RuntimeError(
+            f"simplex point leaves the box of variable {var} by {off[var]:.3g}"
+        )
 
 
 def solve(
@@ -178,177 +230,59 @@ def solve(
     feas_tol: float = FEAS_TOL,
     max_pivots: int = 200_000,
 ) -> LpSolution:
-    """Two-phase simplex solve of the given program."""
-    n = lp.num_vars
-    # Substitute each variable by a nonnegative one (or a pair, if free).
-    # col_of[j] is the first standard-form column of original variable j.
-    col_of = np.zeros(n, dtype=int)
-    kind = []  # "shift" (x = off + y), "mirror" (x = off - y), "split"
-    offset = np.zeros(n)
-    cols = 0
-    extra_rows: list[tuple[int, float]] = []  # (column, upper value) for y <= u
-    for j in range(n):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if math.isfinite(lo):
-            col_of[j] = cols
-            kind.append("shift")
-            offset[j] = lo
-            if math.isfinite(hi):
-                extra_rows.append((cols, hi - lo))
-            cols += 1
-        elif math.isfinite(hi):
-            col_of[j] = cols
-            kind.append("mirror")
-            offset[j] = hi
-            cols += 1
-        else:
-            col_of[j] = cols
-            kind.append("split")
-            cols += 2
-
-    def expand(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Rewrite a row over x as a row over y plus a constant."""
-        row = np.zeros(cols)
-        const = 0.0
-        for j in range(n):
-            c = coeffs[j]
-            if c == 0.0:
-                continue
-            if kind[j] == "shift":
-                row[col_of[j]] += c
-                const += c * offset[j]
-            elif kind[j] == "mirror":
-                row[col_of[j]] -= c
-                const += c * offset[j]
-            else:
-                row[col_of[j]] += c
-                row[col_of[j] + 1] -= c
-        return row, const
-
-    rows: list[np.ndarray] = []
-    rels: list[str] = []
-    rhs: list[float] = []
-    for con in lp.constraints:
-        row, const = expand(con.coeffs)
-        rows.append(row)
-        rels.append(con.relation)
-        rhs.append(con.rhs - const)
-    for c_idx, u in extra_rows:
-        row = np.zeros(cols)
-        row[c_idx] = 1.0
-        rows.append(row)
-        rels.append("<=")
-        rhs.append(u)
-
-    obj_row, obj_const = expand(lp.objective)
-
-    m = len(rows)
-    if m == 0:
-        # Unconstrained boxless feasibility: any offset point works, but an
-        # unbounded objective direction must still be reported.
-        x = offset.copy()
-        for j in range(n):
-            if kind[j] == "split":
-                if lp.objective[j] != 0.0:
-                    return LpSolution(LpStatus.UNBOUNDED, None, None, 0)
-                x[j] = 0.0
-            elif lp.objective[j] != 0.0:
-                good = lp.objective[j] > 0.0
-                limited = math.isfinite(lp.lower[j] if good else lp.upper[j])
-                if not limited:
-                    return LpSolution(LpStatus.UNBOUNDED, None, None, 0)
-                x[j] = lp.lower[j] if good else lp.upper[j]
-        return LpSolution(
-            LpStatus.OPTIMAL, x, float(lp.objective @ x), 0
-        )
-
-    A = np.vstack(rows)
-    b = np.asarray(rhs, dtype=float)
-    flip = b < 0.0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    swapped = {"<=": ">=", ">=": "<=", "=": "="}
-    rels = [swapped[r] if f else r for r, f in zip(rels, flip)]
-
-    # Column layout: y variables | slack/surplus | artificials | rhs.
-    num_slack = sum(1 for r in rels if r != "=")
-    num_art = sum(1 for r in rels if r != "<=")
-    width = cols + num_slack
-    tableau = np.zeros((m, width + num_art + 1))
-    basis = np.zeros(m, dtype=int)
-    art_cols: list[int] = []
-    s_at = cols
-    a_at = width
-    for r in range(m):
-        tableau[r, :cols] = A[r]
-        tableau[r, -1] = b[r]
-        if rels[r] == "<=":
-            tableau[r, s_at] = 1.0
-            basis[r] = s_at
-            s_at += 1
-        elif rels[r] == ">=":
-            tableau[r, s_at] = -1.0
-            s_at += 1
-            tableau[r, a_at] = 1.0
-            basis[r] = a_at
-            art_cols.append(a_at)
-            a_at += 1
-        else:
-            tableau[r, a_at] = 1.0
-            basis[r] = a_at
-            art_cols.append(a_at)
-            a_at += 1
+    """Two-phase bounded-variable simplex solve of the given program."""
+    n, m = lp.num_vars, len(lp.constraints)
+    a = np.array([con.coeffs for con in lp.constraints]).reshape(m, n)
+    b = np.array([con.rhs for con in lp.constraints])
+    rel = np.array([con.relation for con in lp.constraints], dtype=object)
+    # One logical column per row, a @ x + s = b, bounded by the relation.
+    s_lower = np.where(rel == ">=", -math.inf, 0.0)
+    s_upper = np.where(rel == "<=", math.inf, 0.0)
+    x0 = np.where(
+        np.isfinite(lp.lower),
+        lp.lower,
+        np.where(np.isfinite(lp.upper), lp.upper, 0.0),
+    )
+    residual = b - a @ x0
+    s0 = np.clip(residual, s_lower, s_upper)
+    # Artificials absorb what a row's logical cannot at the start point.
+    need = np.flatnonzero(residual != s0)
+    k = need.size
+    sign = np.sign(residual[need] - s0[need])
+    tableau = np.zeros((m, n + m + k))
+    tableau[:, :n] = a
+    tableau[:, n : n + m] = np.eye(m)
+    tableau[need, n + m + np.arange(k)] = sign
+    tableau[need] *= sign[:, None]  # each basic column reads +1 in its row
+    lower = np.concatenate([lp.lower, s_lower, np.zeros(k)])
+    upper = np.concatenate([lp.upper, s_upper, np.full(k, math.inf)])
+    x = np.concatenate([x0, s0, np.abs(residual[need] - s0[need])])
+    basis = n + np.arange(m)
+    basis[need] = n + m + np.arange(k)
 
     pivots = 0
-    if art_cols:
-        phase1 = np.zeros(width + num_art)
-        phase1[art_cols] = 1.0
-        crow = _reduced_costs(tableau, basis, phase1)
-        outcome, used = _bland_simplex(tableau, basis, crow, pivot_tol, max_pivots)
+    if k:
+        phase1 = np.zeros(n + m + k)
+        phase1[n + m :] = 1.0
+        outcome, used = _simplex(
+            tableau, basis, x, lower, upper, phase1, pivot_tol, max_pivots
+        )
         pivots += used
         if outcome != "optimal":  # phase 1 is bounded below by 0
             raise RuntimeError("phase 1 terminated abnormally")
-        infeas = float(
-            sum(tableau[r, -1] for r in range(m) if basis[r] in art_cols)
-        )
-        if infeas > feas_tol:
+        if x[n + m :].sum() > feas_tol:
             return LpSolution(LpStatus.INFEASIBLE, None, None, pivots)
-        # Drive leftover artificials out of the basis or drop their rows.
-        art_set = set(art_cols)
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] not in art_set:
-                continue
-            pivot_cols = np.flatnonzero(np.abs(tableau[r, :width]) > pivot_tol)
-            if pivot_cols.size:
-                dummy = np.zeros(tableau.shape[1])
-                _pivot(tableau, dummy, basis, r, int(pivot_cols[0]))
-                pivots += 1
-            else:
-                keep[r] = False
-        tableau = tableau[keep]
-        basis = basis[keep]
-        m = tableau.shape[0]
-    # Discard artificial columns entirely.
-    tableau = np.concatenate([tableau[:, :width], tableau[:, -1:]], axis=1)
+        upper[n + m :] = 0.0
 
-    cost2 = np.zeros(width)
-    cost2[:cols] = obj_row
-    crow = _reduced_costs(tableau, basis, cost2)
-    outcome, used = _bland_simplex(tableau, basis, crow, pivot_tol, max_pivots)
+    phase2 = np.zeros(n + m + k)
+    phase2[:n] = lp.objective
+    outcome, used = _simplex(
+        tableau, basis, x, lower, upper, phase2, pivot_tol, max_pivots
+    )
     pivots += used
     if outcome == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, pivots)
-
-    y = np.zeros(width)
-    y[basis] = tableau[:, -1]
-    x = np.zeros(n)
-    for j in range(n):
-        if kind[j] == "shift":
-            x[j] = offset[j] + y[col_of[j]]
-        elif kind[j] == "mirror":
-            x[j] = offset[j] - y[col_of[j]]
-        else:
-            x[j] = y[col_of[j]] - y[col_of[j] + 1]
-    objective = float(lp.objective @ x)
-    return LpSolution(LpStatus.OPTIMAL, x, objective, pivots)
+    _check_point(lp, a, b, rel, x[:n], feas_tol)
+    return LpSolution(
+        LpStatus.OPTIMAL, x[:n].copy(), float(lp.objective @ x[:n]), pivots
+    )

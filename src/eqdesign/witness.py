@@ -129,9 +129,9 @@ def gamma_ce(sigma: JointMixedStrategy) -> GammaResult:
     return GammaResult(best, True)
 
 
-def _cce_margins(sigma: JointMixedStrategy, player: int, weighted: bool):
+def _cce_margins(sigma: JointMixedStrategy, player: int):
     """Per-deviation coarse margins for one player, or None if no deviation
-    exists; weighted uses the marginal-mass weights of the guarantee."""
+    exists."""
     p, conds = conditional_matrix(sigma, player)
     devs = np.array(genuine_deviations(sigma, player), dtype=int)
     if devs.size == 0:
@@ -139,8 +139,7 @@ def _cce_margins(sigma: JointMixedStrategy, player: int, weighted: bool):
     supported = np.flatnonzero(p > 0.0)
     norms, units = _unit_rows(conds)
     cos = np.clip(units[supported] @ units[devs].T, -1.0, 1.0)
-    coeff = norms[supported] * (p[supported] if weighted else 1.0)
-    return coeff @ (1.0 - cos)
+    return (norms[supported] * p[supported]) @ (1.0 - cos)
 
 
 def gamma_cce(sigma: JointMixedStrategy) -> GammaResult:
@@ -154,23 +153,10 @@ def gamma_cce(sigma: JointMixedStrategy) -> GammaResult:
         return GammaResult(0.0, False)
     best = math.inf
     for i in range(sigma.num_players):
-        margins = _cce_margins(sigma, i, weighted=True)
+        margins = _cce_margins(sigma, i)
         if margins is not None:
             best = min(best, float(margins.min()))
     return GammaResult(best, True)
-
-
-def gamma_cce_statement(sigma: JointMixedStrategy) -> float:
-    """Diagnostic unweighted variant of :func:`gamma_cce` (same minimand
-    without the marginal-mass weights).  Not a guarantee."""
-    if not check_scce(sigma).installable:
-        return 0.0
-    best = math.inf
-    for i in range(sigma.num_players):
-        margins = _cce_margins(sigma, i, weighted=False)
-        if margins is not None:
-            best = min(best, float(margins.min()))
-    return best
 
 
 def _pure_profile(sigma: JointMixedStrategy) -> tuple[int, ...]:

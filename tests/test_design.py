@@ -28,6 +28,7 @@ from eqdesign import (
     evaluate_cost,
     gamma_cce,
     nfg_as_markov,
+    solve,
     strategy_as_policy,
     witness_utility,
 )
@@ -40,6 +41,49 @@ from conftest import (
     sigma_ex,
     zero_game,
 )
+
+
+def recipe_instance(num_s, horizon, counts):
+    """The seeded ladder game of ROADMAP.md: dirichlet(0.9) transitions and
+    initial distribution, a mixed installable target at every stage."""
+    rng = make_rng(f"b{num_s}{horizon}{counts}")
+    num_a = int(np.prod(counts))
+    sk = MarkovGameSkeleton(
+        action_sets=tuple(tuple(f"a{k}" for k in range(c)) for c in counts),
+        states=tuple(f"s{k}" for k in range(num_s)),
+        horizon=horizon,
+        transitions=rng.dirichlet(
+            np.full(num_s, 0.9), size=(horizon, num_s, num_a)
+        ).reshape((horizon, num_s) + counts + (num_s,)),
+        initial_dist=rng.dirichlet(np.full(num_s, 0.9)),
+    )
+    return sk, installable_policy(rng, sk, allow_pure=False)
+
+
+def recipe_slack(pol, bound):
+    """Nine tenths of the margin the Markov witness certifies at ``bound``."""
+    cap = min(
+        gamma_cce(pol.stage(h, s)).value
+        for h in range(pol.horizon)
+        for s in range(pol.num_states)
+    )
+    return min(0.4, 0.9 * 0.5 * bound * cap)
+
+
+def highs(lp):
+    """Status and objective of a design program (only >= rows) by scipy's
+    HiGHS; skips the test without scipy."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    assert all(c.relation == ">=" for c in lp.constraints)
+    res = linprog(
+        lp.objective,
+        A_ub=-np.array([c.coeffs for c in lp.constraints]),
+        b_ub=-np.array([c.rhs for c in lp.constraints]),
+        bounds=list(zip(lp.lower, lp.upper)),
+        method="highs",
+    )
+    status = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+    return status[res.status], res.fun if res.status == 0 else None
 
 
 def full_support_policy(shape=(2, 2), horizon=2, num_states=2):
@@ -72,12 +116,12 @@ class TestBuilderLayout:
     def test_mg_variable_and_row_counts(self):
         sk = chain_skeleton()
         pol = full_support_policy()
-        # Columns are the rewards plus the cost's own; rows are the 16
-        # strictness rows plus the cost's own.
+        # Columns are the rewards (as d+ and d- for the L1 costs) plus the
+        # cost's own; rows are the 16 strictness rows plus the cost's own.
         blk = 2 * 2 * 2 * 4
         cases = {
-            CostKind.OFFLINE: (2 * blk, 16 + 2 * blk),
-            CostKind.ONLINE: (2 * blk, 16 + 2 * blk),
+            CostKind.OFFLINE: (2 * blk, 16),
+            CostKind.ONLINE: (2 * blk, 16),
             CostKind.SOCIAL_WELFARE: (blk, 16),
             CostKind.EGALITARIAN: (blk + 1, 18),
         }
@@ -116,7 +160,7 @@ class TestBuilderLayout:
             sigma, Concept.CCE, CostSpec(CostKind.OFFLINE),
             DesignConfig(slack=0.1, bound=1.0),
         )
-        assert lp.num_vars == 16 and len(lp.constraints) == 20
+        assert lp.num_vars == 16 and len(lp.constraints) == 4
         lp, _ = build_nfg_lp(
             sigma, Concept.CCE, CostSpec(CostKind.SOCIAL_WELFARE),
             DesignConfig(slack=0.1, bound=1.0),
@@ -128,6 +172,38 @@ class TestBuilderLayout:
         )
         assert lp.num_vars == 9 and len(lp.constraints) == 4
         assert layout["slack_col"] == 8
+
+    def test_nfg_cost_baseline_overrides_argument(self):
+        # The witness utility already installs the diagonal target with
+        # margin 0.5 > 0.1, so modifying it costs nothing.
+        sigma = sigma_corr()
+        base = witness_utility(sigma)
+        config = DesignConfig(slack=0.1, bound=1.0)
+        via_cost, _ = build_nfg_lp(
+            sigma, Concept.CE, CostSpec(CostKind.OFFLINE, baseline=base),
+            config, baseline=np.zeros_like(base),
+        )
+        via_arg, _ = build_nfg_lp(
+            sigma, Concept.CE, CostSpec(CostKind.OFFLINE), config,
+            baseline=base,
+        )
+        assert via_cost.dump() == via_arg.dump()
+        assert solve(via_cost).objective == pytest.approx(0.0, abs=1e-9)
+        result = design(
+            zero_game((2, 2)), sigma, Concept.CE,
+            CostSpec(CostKind.OFFLINE, baseline=base), config,
+        )
+        assert result.objective == pytest.approx(0.0, abs=1e-9)
+
+    def test_l1_programs_have_only_strictness_rows(self):
+        sk, pol = recipe_instance(3, 3, (3, 3))
+        cost = CostSpec(CostKind.OFFLINE)
+        config = DesignConfig(slack=recipe_slack(pol, 2.0), bound=2.0)
+        lp, layout = build_mg_lp(sk, pol, Concept.CCE, cost, config)
+        assert (lp.num_vars, len(lp.constraints)) == (324, 54)
+        assert np.array_equal(layout["baseline"], np.zeros(162))
+        result = design(sk, pol, Concept.CCE, cost, config)
+        assert result.objective == pytest.approx(6.338652, abs=1e-6)
 
     def test_nash_needs_product_target(self):
         with pytest.raises(NotProductError):
@@ -393,6 +469,65 @@ class TestPinnedOptima:
                 assert result.objective == pytest.approx(value, abs=1e-6), (
                     k, cost.kind, config.max_gap,
                 )
+
+
+class TestAgainstHighs:
+    """The in-package simplex against scipy's HiGHS on the seeded ladder
+    programs of ROADMAP.md, far larger than the vertex-enumeration battery."""
+
+    def check(self, lp):
+        sol = solve(lp)
+        status, objective = highs(lp)
+        assert sol.status == status
+        if status == LpStatus.OPTIMAL:
+            assert sol.objective == pytest.approx(objective, abs=1e-6)
+        return sol
+
+    def test_every_cost_and_max_gap_at_3_3_3x3(self):
+        sk, pol = recipe_instance(3, 3, (3, 3))
+        slack = recipe_slack(pol, 2.0)
+        for kind in CostKind:
+            lp, _ = build_mg_lp(
+                sk, pol, Concept.CCE, CostSpec(kind),
+                DesignConfig(slack=slack, bound=2.0),
+            )
+            assert self.check(lp).status == LpStatus.OPTIMAL, kind
+        lp, _ = build_mg_lp(
+            sk, pol, Concept.CCE, CostSpec(CostKind.OFFLINE),
+            DesignConfig(slack=0.0, bound=2.0, max_gap=True),
+        )
+        assert self.check(lp).status == LpStatus.OPTIMAL
+
+    def test_offline_at_4_4_3x3(self):
+        sk, pol = recipe_instance(4, 4, (3, 3))
+        cost = CostSpec(CostKind.OFFLINE)
+        config = DesignConfig(slack=recipe_slack(pol, 2.0), bound=2.0)
+        lp, _ = build_mg_lp(sk, pol, Concept.CCE, cost, config)
+        assert (lp.num_vars, len(lp.constraints)) == (576, 96)
+        self.check(lp)
+        result = design(sk, pol, Concept.CCE, cost, config)
+        assert result.status == LpStatus.OPTIMAL
+        assert result.objective == pytest.approx(1.034976, abs=1e-6)
+
+    def test_baseline_outside_the_box(self):
+        # Every baseline entry lies at +-3B: d+ and d- must pull each reward
+        # back into the box, and the cost counts the whole distance.
+        bound = 2.0
+        sk, pol = recipe_instance(2, 2, (3, 3))
+        rng = make_rng("design-outside-box")
+        shape = (2, sk.horizon, sk.num_states) + sk.action_counts
+        base = 3.0 * bound * rng.choice([-1.0, 1.0], size=shape)
+        config = DesignConfig(slack=recipe_slack(pol, bound), bound=bound)
+        for kind in (CostKind.ONLINE, CostKind.OFFLINE):
+            cost = CostSpec(kind, baseline=base)
+            lp, _ = build_mg_lp(sk, pol, Concept.CCE, cost, config)
+            sol = self.check(lp)
+            assert sol.status == LpStatus.OPTIMAL, kind
+            result = design(sk, pol, Concept.CCE, cost, config)
+            assert np.max(np.abs(result.reward.rewards)) <= bound
+            assert result.objective == pytest.approx(
+                evaluate_cost(sk, pol, cost, result.reward), abs=1e-6
+            ), kind
 
 
 class TestMgDesign:

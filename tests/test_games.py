@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqdesign import (
-    Conditional,
     DistributionError,
     JointMixedStrategy,
     MarkovGameSkeleton,
@@ -16,7 +15,6 @@ from eqdesign import (
     clean_distribution,
     conditional,
     conditional_matrix,
-    cosine_gap,
     is_product,
     nfg_as_markov,
     strategy_as_policy,
@@ -118,29 +116,6 @@ class TestConditionals:
             for j in np.flatnonzero(p > 0):
                 assert conds[j].sum() == pytest.approx(1.0, abs=1e-9)
                 assert conds[j].min() >= 0.0
-
-
-class TestCosineGap:
-    def test_orthogonal(self):
-        a = Conditional(0, 0, 0.5, np.array([1.0, 0.0]))
-        b = Conditional(0, 1, 0.5, np.array([0.0, 1.0]))
-        assert cosine_gap(a, b) == pytest.approx(1.0)
-
-    def test_identical(self):
-        a = Conditional(0, 0, 0.5, np.array([0.5, 0.5]))
-        assert cosine_gap(a, a) == pytest.approx(0.0, abs=1e-15)
-
-    def test_zero_second_argument(self):
-        a = Conditional(0, 0, 0.5, np.array([0.6, 0.4]))
-        z = Conditional(0, 1, 0.0, np.array([0.0, 0.0]))
-        assert cosine_gap(a, z) == pytest.approx(
-            float(np.linalg.norm([0.6, 0.4]))
-        )
-
-    def test_both_zero_rejected(self):
-        z = Conditional(0, 0, 0.0, np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            cosine_gap(z, z)
 
 
 class TestProduct:

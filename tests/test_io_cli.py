@@ -429,6 +429,28 @@ class TestCliDesign:
         assert text.startswith("minimize")
         assert "subject to" in text
 
+    def test_lp_dump_uses_baseline(self, files, tmp_path):
+        # --baseline replaces the game's utility as the one to modify, in the
+        # dumped program as in the design.
+        utility = [[0.5, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, 0.5]]
+        target = files("target.json", CORR_TARGET)
+        base = files("base.json", {"utility": utility})
+        runs = [
+            (files("game.json", NFG_DOC), ["--baseline", base]),
+            (files("own.json", dict(NFG_DOC, utility=utility)), []),
+        ]
+        texts = []
+        for game, extra in runs:
+            dump = str(tmp_path / "program.lp")
+            result = invoke(
+                ["design", game, target, "--slack", "0.2", "--lp-dump", dump]
+                + extra
+            )
+            assert result.exit_code == 0, result.output
+            with open(dump, "r", encoding="utf-8") as handle:
+                texts.append(handle.read())
+        assert texts[0] == texts[1]
+
     def test_markov_design_reward_artifact(self, files, tmp_path):
         rng = make_rng("cli-design-mg")
         sk = random_skeleton(rng, max_states=2, max_horizon=2)

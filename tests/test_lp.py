@@ -4,6 +4,7 @@ Randomized programs use integer data and finite boxes so exhaustive vertex
 enumeration is an exact independent oracle; see conftest.vertex_optimum.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -176,6 +177,39 @@ class TestCycling:
     def test_pivot_limit_raises(self):
         with pytest.raises(RuntimeError, match="pivots"):
             solve(self.beale(), max_pivots=1)
+
+
+class TestOptimalIsChecked:
+    """An optimal point must meet the original rows and bounds; a simplex
+    that drifted off them is a tool failure, not an optimum."""
+
+    def corrupt_simplex(self, monkeypatch, shift):
+        lp_module = importlib.import_module("eqdesign.lp")
+        simplex = lp_module._simplex
+
+        def drifted(tableau, basis, x, *rest):
+            outcome, count = simplex(tableau, basis, x, *rest)
+            x[0] += shift
+            return outcome, count
+
+        monkeypatch.setattr(lp_module, "_simplex", drifted)
+
+    def test_missed_row_raises(self, monkeypatch):
+        self.corrupt_simplex(monkeypatch, 1e-3)
+        with pytest.raises(RuntimeError, match="row 0 by 0.001"):
+            solve(simple_program())
+
+    def test_left_box_raises(self, monkeypatch):
+        self.corrupt_simplex(monkeypatch, -0.5)
+        lp = LinearProgram(1)
+        lp.set_objective([1.0])
+        lp.set_bounds(0, 0.0, 1.0)
+        with pytest.raises(RuntimeError, match="variable 0 by 0.5"):
+            solve(lp)
+
+    def test_drift_within_tolerance_passes(self, monkeypatch):
+        self.corrupt_simplex(monkeypatch, 1e-9)
+        assert solve(simple_program()).status == LpStatus.OPTIMAL
 
 
 class TestSolutionQuality:

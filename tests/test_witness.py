@@ -15,7 +15,6 @@ from eqdesign import (
     epsilon_markov_witness,
     epsilon_witness,
     gamma_cce,
-    gamma_cce_statement,
     gamma_ce,
     markov_witness,
     nfg_oracle,
@@ -60,7 +59,6 @@ class TestGamma:
     def test_corr_values(self):
         assert gamma_ce(sigma_corr()).value == pytest.approx(1.0, abs=1e-12)
         assert gamma_cce(sigma_corr()).value == pytest.approx(0.5, abs=1e-12)
-        assert gamma_cce_statement(sigma_corr()) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass_values(self):
         probs = np.zeros((2, 2))
