@@ -33,7 +33,6 @@ from .games import (
     ShapeError,
     conditional_matrix,
     genuine_deviations,
-    is_product,
     nfg_as_markov,
     strategy_as_policy,
 )
@@ -169,6 +168,8 @@ def _resolve_baseline(
         base = np.zeros(shape)
     if base.shape != shape:
         raise ShapeError(f"baseline shape {base.shape}, expected {shape}")
+    if not np.all(np.isfinite(base)):
+        raise ShapeError("baseline has non-finite entries")
     return base
 
 
@@ -187,22 +188,17 @@ def build_mg_lp(
     ``layout["baseline"] + d+ - d-`` (the baseline is None otherwise).
     ``layout["slack_col"]`` is the margin column in max-gap mode.
     """
-    if policy.horizon != skeleton.horizon or policy.num_states != skeleton.num_states:
-        raise ShapeError("policy grid does not match the game")
-    if policy.action_counts != skeleton.action_counts:
-        raise ShapeError("policy action counts do not match the game")
+    policy.check_fits(skeleton)
     n = skeleton.num_players
     horizon, num_s = skeleton.horizon, skeleton.num_states
     counts = skeleton.action_counts
     num_a = int(np.prod(counts))
-    if concept == Concept.NE:
-        for h in range(horizon):
-            for s in range(num_s):
-                if not is_product(policy.stage(h, s)):
-                    raise NotProductError(
-                        f"Nash design requires product stages; (h={h}, s={s}) "
-                        "is correlated"
-                    )
+    bad = policy.first_correlated() if concept == Concept.NE else None
+    if bad is not None:
+        raise NotProductError(
+            f"Nash design requires product stages; (h={bad[0]}, s={bad[1]}) "
+            "is correlated"
+        )
 
     size = horizon * num_s * num_a  # one player's rewards
     blk = n * size

@@ -5,17 +5,25 @@ are stored as dense numpy arrays whose joint-action axes are indexed in
 row-major order of the per-player action indices.  Players, actions, stages
 and states are all 0-based everywhere, including reports and file formats.
 
-Probability hygiene: constructors require entries >= 0 summing to 1 within
-``PROB_ATOL``; the ingestion helper :func:`clean_distribution` additionally
-clamps float dust in [-NEG_CLAMP, 0] to exact zeros and renormalizes, so that
-support queries (exact ``> 0``) are stable afterwards.
+This module is the one home of the three input rules the rest of the
+package relies on:
+
+- Probability rows: constructors require entries >= 0 summing to 1 within
+  ``PROB_ATOL``, checked for all rows at once; the ingestion helper
+  :func:`clean_distribution` additionally clamps float dust in
+  [-NEG_CLAMP, 0] to exact zeros and renormalizes each row along the last
+  axis, so that support queries (exact ``> 0``) are stable afterwards.
+- Policy-game fit: :meth:`MarkovPolicy.check_fits`.
+- Product stages: :func:`is_product` and
+  :meth:`MarkovPolicy.first_correlated`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,35 +49,44 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_rows(rows: np.ndarray, label: Callable[[int], str]) -> None:
+    """Raise unless every row of the 2-D ``rows`` is a distribution.
+
+    Two reductions flag the bad rows (NaN fails both); only then is the
+    first one examined for the message, prefixed by ``label(row index)``.
+    """
+    # ``initial=0.0`` keeps empty rows reducible; it never hides a negative.
+    ok = (rows.min(axis=1, initial=0.0) >= 0.0) & (
+        np.abs(rows.sum(axis=1) - 1.0) <= PROB_ATOL
+    )
+    if ok.all():
+        return
+    idx = int(np.argmin(ok))
+    row, where = rows[idx], label(idx)
+    if not np.all(np.isfinite(row)):
+        raise DistributionError(f"{where}: non-finite entry")
+    if np.any(row < 0.0):
+        raise DistributionError(f"{where}: negative probability {float(row.min())}")
+    raise DistributionError(f"{where}: sums to {float(row.sum())}, not 1")
+
+
 def clean_distribution(values, where: str = "distribution") -> np.ndarray:
-    """Ingest raw numbers as a probability array (any shape, sums to 1 overall).
+    """Ingest raw numbers as probability rows along the last axis.
 
     Entries below ``-NEG_CLAMP`` are rejected; entries in ``[-NEG_CLAMP, 0]``
-    are clamped to exact 0.  The total must be within ``PROB_ATOL`` of 1 and
-    the array is renormalized to sum to exactly 1.0.  ``where`` names the
-    offending field in error messages.
+    are clamped to exact 0.  Each row must sum to 1 within ``PROB_ATOL`` and
+    is renormalized to sum to exactly 1.0.  A 1-D input is one row.
+    ``where`` names the offending field in error messages, followed by the
+    flat row index ``[k]`` when there is more than one axis.
     """
     arr = np.array(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DistributionError(f"{where}: non-finite entry")
-    if np.any(arr < -NEG_CLAMP):
-        bad = float(arr.min())
-        raise DistributionError(f"{where}: negative probability {bad}")
-    arr[arr < 0.0] = 0.0
-    total = float(arr.sum())
-    if abs(total - 1.0) > PROB_ATOL:
-        raise DistributionError(f"{where}: sums to {total}, not 1")
-    return arr / total
-
-
-def _check_distribution(arr: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise DistributionError(f"{where}: non-finite entry")
-    if np.any(arr < 0.0):
-        raise DistributionError(f"{where}: negative probability {float(arr.min())}")
-    total = float(arr.sum())
-    if abs(total - 1.0) > PROB_ATOL:
-        raise DistributionError(f"{where}: sums to {total}, not 1")
+    rows = arr.reshape(-1, arr.shape[-1] if arr.ndim else 1)
+    rows[(rows < 0.0) & (rows >= -NEG_CLAMP)] = 0.0
+    if arr.ndim > 1:
+        _check_rows(rows, lambda k: f"{where}[{k}]")
+    else:
+        _check_rows(rows, lambda k: where)
+    return (rows / rows.sum(axis=1, keepdims=True)).reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -86,7 +103,7 @@ class JointMixedStrategy:
         arr = np.array(self.probs, dtype=float)
         if arr.ndim < 1:
             raise ShapeError("joint strategy needs at least one player axis")
-        _check_distribution(arr, "joint strategy")
+        _check_rows(arr.reshape(1, -1), lambda k: "joint strategy")
         object.__setattr__(self, "probs", _freeze(arr))
 
     @property
@@ -195,21 +212,20 @@ def conditional_matrix(sigma: JointMixedStrategy, player: int) -> tuple[np.ndarr
     return p, conds
 
 
-def product_marginals(probs: np.ndarray) -> list[np.ndarray]:
-    marginals = []
-    for ax in range(probs.ndim):
-        other = tuple(a for a in range(probs.ndim) if a != ax)
-        marginals.append(probs.sum(axis=other))
-    return marginals
+def _factor_gap(probs: np.ndarray, lead: int) -> np.ndarray:
+    """L-inf distance of each joint distribution in ``probs`` from the
+    product of its marginals; the action axes follow the first ``lead``."""
+    axes = tuple(range(lead, probs.ndim))
+    outer = None
+    for ax in axes:
+        marg = probs.sum(axis=tuple(a for a in axes if a != ax), keepdims=True)
+        outer = marg if outer is None else outer * marg
+    return np.abs(probs - outer).max(axis=axes)
 
 
 def is_product(sigma: JointMixedStrategy, atol: float = COND_ATOL) -> bool:
     """Whether the joint strategy factorizes into independent marginals."""
-    margs = product_marginals(sigma.probs)
-    outer = margs[0]
-    for m in margs[1:]:
-        outer = np.multiply.outer(outer, m)
-    return bool(np.max(np.abs(sigma.probs - outer)) <= atol)
+    return bool(_factor_gap(sigma.probs, 0) <= atol)
 
 
 @dataclass(frozen=True)
@@ -277,20 +293,11 @@ class MarkovGameSkeleton:
         expected = (self.horizon, num_s) + counts + (num_s,)
         if trans.shape != expected:
             raise ShapeError(f"transitions shape {trans.shape}, expected {expected}")
-        rows = trans.reshape(-1, num_s)
-        # One pass over all rows; rows it flags are re-checked one by one
-        # for the error message.
-        flagged = ~(
-            np.all(np.isfinite(rows), axis=1)
-            & np.all(rows >= 0.0, axis=1)
-            & (np.abs(rows.sum(axis=1) - 1.0) <= PROB_ATOL)
-        )
-        for idx in np.flatnonzero(flagged):
-            _check_distribution(rows[idx], f"transition row {idx}")
+        _check_rows(trans.reshape(-1, num_s), lambda k: f"transition row {k}")
         init = np.array(self.initial_dist, dtype=float)
         if init.shape != (num_s,):
             raise ShapeError(f"initial_dist shape {init.shape}, expected ({num_s},)")
-        _check_distribution(init, "initial_dist")
+        _check_rows(init.reshape(1, -1), lambda k: "initial_dist")
         base = self.baseline_reward
         if base is not None:
             base = np.array(base, dtype=float)
@@ -337,20 +344,18 @@ class MarkovPolicy:
         arr = np.array(self.stages, dtype=float)
         if arr.ndim < 3:
             raise ShapeError("policy needs axes (stage, state, actions...)")
-        flat = arr.reshape(arr.shape[0] * arr.shape[1], -1)
-        for idx, row in enumerate(flat):
-            h, s = divmod(idx, arr.shape[1])
-            _check_distribution(row, f"policy stage (h={h}, s={s})")
-        frozen = _freeze(arr)
-        object.__setattr__(self, "stages", frozen)
-        if self.product:
-            for h in range(arr.shape[0]):
-                for s in range(arr.shape[1]):
-                    if not is_product(JointMixedStrategy(arr[h, s])):
-                        raise DistributionError(
-                            f"policy flagged product but stage (h={h}, s={s}) "
-                            "does not factorize"
-                        )
+        num_s = arr.shape[1]
+        _check_rows(
+            arr.reshape(arr.shape[0] * num_s, -1),
+            lambda k: "policy stage (h={}, s={})".format(*divmod(k, num_s)),
+        )
+        object.__setattr__(self, "stages", _freeze(arr))
+        bad = self.first_correlated() if self.product else None
+        if bad is not None:
+            raise DistributionError(
+                f"policy flagged product but stage (h={bad[0]}, s={bad[1]}) "
+                "does not factorize"
+            )
 
     @property
     def horizon(self) -> int:
@@ -364,9 +369,29 @@ class MarkovPolicy:
     def action_counts(self) -> tuple[int, ...]:
         return self.stages.shape[2:]
 
+    @cached_property
+    def _stage_table(self) -> list[list[JointMixedStrategy]]:
+        return [[JointMixedStrategy(p) for p in per_h] for per_h in self.stages]
+
     def stage(self, h: int, s: int) -> JointMixedStrategy:
         """The joint mixed strategy played at stage ``h`` in state ``s``."""
-        return JointMixedStrategy(self.stages[h, s])
+        return self._stage_table[h][s]
+
+    def check_fits(self, skeleton: MarkovGameSkeleton) -> None:
+        """Raise ``ShapeError`` unless the stage/state grid and the action
+        counts are the game's."""
+        expected = (skeleton.horizon, skeleton.num_states) + skeleton.action_counts
+        if self.stages.shape != expected:
+            raise ShapeError(
+                f"policy shape {self.stages.shape} does not fit the game's "
+                f"{expected}"
+            )
+
+    def first_correlated(self, atol: float = COND_ATOL) -> Optional[tuple[int, int]]:
+        """The first ``(h, s)`` whose stage does not factorize into its
+        marginals within ``atol``, in row-major order; None if all do."""
+        bad = np.argwhere(_factor_gap(self.stages, 2) > atol)
+        return (int(bad[0, 0]), int(bad[0, 1])) if bad.size else None
 
 
 @dataclass(frozen=True)
@@ -443,8 +468,6 @@ def nfg_as_markov(game: NormalFormGame) -> MarkovGameSkeleton:
     )
 
 
-def strategy_as_policy(sigma: JointMixedStrategy, product: bool = False) -> MarkovPolicy:
+def strategy_as_policy(sigma: JointMixedStrategy) -> MarkovPolicy:
     """Embed a joint mixed strategy as a one-stage, one-state Markov policy."""
-    return MarkovPolicy(
-        stages=sigma.probs.reshape((1, 1) + sigma.action_counts), product=product
-    )
+    return MarkovPolicy(stages=sigma.probs.reshape((1, 1) + sigma.action_counts))

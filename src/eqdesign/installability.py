@@ -178,16 +178,16 @@ def check_markov(
     collected for every (stage, state) pair even after a failure so the
     report is complete.  For ``NE`` every stage must factorize.
     """
+    bad = policy.first_correlated(atol) if concept == Concept.NE else None
+    if bad is not None:
+        raise NotProductError(
+            f"stage (h={bad[0]}, s={bad[1]}) is not a product strategy"
+        )
     reports: dict = {}
     ok = True
     for h in range(policy.horizon):
         for s in range(policy.num_states):
-            stage = policy.stage(h, s)
-            if concept == Concept.NE and not is_product(stage, atol=atol):
-                raise NotProductError(
-                    f"stage (h={h}, s={s}) is not a product strategy"
-                )
-            rep = check(stage, concept, atol=atol)
+            rep = check(policy.stage(h, s), concept, atol=atol)
             reports[(h, s)] = rep
             ok = ok and rep.installable
     return MarkovInstallability(concept=concept, installable=ok, stages=reports)

@@ -2,9 +2,11 @@
 
 Joint actions are flattened row-major: profile ``(a_0, ..., a_{n-1})`` maps
 to index ``a_0 * |A_1| * ... * |A_{n-1}| + ... + a_{n-1}``.  Probability
-rows are cleaned on ingestion (tiny negative dust clamped, row renormalized)
-and rejected when genuinely negative or off-sum.  Writers are deterministic:
-sorted keys, two-space indent, full-precision floats.
+rows are cleaned on ingestion by :func:`~eqdesign.games.clean_distribution`
+(tiny negative dust clamped, each row renormalized) and rejected when
+genuinely negative or off-sum; messages name the field and, for fields with
+several rows, the flat row index, as in ``game.transitions[5]``.  Writers
+are deterministic: sorted keys, two-space indent, full-precision floats.
 """
 
 from __future__ import annotations
@@ -50,15 +52,11 @@ def _as_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
     return arr
 
 
-def _clean_rows(arr: np.ndarray, row_len: int, where: str) -> np.ndarray:
-    rows = arr.reshape(-1, row_len)
-    out = np.empty_like(rows)
-    for idx, row in enumerate(rows):
-        try:
-            out[idx] = clean_distribution(row, where=f"{where}[{idx}]")
-        except DistributionError as exc:
-            raise InputFormatError(str(exc)) from None
-    return out.reshape(arr.shape)
+def _clean_rows(arr: np.ndarray, where: str) -> np.ndarray:
+    try:
+        return clean_distribution(arr, where=where)
+    except DistributionError as exc:
+        raise InputFormatError(str(exc)) from None
 
 
 def _action_sets(doc: dict, where: str) -> tuple[tuple[str, ...], ...]:
@@ -109,11 +107,11 @@ def load_game(doc: dict, where: str = "game") -> Game:
         (horizon, num_s, num_a, num_s),
         f"{where}.transitions",
     )
-    trans = _clean_rows(trans, num_s, f"{where}.transitions")
+    trans = _clean_rows(trans, f"{where}.transitions")
     init = _as_array(
         _require(doc, "initial_dist", where), (num_s,), f"{where}.initial_dist"
     )
-    init = _clean_rows(init, num_s, f"{where}.initial_dist")
+    init = _clean_rows(init, f"{where}.initial_dist")
     baseline = None
     if doc.get("baseline_reward") is not None:
         baseline = _as_array(
@@ -140,7 +138,7 @@ def load_strategy(
     """Parse a joint strategy: ``{"probs": [...]}`` over flattened profiles."""
     num_a = int(np.prod(counts))
     probs = _as_array(_require(doc, "probs", where), (num_a,), f"{where}.probs")
-    probs = _clean_rows(probs, num_a, f"{where}.probs")
+    probs = _clean_rows(probs, f"{where}.probs")
     try:
         return JointMixedStrategy(probs=probs.reshape(counts))
     except (ShapeError, DistributionError) as exc:
@@ -174,7 +172,7 @@ def load_policy(
         (horizon, num_s, num_a),
         f"{where}.stages",
     )
-    stages = _clean_rows(stages, num_a, f"{where}.stages")
+    stages = _clean_rows(stages, f"{where}.stages")
     try:
         return MarkovPolicy(
             stages=stages.reshape((horizon, num_s) + counts),

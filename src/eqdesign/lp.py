@@ -10,7 +10,8 @@ residual, and fixes them at 0 once it ends.
 
 The entering column is the lowest eligible index (Bland's rule); the
 leaving row comes from a Harris two-pass ratio test with tolerance
-``PIVOT_TOL``.  ``iterations`` counts pivots and bound flips.  An optimal
+``PIVOT_TOL``.  ``iterations`` counts pivots and bound flips; a phase that
+takes more than ``MAX_PIVOTS`` of them raises ``RuntimeError``.  An optimal
 point is checked against the original rows and bounds within ``FEAS_TOL``
 before it is returned, and a miss raises ``RuntimeError``.  Determinism:
 identical inputs pivot identically, so solutions are bit-reproducible.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,6 +30,8 @@ import numpy as np
 PIVOT_TOL = 1e-9
 # Phase-1 residual above this means the program is infeasible.
 FEAS_TOL = 1e-7
+# Either simplex phase taking more steps than this is a tool failure.
+MAX_PIVOTS = 200_000
 
 _RELATIONS = ("<=", ">=", "=")
 
@@ -62,10 +65,10 @@ class LinearProgram:
     """Builder for a minimization program over box-bounded variables.
 
     Variables default to free (-inf, +inf); the objective defaults to zero
-    (pure feasibility).  ``names`` are used only by :meth:`dump`.
+    (pure feasibility).
     """
 
-    def __init__(self, num_vars: int, names: Optional[Sequence[str]] = None):
+    def __init__(self, num_vars: int):
         if num_vars < 1:
             raise LpInputError("program needs at least one variable")
         self.num_vars = num_vars
@@ -73,11 +76,6 @@ class LinearProgram:
         self.constraints: list[Constraint] = []
         self.lower = np.full(num_vars, -math.inf)
         self.upper = np.full(num_vars, math.inf)
-        if names is None:
-            names = [f"x{j}" for j in range(num_vars)]
-        if len(names) != num_vars:
-            raise LpInputError("one name per variable required")
-        self.names = [str(s) for s in names]
 
     def set_objective(self, coeffs) -> None:
         arr = self._vector(coeffs, "objective")
@@ -112,21 +110,23 @@ class LinearProgram:
         return arr.copy()
 
     def dump(self) -> str:
-        """Human-readable rendering, stable across runs."""
+        """Human-readable rendering over variables ``x0, x1, ...``, stable
+        across runs."""
+        names = [f"x{j}" for j in range(self.num_vars)]
 
         def term(c: float, name: str) -> str:
             return f"{c:+g}*{name}"
 
         lines = [
             "minimize "
-            + " ".join(term(c, n) for c, n in zip(self.objective, self.names))
+            + " ".join(term(c, n) for c, n in zip(self.objective, names))
         ]
         lines.append("subject to")
         for con in self.constraints:
-            lhs = " ".join(term(c, n) for c, n in zip(con.coeffs, self.names))
+            lhs = " ".join(term(c, n) for c, n in zip(con.coeffs, names))
             lines.append(f"  {lhs} {con.relation} {con.rhs:g}")
         lines.append("bounds")
-        for j, name in enumerate(self.names):
+        for j, name in enumerate(names):
             lines.append(f"  {self.lower[j]:g} <= {name} <= {self.upper[j]:g}")
         return "\n".join(lines)
 
@@ -138,23 +138,22 @@ def _simplex(
     lower: np.ndarray,
     upper: np.ndarray,
     cost: np.ndarray,
-    tol: float,
-    limit: int,
 ) -> tuple[str, int]:
     """Minimize ``cost @ x`` in place; returns (outcome, steps taken).
 
     Each step either moves the entering column to its other bound (a bound
     flip) or pivots it into the basis.  The leaving row comes from a Harris
     two-pass ratio test: the longest step that keeps every basic column
-    within its bounds widened by ``tol``, then the largest pivot among the
-    rows that limit it.
+    within its bounds widened by ``PIVOT_TOL``, then the largest pivot among
+    the rows that limit it.
     """
     crow = cost - cost[basis] @ tableau
     count = 0
     while True:
         crow[basis] = 0.0
         eligible = np.flatnonzero(
-            ((crow < -tol) & (x < upper)) | ((crow > tol) & (x > lower))
+            ((crow < -PIVOT_TOL) & (x < upper))
+            | ((crow > PIVOT_TOL) & (x > lower))
         )
         if eligible.size == 0:
             return "optimal", count
@@ -167,9 +166,9 @@ def _simplex(
             alpha > 0.0, values - lower[basis], upper[basis] - values
         )
         size = np.abs(alpha)
-        rows = np.flatnonzero(size > tol)
+        rows = np.flatnonzero(size > PIVOT_TOL)
         ratios = room[rows] / size[rows]
-        longest = ((room[rows] + tol) / size[rows]).min(initial=math.inf)
+        longest = ((room[rows] + PIVOT_TOL) / size[rows]).min(initial=math.inf)
         span = upper[col] - lower[col]
         if span <= longest:
             if math.isinf(span):
@@ -186,8 +185,8 @@ def _simplex(
             x[leaving] = lower[leaving] if alpha[row] > 0.0 else upper[leaving]
             _pivot(tableau, crow, basis, row, col)
         count += 1
-        if count > limit:
-            raise RuntimeError(f"simplex exceeded {limit} pivots")
+        if count > MAX_PIVOTS:
+            raise RuntimeError(f"simplex exceeded {MAX_PIVOTS} pivots")
 
 
 def _pivot(
@@ -207,29 +206,23 @@ def _check_point(
     b: np.ndarray,
     rel: np.ndarray,
     x: np.ndarray,
-    tol: float,
 ) -> None:
     """Raise unless ``x`` meets every row ``a @ x rel b`` and every bound of
-    ``lp`` within ``tol``."""
+    ``lp`` within ``FEAS_TOL``."""
     lhs = a @ x
     miss = np.select([rel == "<=", rel == ">="], [lhs - b, b - lhs], abs(lhs - b))
-    if miss.size and miss.max() > tol:
+    if miss.size and miss.max() > FEAS_TOL:
         row = int(np.argmax(miss))
         raise RuntimeError(f"simplex point misses row {row} by {miss[row]:.3g}")
     off = np.maximum(lp.lower - x, x - lp.upper)
-    if off.max() > tol:
+    if off.max() > FEAS_TOL:
         var = int(np.argmax(off))
         raise RuntimeError(
             f"simplex point leaves the box of variable {var} by {off[var]:.3g}"
         )
 
 
-def solve(
-    lp: LinearProgram,
-    pivot_tol: float = PIVOT_TOL,
-    feas_tol: float = FEAS_TOL,
-    max_pivots: int = 200_000,
-) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase bounded-variable simplex solve of the given program."""
     n, m = lp.num_vars, len(lp.constraints)
     a = np.array([con.coeffs for con in lp.constraints]).reshape(m, n)
@@ -264,25 +257,21 @@ def solve(
     if k:
         phase1 = np.zeros(n + m + k)
         phase1[n + m :] = 1.0
-        outcome, used = _simplex(
-            tableau, basis, x, lower, upper, phase1, pivot_tol, max_pivots
-        )
+        outcome, used = _simplex(tableau, basis, x, lower, upper, phase1)
         pivots += used
         if outcome != "optimal":  # phase 1 is bounded below by 0
             raise RuntimeError("phase 1 terminated abnormally")
-        if x[n + m :].sum() > feas_tol:
+        if x[n + m :].sum() > FEAS_TOL:
             return LpSolution(LpStatus.INFEASIBLE, None, None, pivots)
         upper[n + m :] = 0.0
 
     phase2 = np.zeros(n + m + k)
     phase2[:n] = lp.objective
-    outcome, used = _simplex(
-        tableau, basis, x, lower, upper, phase2, pivot_tol, max_pivots
-    )
+    outcome, used = _simplex(tableau, basis, x, lower, upper, phase2)
     pivots += used
     if outcome == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, None, None, pivots)
-    _check_point(lp, a, b, rel, x[:n], feas_tol)
+    _check_point(lp, a, b, rel, x[:n])
     return LpSolution(
         LpStatus.OPTIMAL, x[:n].copy(), float(lp.objective @ x[:n]), pivots
     )

@@ -88,10 +88,7 @@ def _check_shapes(
         raise ShapeError(
             f"reward shape {reward.rewards.shape}, expected {expected}"
         )
-    if policy.horizon != skeleton.horizon or policy.num_states != skeleton.num_states:
-        raise ShapeError("policy stage/state grid does not match the game")
-    if policy.action_counts != skeleton.action_counts:
-        raise ShapeError("policy action counts do not match the game")
+    policy.check_fits(skeleton)
 
 
 def policy_eval(
@@ -116,10 +113,7 @@ def policy_eval(
 
 def visitation(skeleton: MarkovGameSkeleton, policy: MarkovPolicy) -> np.ndarray:
     """Stage occupancy measure over (state, joint action); each stage sums to 1."""
-    if policy.horizon != skeleton.horizon or policy.num_states != skeleton.num_states:
-        raise ShapeError("policy stage/state grid does not match the game")
-    if policy.action_counts != skeleton.action_counts:
-        raise ShapeError("policy action counts do not match the game")
+    policy.check_fits(skeleton)
     horizon, num_s = skeleton.horizon, skeleton.num_states
     counts = skeleton.action_counts
     mu = np.zeros((horizon, num_s) + counts)
@@ -301,14 +295,12 @@ def check_strict(
             raise ValueError(
                 "never-recommended deviations apply to the CE concept only"
             )
-        if concept == Concept.NE:
-            for h in range(policy.horizon):
-                for s in range(policy.num_states):
-                    if not is_product(policy.stage(h, s)):
-                        raise NotProductError(
-                            f"Nash check requires product stages; "
-                            f"(h={h}, s={s}) is correlated"
-                        )
+        bad = policy.first_correlated() if concept == Concept.NE else None
+        if bad is not None:
+            raise NotProductError(
+                f"Nash check requires product stages; "
+                f"(h={bad[0]}, s={bad[1]}) is correlated"
+            )
         gaps = _coarse_gaps(skeleton, reward, policy, dev_class, values)
     elif concept == Concept.CE:
         if dev_class == DeviationClass.NEVER_TARGET:

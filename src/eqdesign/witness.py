@@ -21,7 +21,6 @@ from .games import (
     MarkovGameSkeleton,
     MarkovPolicy,
     RewardFunction,
-    ShapeError,
     conditional_matrix,
     genuine_deviations,
     support,
@@ -238,22 +237,6 @@ def epsilon_witness(
     return alpha * witness_utility(sigma)
 
 
-def _check_compat(policy: MarkovPolicy, skeleton: MarkovGameSkeleton) -> None:
-    if policy.horizon != skeleton.horizon:
-        raise ShapeError(
-            f"policy horizon {policy.horizon} != game horizon {skeleton.horizon}"
-        )
-    if policy.num_states != skeleton.num_states:
-        raise ShapeError(
-            f"policy has {policy.num_states} states, game {skeleton.num_states}"
-        )
-    if policy.action_counts != skeleton.action_counts:
-        raise ShapeError(
-            f"policy action counts {policy.action_counts} != game "
-            f"{skeleton.action_counts}"
-        )
-
-
 def _cancel_continuation(
     policy: MarkovPolicy,
     skeleton: MarkovGameSkeleton,
@@ -294,7 +277,7 @@ def markov_witness(
     one-shot witness, so strictness margins are per-stage.  Rewards stay
     within ``bound`` and the induced values within ``bound / 2``.
     """
-    _check_compat(policy, skeleton)
+    policy.check_fits(skeleton)
     if not (math.isfinite(bound) and bound > 0.0):
         raise ValueError(f"bound {bound} must be finite and > 0")
     verdict = check_markov(policy, concept)
@@ -326,7 +309,7 @@ def epsilon_markov_witness(
     exactly as :func:`markov_witness`, so each stage's measured margin is the
     normal-form one.
     """
-    _check_compat(policy, skeleton)
+    policy.check_fits(skeleton)
     horizon = skeleton.horizon
     stage_cfg = EpsilonConfig(
         epsilon=config.epsilon,

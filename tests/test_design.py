@@ -221,6 +221,31 @@ class TestBuilderLayout:
             DesignConfig(slack=np.inf, bound=1.0)
         DesignConfig(slack=np.inf, bound=1.0, max_gap=True)
 
+    def test_baseline_must_be_finite(self):
+        sk = chain_skeleton()
+        pol = full_support_policy()
+        config = DesignConfig(slack=0.1, bound=1.0)
+        reward = RewardFunction(rewards=np.zeros((2, 2, 2, 2, 2)), bound=1.0)
+        for bad in (np.nan, np.inf):
+            base = np.zeros((2, 2, 2, 2, 2))
+            base[1, 0, 1, 1, 0] = bad
+            for kind in (CostKind.ONLINE, CostKind.OFFLINE):
+                cost = CostSpec(kind, baseline=base)
+                with pytest.raises(ShapeError, match="non-finite"):
+                    design(sk, pol, Concept.CCE, cost, config)
+                with pytest.raises(ShapeError, match="non-finite"):
+                    evaluate_cost(sk, pol, cost, reward)
+
+    def test_nash_design_names_correlated_stage(self):
+        stages = np.full((2, 2, 2, 2), 0.25)
+        stages[1, 0] = sigma_corr().probs
+        with pytest.raises(NotProductError, match=r"\(h=1, s=0\)"):
+            design(
+                chain_skeleton(), MarkovPolicy(stages=stages), Concept.NE,
+                CostSpec(CostKind.OFFLINE),
+                DesignConfig(slack=0.1, bound=1.0),
+            )
+
     def test_baseline_shape_checked(self):
         sk = chain_skeleton()
         pol = full_support_policy()

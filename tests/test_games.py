@@ -57,6 +57,20 @@ class TestDistributions:
         with pytest.raises(DistributionError):
             clean_distribution([0.5, 0.3])
 
+    def test_clean_works_row_by_row(self):
+        raw = np.array(
+            [[0.5, 0.5 + 1e-12, -1e-12], [0.2, 0.3, 0.5], [1.0 - 3e-10, 0.0, 0.0]]
+        )
+        out = clean_distribution(raw.reshape(3, 1, 3))
+        assert out.shape == (3, 1, 3)
+        assert out.min() >= 0.0
+        assert out[0, 0, 2] == 0.0
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(out[1, 0], [0.2, 0.3, 0.5])
+        raw[2, 1] = -0.1
+        with pytest.raises(DistributionError, match=r"^rows\[2\]: negative"):
+            clean_distribution(raw, where="rows")
+
     def test_strategy_rejects_off_sum(self):
         with pytest.raises(DistributionError):
             JointMixedStrategy(np.array([[0.6, 0.0], [0.0, 0.5]]))
@@ -172,6 +186,36 @@ class TestMarkovObjects:
                     transitions=trans,
                     initial_dist=np.array([0.5, 0.5]),
                 )
+
+    def test_policy_rows_validated(self):
+        # The message names the first bad (h, s), whatever is wrong with it.
+        for row, bad, what in ((2, [np.nan, 0.5, 0.25, 0.25], "non-finite"),
+                               (3, [0.75, 0.5, -0.25, 0.0], "negative"),
+                               (4, [0.25, 0.25, 0.25, 0.26], "sums to")):
+            stages = np.full((2, 3, 2, 2), 0.25)
+            stages.reshape(6, 4)[row] = bad
+            stages.reshape(6, 4)[5] = [2.0, 0.0, 0.0, 0.0]
+            h, s = divmod(row, 3)
+            with pytest.raises(
+                DistributionError, match=rf"stage \(h={h}, s={s}\): {what}"
+            ):
+                MarkovPolicy(stages=stages)
+
+    def test_first_correlated_stage(self):
+        stages = np.full((2, 3, 2, 2), 0.25)
+        assert MarkovPolicy(stages=stages).first_correlated() is None
+        stages[1, 1] = sigma_corr().probs
+        stages[1, 2] = sigma_corr().probs
+        policy = MarkovPolicy(stages=stages)
+        assert policy.first_correlated() == (1, 1)
+        assert policy.first_correlated(atol=0.25) is None
+        with pytest.raises(DistributionError, match=r"\(h=1, s=1\)"):
+            MarkovPolicy(stages=stages, product=True)
+
+    def test_stage_objects_built_once(self):
+        policy = MarkovPolicy(stages=np.full((2, 3, 2, 2), 0.25))
+        assert policy.stage(1, 2) is policy.stage(1, 2)
+        np.testing.assert_array_equal(policy.stage(1, 2).probs, policy.stages[1, 2])
 
     def test_policy_product_flag_checked(self):
         stages = sigma_corr().probs.reshape(1, 1, 2, 2)

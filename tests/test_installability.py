@@ -161,6 +161,12 @@ class TestMarkov:
         assert verdict.installable
         assert set(verdict.stages) == {(h, s) for h in range(2) for s in range(3)}
 
+    def test_nash_names_correlated_stage(self):
+        stages = np.full((2, 3, 2, 2), 0.25)
+        stages[1, 2] = sigma_corr().probs
+        with pytest.raises(NotProductError, match=r"\(h=1, s=2\)"):
+            check_markov(MarkovPolicy(stages=stages), Concept.NE)
+
     def test_nash_requires_product_stages(self):
         stages = sigma_corr().probs.reshape(1, 1, 2, 2)
         with pytest.raises(NotProductError):

@@ -113,6 +113,32 @@ class TestGameLoading:
         with pytest.raises(InputFormatError, match="probs"):
             load_strategy({"probs": [0.6, 0.3, 0.2, 0.2]}, (2, 2))
 
+    def test_bad_rows_named_by_index(self):
+        sk = random_skeleton(make_rng("io-bad-row"), max_states=2)
+        doc = game_doc(sk)
+        trans = np.array(doc["transitions"])
+        rows = trans.reshape(-1, sk.num_states)
+        rows[len(rows) - 1, 0] = -0.5
+        doc["transitions"] = trans.tolist()
+        with pytest.raises(
+            InputFormatError,
+            match=rf"game\.transitions\[{len(rows) - 1}\]: negative",
+        ):
+            load_game(doc)
+        doc = game_doc(sk)
+        doc["initial_dist"] = [2.0] + [0.0] * (sk.num_states - 1)
+        with pytest.raises(InputFormatError, match=r"game\.initial_dist: sums"):
+            load_game(doc)
+        pol = policy_doc(installable_policy(make_rng("io-bad-row"), sk))
+        stages = np.array(pol["stages"])
+        stages.reshape(-1, stages.shape[-1])[-1, 0] = math.nan
+        pol["stages"] = stages.tolist()
+        last = sk.horizon * sk.num_states - 1
+        with pytest.raises(
+            InputFormatError, match=rf"target\.stages\[{last}\]: non-finite"
+        ):
+            load_policy(pol, sk)
+
     def test_error_messages_name_the_field(self):
         with pytest.raises(InputFormatError, match="actions"):
             load_game({"utility": []})

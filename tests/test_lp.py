@@ -174,9 +174,10 @@ class TestCycling:
         assert oracle is not None
         assert sol.objective == pytest.approx(oracle / 100.0, abs=1e-9)
 
-    def test_pivot_limit_raises(self):
+    def test_pivot_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("eqdesign.lp"), "MAX_PIVOTS", 1)
         with pytest.raises(RuntimeError, match="pivots"):
-            solve(self.beale(), max_pivots=1)
+            solve(self.beale())
 
 
 class TestOptimalIsChecked:
@@ -286,10 +287,6 @@ class TestValidation:
         with pytest.raises(LpInputError):
             LinearProgram(0)
 
-    def test_rejects_name_mismatch(self):
-        with pytest.raises(LpInputError):
-            LinearProgram(2, names=["only"])
-
     def test_rejects_bad_objective(self):
         lp = LinearProgram(2)
         with pytest.raises(LpInputError):
@@ -318,19 +315,19 @@ class TestValidation:
 
 class TestDump:
     def test_stable_rendering(self):
-        lp = LinearProgram(2, names=["gain", "pad"])
+        lp = LinearProgram(2)
         lp.set_objective([1.0, -2.5])
         lp.add_constraint([1.0, 1.0], "<=", 1.0)
         lp.add_constraint([0.25, -1.0], ">=", -0.5)
         lp.set_bounds(0, 0.0, 2.0)
         assert lp.dump() == "\n".join(
             [
-                "minimize +1*gain -2.5*pad",
+                "minimize +1*x0 -2.5*x1",
                 "subject to",
-                "  +1*gain +1*pad <= 1",
-                "  +0.25*gain -1*pad >= -0.5",
+                "  +1*x0 +1*x1 <= 1",
+                "  +0.25*x0 -1*x1 >= -0.5",
                 "bounds",
-                "  0 <= gain <= 2",
-                "  -inf <= pad <= inf",
+                "  0 <= x0 <= 2",
+                "  -inf <= x1 <= inf",
             ]
         )

@@ -5,12 +5,18 @@ import pytest
 
 from eqdesign import (
     Concept,
+    CostKind,
+    CostSpec,
+    DesignConfig,
     DeviationClass,
     EpsilonConfig,
     InfeasibleEpsilonError,
     JointMixedStrategy,
     MarkovPolicy,
+    RewardFunction,
+    ShapeError,
     StageCheckError,
+    build_mg_lp,
     check_strict,
     epsilon_markov_witness,
     epsilon_witness,
@@ -19,6 +25,7 @@ from eqdesign import (
     markov_witness,
     nfg_oracle,
     policy_eval,
+    visitation,
     witness_utility,
 )
 from conftest import (
@@ -261,3 +268,38 @@ class TestEpsilonMarkovWitness:
         )
         with pytest.raises(StageCheckError):
             epsilon_markov_witness(policy, skeleton, Concept.CCE, cfg)
+
+
+def test_policy_misfit_raises_one_error_everywhere():
+    skeleton = random_skeleton(make_rng("misfit"), max_states=2, max_horizon=2)
+    horizon, num_s = skeleton.horizon, skeleton.num_states
+    counts = skeleton.action_counts
+    reward = RewardFunction(
+        rewards=np.zeros((skeleton.num_players, horizon, num_s) + counts),
+        bound=1.0,
+    )
+    eps_cfg = EpsilonConfig(
+        epsilon=0.01, bound=1.0, deviation_class=DeviationClass.UNRESTRICTED
+    )
+    calls = (
+        lambda pol: build_mg_lp(
+            skeleton, pol, Concept.CCE, CostSpec(CostKind.OFFLINE),
+            DesignConfig(slack=0.1, bound=1.0),
+        ),
+        lambda pol: check_strict(skeleton, reward, pol, Concept.CCE),
+        lambda pol: visitation(skeleton, pol),
+        lambda pol: markov_witness(pol, skeleton, 1.0),
+        lambda pol: epsilon_markov_witness(pol, skeleton, Concept.CCE, eps_cfg),
+    )
+    for shape in (
+        (horizon + 1, num_s) + counts,
+        (horizon, num_s + 1) + counts,
+        (horizon, num_s) + counts[:-1] + (counts[-1] + 1,),
+    ):
+        policy = MarkovPolicy(stages=np.full(shape, 1.0 / np.prod(shape[2:])))
+        messages = set()
+        for call in calls:
+            with pytest.raises(ShapeError, match="does not fit") as err:
+                call(policy)
+            messages.add(str(err.value))
+        assert len(messages) == 1, messages
