@@ -282,6 +282,7 @@ def _run_design(job: JobSpec) -> tuple[int, dict]:
         "status": res.status.value,
         "cost": res.cost.value,
         "iterations": res.iterations,
+        "phase_steps": list(res.phase_steps),
     }
     if res.status != LpStatus.OPTIMAL:
         return 1, result

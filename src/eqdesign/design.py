@@ -85,7 +85,8 @@ class DesignConfig:
 class DesignResult:
     """Solve outcome.  ``reward`` is set only when status is optimal;
     ``achieved_slack`` only in max-gap mode.  ``report`` holds the
-    verifier's post-solve measurement."""
+    verifier's post-solve measurement; ``iterations`` and ``phase_steps``
+    are the solver's steps, in total and as (dual, primal) phases."""
 
     status: LpStatus
     concept: Concept
@@ -96,6 +97,7 @@ class DesignResult:
     achieved_slack: Optional[float] = None
     report: Optional[GapReport] = None
     iterations: int = 0
+    phase_steps: tuple[int, int] = (0, 0)
 
 
 def _stage_rows(
@@ -358,7 +360,11 @@ def design(
     sol = solve(lp)
     if sol.status != LpStatus.OPTIMAL:
         return DesignResult(
-            sol.status, concept, cost.kind, iterations=sol.iterations
+            sol.status,
+            concept,
+            cost.kind,
+            iterations=sol.iterations,
+            phase_steps=sol.phase_steps,
         )
     shape = layout["shape"]
     blk = int(np.prod(shape))
@@ -386,6 +392,7 @@ def design(
         achieved_slack=achieved,
         report=report,
         iterations=sol.iterations,
+        phase_steps=sol.phase_steps,
     )
 
 

@@ -1,20 +1,36 @@
 """Self-contained dense linear programming, no external solver.
 
 Minimization over box-bounded variables with <=, >=, and = rows, solved by
-a two-phase bounded-variable primal simplex on a dense tableau.  Each row
-gets one logical column ``s`` with ``a @ x + s = b``: ``s >= 0`` on <=,
-``s <= 0`` on >=, ``s = 0`` on =.  Every column keeps its own bounds, and a
-nonbasic column sits at one of them (at 0 if it is free).  Phase 1 adds
-artificials only on rows whose logical cannot absorb the start point's
-residual, and fixes them at 0 once it ends.
+a bounded-variable simplex on a dense tableau with no artificial columns.
+Each row gets one logical column ``s`` with ``a @ x + s = b``: ``s >= 0`` on
+<=, ``s <= 0`` on >=, ``s = 0`` on =.  Every column keeps its own bounds,
+and a nonbasic column sits at one of them (at 0 if it is free).
 
-The entering column is the lowest eligible index (Bland's rule); the
-leaving row comes from a Harris two-pass ratio test with tolerance
-``PIVOT_TOL``.  ``iterations`` counts pivots and bound flips; a phase that
-takes more than ``MAX_PIVOTS`` of them raises ``RuntimeError``.  An optimal
-point is checked against the original rows and bounds within ``FEAS_TOL``
-before it is returned, and a miss raises ``RuntimeError``.  Determinism:
-identical inputs pivot identically, so solutions are bit-reproducible.
+The solve starts from the all-logical basis with each column at the bound
+its cost prefers.  A column whose preferred bound is infinite starts at its
+finite bound, or at 0 if free, and is priced at 0 in the first phase, so
+the start is dual feasible.  The dual phase then brings every basic column
+within its bounds on these shifted costs, and the primal phase minimizes
+the true costs from the basis it leaves; it takes no step when no cost was
+shifted.
+
+Dual phase: the leaving row has the largest bound violation and the
+entering column comes from a Harris two-pass ratio test on the reduced
+costs; a run of ``BLAND_AFTER`` steps without progress switches both
+choices to the lowest index.  A row no column can repair makes the program
+infeasible, and its row of the basis inverse is checked as a certificate on
+the original data.  Primal phase: the entering column is the lowest
+eligible index and the leaving row comes from a Harris two-pass ratio test,
+or after a run of pivots that do not move, the lowest basic index among the
+rows that limit the step (Bland's rule).  Both tests use ``PIVOT_TOL``.
+
+``iterations`` counts pivots and bound flips, and ``phase_steps`` splits
+them between the two phases; a phase that takes more than ``MAX_PIVOTS`` of
+them raises ``RuntimeError``.  An optimal point is checked against the
+original rows and bounds within ``FEAS_TOL`` before it is returned, and a
+miss raises ``RuntimeError``, as does an infeasibility certificate that
+fails.  Determinism: identical inputs pivot identically, so solutions are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -28,10 +44,14 @@ import numpy as np
 
 # A tableau entry this small is treated as zero when selecting pivots.
 PIVOT_TOL = 1e-9
-# Phase-1 residual above this means the program is infeasible.
+# Rows and bounds are checked to this tolerance, and an infeasibility
+# certificate must clear it.
 FEAS_TOL = 1e-7
 # Either simplex phase taking more steps than this is a tool failure.
 MAX_PIVOTS = 200_000
+# Steps in a row without progress before either phase switches to its
+# lowest-index rules, which it keeps until a step makes progress again.
+BLAND_AFTER = 10
 
 _RELATIONS = ("<=", ">=", "=")
 
@@ -59,6 +79,8 @@ class LpSolution:
     x: Optional[np.ndarray]
     objective: Optional[float]
     iterations: int
+    # Steps of the dual phase and of the primal phase; they sum to iterations.
+    phase_steps: tuple[int, int]
 
 
 class LinearProgram:
@@ -139,16 +161,20 @@ def _simplex(
     upper: np.ndarray,
     cost: np.ndarray,
 ) -> tuple[str, int]:
-    """Minimize ``cost @ x`` in place; returns (outcome, steps taken).
+    """Minimize ``cost @ x`` in place from a basis whose columns are all
+    within their bounds; returns (outcome, steps taken).
 
-    Each step either moves the entering column to its other bound (a bound
-    flip) or pivots it into the basis.  The leaving row comes from a Harris
-    two-pass ratio test: the longest step that keeps every basic column
-    within its bounds widened by ``PIVOT_TOL``, then the largest pivot among
-    the rows that limit it.
+    Each step either moves the entering column, the lowest eligible index,
+    to its other bound (a bound flip) or pivots it into the basis.  The
+    leaving row comes from a Harris two-pass ratio test: the longest step
+    that keeps every basic column within its bounds widened by
+    ``PIVOT_TOL``, then the largest pivot among the rows that limit it.
+    After ``BLAND_AFTER`` pivots in a row that do not move, the leaving row
+    is the limiting one with the lowest basic index, which completes Bland's
+    rule, until a step moves again.
     """
     crow = cost - cost[basis] @ tableau
-    count = 0
+    count = stalled = 0
     while True:
         crow[basis] = 0.0
         eligible = np.flatnonzero(
@@ -175,23 +201,108 @@ def _simplex(
                 return "unbounded", count
             x[col] = upper[col] if direction > 0.0 else lower[col]
             x[basis] -= span * alpha
+            stalled = 0
         else:
             limiting = rows[ratios <= longest]
-            row = int(limiting[np.argmax(size[limiting])])
-            step = max(room[row] / size[row], 0.0)
+            if stalled >= BLAND_AFTER:
+                row = int(limiting[np.argmin(basis[limiting])])
+            else:
+                row = int(limiting[np.argmax(size[limiting])])
             leaving = basis[row]
-            x[col] += direction * step
-            x[basis] -= step * alpha
-            x[leaving] = lower[leaving] if alpha[row] > 0.0 else upper[leaving]
-            _pivot(tableau, crow, basis, row, col)
+            bound = lower[leaving] if alpha[row] > 0.0 else upper[leaving]
+            step = max(room[row] / size[row], 0.0)
+            stalled = stalled + 1 if step == 0.0 else 0
+            _step(tableau, crow, basis, x, row, col, direction * step, bound)
         count += 1
         if count > MAX_PIVOTS:
             raise RuntimeError(f"simplex exceeded {MAX_PIVOTS} pivots")
 
 
-def _pivot(
-    tableau: np.ndarray, crow: np.ndarray, basis: np.ndarray, row: int, col: int
+def _dual_simplex(
+    tableau: np.ndarray,
+    basis: np.ndarray,
+    x: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    cost: np.ndarray,
+) -> tuple[Optional[int], int]:
+    """Bring every basic column within its bounds in place, keeping the
+    reduced costs of ``cost`` dual feasible; returns (row, steps taken), with
+    ``row`` None on success, else a row no nonbasic column can repair.
+
+    The leaving row has the largest bound violation; the entering column
+    comes from a Harris two-pass ratio test on the reduced costs: the
+    longest dual step that keeps every reduced cost on its side of zero
+    within ``PIVOT_TOL``, then the largest pivot among the columns that
+    limit it.  A step makes progress when it moves the reduced costs (it is
+    not dual degenerate) or brings the total violation below its lowest so
+    far.  After ``BLAND_AFTER`` steps in a row without progress, the leaving
+    row is the infeasible one with the lowest basic index and the entering
+    column the lowest index among those that limit the step.  A cycle
+    repeats its bases, so after one turn it makes no progress and falls
+    under these rules.
+    """
+    crow = cost - cost[basis] @ tableau
+    count = stalled = 0
+    least = math.inf
+    while True:
+        values = x[basis]
+        below = lower[basis] - values
+        violation = np.maximum(below, values - upper[basis])
+        infeasible = np.flatnonzero(violation > PIVOT_TOL)
+        if infeasible.size == 0:
+            return None, count
+        total = violation[infeasible].sum()
+        if total < least - PIVOT_TOL:
+            least, stalled = total, 0
+        bland = stalled >= BLAND_AFTER
+        if bland:
+            row = int(infeasible[np.argmin(basis[infeasible])])
+        else:
+            row = int(infeasible[np.argmax(violation[infeasible])])
+        leaving = basis[row]
+        rising = below[row] > 0.0
+        # The leaving value moves by -move * tableau[row, col]; alpha < 0
+        # marks columns that repair it by rising, alpha > 0 by falling.
+        alpha = tableau[row] if rising else -tableau[row]
+        eligible = np.flatnonzero(
+            ((alpha < -PIVOT_TOL) & (x < upper))
+            | ((alpha > PIVOT_TOL) & (x > lower))
+        )
+        if eligible.size == 0:
+            return row, count
+        size = np.abs(alpha[eligible])
+        # How far each reduced cost may travel before it changes sign.
+        room = np.where(alpha[eligible] < 0.0, crow[eligible], -crow[eligible])
+        longest = ((room + PIVOT_TOL) / size).min()
+        ties = np.flatnonzero(room / size <= longest)
+        pick = int(ties[0] if bland else ties[np.argmax(size[ties])])
+        col = int(eligible[pick])
+        stalled = stalled + 1 if room[pick] <= PIVOT_TOL else 0
+        bound = lower[leaving] if rising else upper[leaving]
+        move = (x[leaving] - bound) / tableau[row, col]
+        _step(tableau, crow, basis, x, row, col, move, bound)
+        count += 1
+        if count > MAX_PIVOTS:
+            raise RuntimeError(f"dual simplex exceeded {MAX_PIVOTS} pivots")
+
+
+def _step(
+    tableau: np.ndarray,
+    crow: np.ndarray,
+    basis: np.ndarray,
+    x: np.ndarray,
+    row: int,
+    col: int,
+    move: float,
+    bound: float,
 ) -> None:
+    """Move column ``col`` by ``move``, carrying the basic columns along,
+    set the column leaving ``row`` to ``bound`` and pivot ``col`` into it."""
+    leaving = basis[row]
+    x[col] += move
+    x[basis] -= move * tableau[:, col]
+    x[leaving] = bound
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
@@ -222,8 +333,35 @@ def _check_point(
         )
 
 
+def _check_infeasible(
+    a: np.ndarray,
+    b: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    y: np.ndarray,
+) -> None:
+    """Raise unless ``y`` proves that no point meets the rows ``a @ x + s =
+    b`` with ``(x, s)`` in the box ``[lower, upper]``: ``y @ b`` must lie
+    more than ``FEAS_TOL`` outside the interval that ``y @ (a @ x + s)``
+    spans over the box."""
+    g = np.concatenate([y @ a, y])
+    # The bounds at which each term of g @ (x, s) is least, then greatest.
+    ends = np.stack(
+        [np.where(g > 0.0, lower, upper), np.where(g > 0.0, upper, lower)]
+    )
+    # A rounding-sized coefficient on an infinite bound counts as zero.
+    ends = np.where(np.isfinite(ends) | (np.abs(g) > PIVOT_TOL), ends, 0.0)
+    least, greatest = ends @ g
+    target = float(y @ b)
+    if least - FEAS_TOL <= target <= greatest + FEAS_TOL:
+        raise RuntimeError(
+            f"infeasibility certificate fails: {target:.6g} lies in "
+            f"[{least:.6g}, {greatest:.6g}]"
+        )
+
+
 def solve(lp: LinearProgram) -> LpSolution:
-    """Two-phase bounded-variable simplex solve of the given program."""
+    """Dual phase on shifted costs, then primal phase on the true costs."""
     n, m = lp.num_vars, len(lp.constraints)
     a = np.array([con.coeffs for con in lp.constraints]).reshape(m, n)
     b = np.array([con.rhs for con in lp.constraints])
@@ -231,47 +369,41 @@ def solve(lp: LinearProgram) -> LpSolution:
     # One logical column per row, a @ x + s = b, bounded by the relation.
     s_lower = np.where(rel == ">=", -math.inf, 0.0)
     s_upper = np.where(rel == "<=", math.inf, 0.0)
-    x0 = np.where(
+    # Each column starts at the bound its cost prefers.  Where that bound is
+    # infinite it starts at its finite bound, or at 0 if free, and the dual
+    # phase prices it at 0, so the all-logical start is dual feasible.
+    cost = lp.objective
+    start = np.where(
         np.isfinite(lp.lower),
         lp.lower,
         np.where(np.isfinite(lp.upper), lp.upper, 0.0),
     )
-    residual = b - a @ x0
-    s0 = np.clip(residual, s_lower, s_upper)
-    # Artificials absorb what a row's logical cannot at the start point.
-    need = np.flatnonzero(residual != s0)
-    k = need.size
-    sign = np.sign(residual[need] - s0[need])
-    tableau = np.zeros((m, n + m + k))
-    tableau[:, :n] = a
-    tableau[:, n : n + m] = np.eye(m)
-    tableau[need, n + m + np.arange(k)] = sign
-    tableau[need] *= sign[:, None]  # each basic column reads +1 in its row
-    lower = np.concatenate([lp.lower, s_lower, np.zeros(k)])
-    upper = np.concatenate([lp.upper, s_upper, np.full(k, math.inf)])
-    x = np.concatenate([x0, s0, np.abs(residual[need] - s0[need])])
+    preferred = np.where(
+        cost > 0.0, lp.lower, np.where(cost < 0.0, lp.upper, start)
+    )
+    kept = np.isfinite(preferred)
+    x0 = np.where(kept, preferred, start)
+    tableau = np.hstack([a, np.eye(m)])
+    lower = np.concatenate([lp.lower, s_lower])
+    upper = np.concatenate([lp.upper, s_upper])
+    x = np.concatenate([x0, b - a @ x0])
     basis = n + np.arange(m)
-    basis[need] = n + m + np.arange(k)
 
-    pivots = 0
-    if k:
-        phase1 = np.zeros(n + m + k)
-        phase1[n + m :] = 1.0
-        outcome, used = _simplex(tableau, basis, x, lower, upper, phase1)
-        pivots += used
-        if outcome != "optimal":  # phase 1 is bounded below by 0
-            raise RuntimeError("phase 1 terminated abnormally")
-        if x[n + m :].sum() > FEAS_TOL:
-            return LpSolution(LpStatus.INFEASIBLE, None, None, pivots)
-        upper[n + m :] = 0.0
-
-    phase2 = np.zeros(n + m + k)
-    phase2[:n] = lp.objective
-    outcome, used = _simplex(tableau, basis, x, lower, upper, phase2)
-    pivots += used
+    shifted = np.zeros(n + m)
+    shifted[:n] = np.where(kept, cost, 0.0)
+    row, dual_steps = _dual_simplex(tableau, basis, x, lower, upper, shifted)
+    if row is not None:
+        _check_infeasible(a, b, lower, upper, tableau[row, n:])
+        return LpSolution(
+            LpStatus.INFEASIBLE, None, None, dual_steps, (dual_steps, 0)
+        )
+    full = np.zeros(n + m)
+    full[:n] = cost
+    outcome, primal_steps = _simplex(tableau, basis, x, lower, upper, full)
+    steps = (dual_steps, primal_steps)
     if outcome == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, None, None, pivots)
+        return LpSolution(LpStatus.UNBOUNDED, None, None, sum(steps), steps)
     _check_point(lp, a, b, rel, x[:n])
     return LpSolution(
-        LpStatus.OPTIMAL, x[:n].copy(), float(lp.objective @ x[:n]), pivots
+        LpStatus.OPTIMAL, x[:n].copy(), float(cost @ x[:n]), sum(steps), steps
     )

@@ -205,6 +205,17 @@ class TestBuilderLayout:
         result = design(sk, pol, Concept.CCE, cost, config)
         assert result.objective == pytest.approx(6.338652, abs=1e-6)
 
+    def test_dual_phase_keeps_design_steps_low(self):
+        # Every strictness row is violated at the start, where the costs
+        # already prefer the deviation columns' lower bounds: the dual phase
+        # repairs the rows and the primal phase has nothing left to do.
+        sk, pol = recipe_instance(3, 3, (3, 3))
+        config = DesignConfig(slack=recipe_slack(pol, 2.0), bound=2.0)
+        cost = CostSpec(CostKind.OFFLINE)
+        result = design(sk, pol, Concept.CCE, cost, config)
+        assert result.iterations <= 105
+        assert result.phase_steps == (result.iterations, 0)
+
     def test_nash_needs_product_target(self):
         with pytest.raises(NotProductError):
             build_nfg_lp(
@@ -533,6 +544,13 @@ class TestAgainstHighs:
         result = design(sk, pol, Concept.CCE, cost, config)
         assert result.status == LpStatus.OPTIMAL
         assert result.objective == pytest.approx(1.034976, abs=1e-6)
+
+    def test_l1_and_social_at_8_6_4x4(self):
+        sk, pol = recipe_instance(8, 6, (4, 4))
+        config = DesignConfig(slack=recipe_slack(pol, 2.0), bound=2.0)
+        for kind in (CostKind.OFFLINE, CostKind.SOCIAL_WELFARE):
+            lp, _ = build_mg_lp(sk, pol, Concept.CCE, CostSpec(kind), config)
+            assert self.check(lp).status == LpStatus.OPTIMAL, kind
 
     def test_baseline_outside_the_box(self):
         # Every baseline entry lies at +-3B: d+ and d- must pull each reward

@@ -414,6 +414,18 @@ class TestCliDesign:
         report = json.loads(again.output)
         assert report["result"]["objective"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_design_reports_steps_per_phase(self, files):
+        game = files("game.json", NFG_DOC)
+        for target, code in ((CORR_TARGET, 0), (UNIFORM_TARGET, 1)):
+            path = files("target.json", target)
+            result = invoke(
+                ["design", game, path, "--slack", "0.1", "--bound", "1.0"]
+            )
+            assert result.exit_code == code, result.output
+            report = json.loads(result.output)["result"]
+            dual, primal = report["phase_steps"]
+            assert dual + primal == report["iterations"]
+
     def test_tool_failure_exits_three(self, files, monkeypatch):
         # A solver or post-solve check breaking down is no verdict: it must
         # not surface as exit 1 ("infeasible") or as a traceback.

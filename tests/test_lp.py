@@ -136,6 +136,69 @@ class TestBounds:
         assert sol.objective == pytest.approx(5.0, abs=1e-9)
 
 
+class TestShiftedStart:
+    """Columns whose cost prefers an infinite bound start at a finite bound
+    (or 0 if free), priced at 0 in the dual phase; the primal phase then
+    finishes on the true cost."""
+
+    def test_ray_column_stops_at_its_row(self):
+        lp = LinearProgram(1)
+        lp.set_objective([-1.0])
+        lp.set_bounds(0, 0.0, math.inf)
+        lp.add_constraint([1.0], "<=", 3.0)
+        sol = solve(lp)
+        assert sol.status == LpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(-3.0, abs=1e-9)
+        assert sol.phase_steps == (0, 1)
+
+    def test_ray_column_without_rows_is_unbounded(self):
+        lp = LinearProgram(1)
+        lp.set_objective([-1.0])
+        lp.set_bounds(0, 0.0, math.inf)
+        sol = solve(lp)
+        assert sol.status == LpStatus.UNBOUNDED
+        assert sol.x is None and sol.objective is None
+
+    def test_free_column_in_equality_row(self):
+        # x1 = 4 - 2 * x0 with x0 in [0, 1]: the cost 3*x1 - x0 falls as x0
+        # rises, so x0 = 1, x1 = 2.
+        lp = LinearProgram(2)
+        lp.set_objective([-1.0, 3.0])
+        lp.set_bounds(0, 0.0, 1.0)
+        lp.add_constraint([2.0, 1.0], "=", 4.0)
+        sol = solve(lp)
+        assert sol.status == LpStatus.OPTIMAL
+        assert sol.x == pytest.approx([1.0, 2.0], abs=1e-9)
+        assert sol.objective == pytest.approx(5.0, abs=1e-9)
+
+    def test_fixed_column_stays_fixed(self):
+        # The fixed column's cost would push it either way; only x1 moves.
+        lp = LinearProgram(2)
+        lp.set_objective([-5.0, 1.0])
+        lp.set_bounds(0, 1.5, 1.5)
+        lp.set_bounds(1, 0.0, math.inf)
+        lp.add_constraint([1.0, 1.0], ">=", 4.0)
+        sol = solve(lp)
+        assert sol.status == LpStatus.OPTIMAL
+        assert sol.x == pytest.approx([1.5, 2.5], abs=1e-9)
+        assert sol.objective == pytest.approx(-5.0, abs=1e-9)
+
+    def test_equality_row_with_nonzero_rhs(self):
+        # Both costs prefer finite bounds, so the dual phase alone reaches
+        # the optimum and the primal phase takes no step.
+        lp = LinearProgram(2)
+        lp.set_objective([1.0, 2.0])
+        lp.set_bounds(0, 0.0, 5.0)
+        lp.set_bounds(1, 0.0, 5.0)
+        lp.add_constraint([1.0, 1.0], "=", 7.0)
+        sol = solve(lp)
+        assert sol.status == LpStatus.OPTIMAL
+        assert sol.x == pytest.approx([5.0, 2.0], abs=1e-9)
+        assert sol.objective == pytest.approx(9.0, abs=1e-9)
+        assert sol.phase_steps[1] == 0
+        assert sum(sol.phase_steps) == sol.iterations
+
+
 class TestCycling:
     def beale(self):
         lp = LinearProgram(4)
@@ -213,6 +276,39 @@ class TestOptimalIsChecked:
         assert solve(simple_program()).status == LpStatus.OPTIMAL
 
 
+class TestInfeasibleIsCertified:
+    """An infeasible verdict must come with a row of the basis inverse that
+    proves it on the original data; one that proves nothing is a tool
+    failure, not a verdict."""
+
+    def infeasible_program(self):
+        lp = LinearProgram(2)
+        lp.add_constraint([1.0, 1.0], ">=", 3.0)
+        lp.add_constraint([1.0, 1.0], "<=", 1.0)
+        for j in range(2):
+            lp.set_bounds(j, 0.0, 10.0)
+        return lp
+
+    def test_zero_certificate_raises(self, monkeypatch):
+        lp_module = importlib.import_module("eqdesign.lp")
+        dual = lp_module._dual_simplex
+
+        def corrupted(tableau, basis, x, *rest):
+            row, count = dual(tableau, basis, x, *rest)
+            if row is not None:
+                tableau[row] = 0.0
+            return row, count
+
+        monkeypatch.setattr(lp_module, "_dual_simplex", corrupted)
+        with pytest.raises(RuntimeError, match="certificate"):
+            solve(self.infeasible_program())
+
+    def test_verdict_reports_dual_steps_only(self):
+        sol = solve(self.infeasible_program())
+        assert sol.status == LpStatus.INFEASIBLE
+        assert sol.phase_steps == (sol.iterations, 0)
+
+
 class TestSolutionQuality:
     def test_solutions_feasible_within_tolerance(self):
         for k in range(60):
@@ -280,6 +376,36 @@ class TestOracleBattery:
             else:
                 assert sol.status == LpStatus.OPTIMAL, (num_vars, k)
                 assert sol.objective == pytest.approx(oracle, abs=1e-6)
+
+
+class TestLowestIndexFallback:
+    def test_lowest_index_rules_from_the_first_step(self, monkeypatch):
+        # With the run length at 0 both phases use their lowest-index rules
+        # on every step; they must still reach the true optimum.  Columns
+        # whose cost prefers the upper bound get it as a row instead, so
+        # their start is shifted and the primal phase has work to do.
+        lp_module = importlib.import_module("eqdesign.lp")
+        monkeypatch.setattr(lp_module, "BLAND_AFTER", 0)
+        steps = np.zeros(2, dtype=int)
+        for num_vars in (2, 3, 4):
+            for k in range(30):
+                rng = make_rng(f"lp-lowest-index-{num_vars}-{k}")
+                case = random_lp_case(rng, num_vars)
+                coeffs, rels, rhs, cost, lo, hi = case
+                lp = build_lp(*case)
+                for j in np.flatnonzero(cost < 0.0):
+                    lp.set_bounds(j, lo[j], math.inf)
+                    lp.add_constraint(np.eye(num_vars)[j], "<=", hi[j])
+                sol = solve(lp)
+                steps += sol.phase_steps
+                rows, limits = inequality_form(coeffs, rels, rhs, lo, hi)
+                oracle = vertex_optimum(cost, rows, limits)
+                if oracle is None:
+                    assert sol.status == LpStatus.INFEASIBLE, (num_vars, k)
+                else:
+                    assert sol.status == LpStatus.OPTIMAL, (num_vars, k)
+                    assert sol.objective == pytest.approx(oracle, abs=1e-6)
+        assert steps.min() > 0
 
 
 class TestValidation:
