@@ -123,6 +123,11 @@ class JointMixedStrategy:
         """Joint marginal over everyone except ``player`` (their axes, in order)."""
         return self.probs.sum(axis=player)
 
+    @property
+    def conditional_table(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """:func:`conditional_matrix` of every player, computed on each access."""
+        return tuple(_conditionals(self.probs, i, 0) for i in range(self.num_players))
+
 
 @dataclass(frozen=True)
 class Conditional:
@@ -193,6 +198,28 @@ def genuine_deviations(sigma: JointMixedStrategy, player: int) -> tuple[int, ...
     return tuple(actions)
 
 
+def genuine_mask(p: np.ndarray) -> np.ndarray:
+    """:func:`genuine_deviations` as a mask over the last axis of masses ``p``."""
+    sup = p > 0.0
+    return ~(sup & (sup.sum(axis=-1, keepdims=True) == 1))
+
+
+def _conditionals(
+    probs: np.ndarray, player: int, lead: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(p, conds)`` of ``player`` for every joint distribution in ``probs``
+    (action axes after the first ``lead``): masses ``p[..., j]``, flattened
+    conditionals ``conds[..., j, :]`` (zeros where ``p`` is 0)."""
+    axes = list(range(probs.ndim))
+    axes.insert(lead, axes.pop(lead + player))
+    shape = probs.shape[:lead] + (probs.shape[lead + player], -1)
+    mat = probs.transpose(axes).reshape(shape)
+    p = mat.sum(axis=-1)
+    # zeros_like keeps mat's layout, and with it later reductions' rounding.
+    col = p[..., None]
+    return p, np.divide(mat, col, out=np.zeros_like(mat), where=col > 0.0)
+
+
 def conditional_matrix(sigma: JointMixedStrategy, player: int) -> tuple[np.ndarray, np.ndarray]:
     """All conditionals of one player at once.
 
@@ -204,12 +231,7 @@ def conditional_matrix(sigma: JointMixedStrategy, player: int) -> tuple[np.ndarr
     n = sigma.num_players
     if not 0 <= player < n:
         raise ShapeError(f"player {player} out of range for {n} players")
-    mat = np.moveaxis(sigma.probs, player, 0).reshape(sigma.action_counts[player], -1)
-    p = mat.sum(axis=1)
-    conds = np.zeros_like(mat)
-    pos = p > 0.0
-    conds[pos] = mat[pos] / p[pos, None]
-    return p, conds
+    return _conditionals(sigma.probs, player, 0)
 
 
 def _factor_gap(probs: np.ndarray, lead: int) -> np.ndarray:
@@ -376,6 +398,21 @@ class MarkovPolicy:
     def stage(self, h: int, s: int) -> JointMixedStrategy:
         """The joint mixed strategy played at stage ``h`` in state ``s``."""
         return self._stage_table[h][s]
+
+    def marginal(self, player: int) -> np.ndarray:
+        """Marginal action distribution of one player at every (h, s)."""
+        players = range(len(self.action_counts))
+        return self.stages.sum(axis=tuple(2 + i for i in players if i != player))
+
+    @cached_property
+    def conditional_table(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per player, :func:`conditional_matrix` of every :meth:`stage` at
+        once: ``(p, conds)`` shaped ``(H, S, c_i)`` and ``(H, S, c_i, R_i)``."""
+        players = range(len(self.action_counts))
+        table = tuple(_conditionals(self.stages, i, 2) for i in players)
+        for p, conds in table:
+            p.flags.writeable = conds.flags.writeable = False
+        return table
 
     def check_fits(self, skeleton: MarkovGameSkeleton) -> None:
         """Raise ``ShapeError`` unless the stage/state grid and the action

@@ -4,8 +4,8 @@ For a fixed joint strategy the question is whether some bounded reward
 function makes it a strict Nash (``NE``), strict correlated (``CE``), or
 strict coarse-correlated (``CCE``) equilibrium.  Each check is a closed-form
 test on the target's conditional distributions; no optimization is involved.
-Markov targets are handled stage by stage: the policy qualifies iff every
-(stage, state) strategy does.
+A Markov policy qualifies iff every (stage, state) strategy does; one array
+expression over the policy's conditional table checks all stages at once.
 
 Verdicts are deterministic: players, then actions, are scanned in ascending
 index order and the first violation found becomes the certificate.
@@ -23,9 +23,7 @@ from .games import (
     COND_ATOL,
     JointMixedStrategy,
     MarkovPolicy,
-    conditional_matrix,
     is_product,
-    support,
 )
 
 
@@ -85,6 +83,59 @@ class MarkovInstallability:
         return self.stages[(h, s)]
 
 
+def stage_reports(
+    table, concept: Concept, atol: float = COND_ATOL
+) -> list[InstallabilityReport]:
+    """Verdicts for every stage of a ``conditional_table`` (of a
+    :class:`MarkovPolicy`, axes ``(h, s)``, or of a :class:`JointMixedStrategy`,
+    none) at once, in row-major order of its leading axes.  NE assumes product
+    stages."""
+    if concept not in (Concept.NE, Concept.CE, Concept.CCE):
+        raise ValueError(f"unknown concept {concept!r}")
+    failing, certs, evidence = [], [], []
+    for p, conds in table:
+        count = p.shape[-1]
+        sup = p.reshape(-1, count) > 0.0
+        conds = conds.reshape((len(sup), count, -1))
+        single = sup.sum(axis=1) == 1
+        if concept == Concept.NE:
+            failing.append(~single)
+            certs.append(())
+        elif concept == Concept.CE:
+            # Pairwise L-inf table; a hit is a supported pair j < k within atol.
+            diffs = np.abs(conds[:, :, None] - conds[:, None]).max(axis=3)
+            hits = (diffs <= atol) & sup[:, :, None] & sup[:, None, :]
+            hits &= np.arange(count)[:, None] < np.arange(count)
+            hits = hits.reshape(len(sup), -1)
+            failing.append(hits.any(axis=1))
+            certs.append(np.divmod(hits.argmax(axis=1), count))
+        else:
+            # Each supported conditional against the lowest supported anchor's.
+            anchor = sup.argmax(axis=1)
+            ref = conds[np.arange(len(sup)), anchor][:, None]
+            differs = sup & (np.abs(conds - ref).max(axis=2) > atol)
+            after = sup & (np.arange(count) > anchor[:, None])
+            failing.append(~single & ~differs.any(axis=1))
+            certs.append((anchor, after.argmax(axis=1)))
+            evidence.append((single, anchor, differs.argmax(axis=1)))
+    failing = np.array(failing)
+    first = np.where(failing.any(axis=0), failing.argmax(axis=0), -1)
+    certs = [[col.tolist() for col in cols] for cols in certs]
+    evidence = [[col.tolist() for col in cols] for cols in evidence]
+    reports = []
+    for k, i in enumerate(first.tolist()):
+        if i >= 0:
+            cert = (i,) + tuple(col[k] for col in certs[i])
+            reports.append(InstallabilityReport(concept, False, certificate=cert))
+            continue
+        found = tuple(
+            ("single", a[k]) if one[k] else ("pair", a[k], b[k])
+            for one, a, b in evidence
+        )
+        reports.append(InstallabilityReport(concept, True, evidence=found))
+    return reports
+
+
 def check_sne(
     sigma: JointMixedStrategy, atol: float = COND_ATOL
 ) -> InstallabilityReport:
@@ -93,12 +144,7 @@ def check_sne(
     Installable iff every player puts all mass on a single action.  Raises
     :class:`NotProductError` for correlated input.
     """
-    if not is_product(sigma, atol=atol):
-        raise NotProductError("strict Nash check requires a product strategy")
-    for i in range(sigma.num_players):
-        if len(support(sigma, i)) != 1:
-            return InstallabilityReport(Concept.NE, False, certificate=(i,))
-    return InstallabilityReport(Concept.NE, True)
+    return check(sigma, Concept.NE, atol)
 
 
 def check_sce(
@@ -110,19 +156,7 @@ def check_sce(
     conditional opponent distributions coincide (L-inf within ``atol``);
     the first such ``(player, j, k)`` is the certificate.
     """
-    for i in range(sigma.num_players):
-        p, conds = conditional_matrix(sigma, i)
-        supported = np.flatnonzero(p > 0.0)
-        for a, j in enumerate(supported[:-1]):
-            later = supported[a + 1 :]
-            diffs = np.max(np.abs(conds[later] - conds[j]), axis=1)
-            hits = np.flatnonzero(diffs <= atol)
-            if hits.size:
-                k = int(later[hits[0]])
-                return InstallabilityReport(
-                    Concept.CE, False, certificate=(i, int(j), k)
-                )
-    return InstallabilityReport(Concept.CE, True)
+    return check(sigma, Concept.CE, atol)
 
 
 def check_scce(
@@ -136,37 +170,16 @@ def check_scce(
     installability; the certificate is the anchor and the next supported
     action.  Runs in time linear in the joint profile count per player.
     """
-    evidence = []
-    for i in range(sigma.num_players):
-        p, conds = conditional_matrix(sigma, i)
-        supported = np.flatnonzero(p > 0.0)
-        if supported.size == 1:
-            evidence.append(("single", int(supported[0])))
-            continue
-        anchor = int(supported[0])
-        diffs = np.max(np.abs(conds[supported] - conds[anchor]), axis=1)
-        differing = np.flatnonzero(diffs > atol)
-        if differing.size == 0:
-            return InstallabilityReport(
-                Concept.CCE,
-                False,
-                certificate=(i, anchor, int(supported[1])),
-            )
-        evidence.append(("pair", anchor, int(supported[differing[0]])))
-    return InstallabilityReport(Concept.CCE, True, evidence=tuple(evidence))
+    return check(sigma, Concept.CCE, atol)
 
 
 def check(
     sigma: JointMixedStrategy, concept: Concept, atol: float = COND_ATOL
 ) -> InstallabilityReport:
-    """Dispatch to the checker for ``concept``."""
-    if concept == Concept.NE:
-        return check_sne(sigma, atol=atol)
-    if concept == Concept.CE:
-        return check_sce(sigma, atol=atol)
-    if concept == Concept.CCE:
-        return check_scce(sigma, atol=atol)
-    raise ValueError(f"unknown concept {concept!r}")
+    """One stage of :func:`stage_reports`; NE requires a product strategy."""
+    if concept == Concept.NE and not is_product(sigma, atol=atol):
+        raise NotProductError("strict Nash check requires a product strategy")
+    return stage_reports(sigma.conditional_table, concept, atol)[0]
 
 
 def check_markov(
@@ -174,20 +187,18 @@ def check_markov(
 ) -> MarkovInstallability:
     """Stage-wise installability of a Markov policy.
 
-    The per-stage checks are independent and order-insensitive; results are
-    collected for every (stage, state) pair even after a failure so the
-    report is complete.  For ``NE`` every stage must factorize.
+    Every (stage, state) pair is checked at once from the policy's
+    conditional table, so the report is complete; each stage's report equals
+    :func:`check` on that stage.  For ``NE`` every stage must factorize.
     """
     bad = policy.first_correlated(atol) if concept == Concept.NE else None
     if bad is not None:
         raise NotProductError(
             f"stage (h={bad[0]}, s={bad[1]}) is not a product strategy"
         )
-    reports: dict = {}
-    ok = True
-    for h in range(policy.horizon):
-        for s in range(policy.num_states):
-            rep = check(policy.stage(h, s), concept, atol=atol)
-            reports[(h, s)] = rep
-            ok = ok and rep.installable
-    return MarkovInstallability(concept=concept, installable=ok, stages=reports)
+    reports = stage_reports(policy.conditional_table, concept, atol)
+    return MarkovInstallability(
+        concept=concept,
+        installable=all(rep.installable for rep in reports),
+        stages=dict(zip(np.ndindex(policy.horizon, policy.num_states), reports)),
+    )

@@ -99,7 +99,7 @@ def load_game(doc: dict, where: str = "game") -> Game:
         raise InputFormatError(f"{where}.states: expected a nonempty list")
     states = tuple(str(s) for s in states)
     horizon = _require(doc, "horizon", where)
-    if not isinstance(horizon, int) or horizon < 1:
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
         raise InputFormatError(f"{where}.horizon: expected an integer >= 1")
     num_s = len(states)
     trans = _as_array(
@@ -193,7 +193,7 @@ def load_reward(
         _require(doc, "rewards", where), shape, f"{where}.rewards"
     )
     bound = _require(doc, "bound", where)
-    if not isinstance(bound, (int, float)):
+    if isinstance(bound, bool) or not isinstance(bound, (int, float)):
         raise InputFormatError(f"{where}.bound: expected a number")
     try:
         return RewardFunction(

@@ -1,10 +1,11 @@
 """Ground-truth measurement of strictness margins, independent of any LP.
 
-Everything here is plain backward/forward induction over the dense tensors:
-on-path values, stage visitation, single-deviator best responses, and the
-per-constraint strictness gaps for each solution concept.  A one-stage
-re-implementation (:func:`nfg_oracle`) provides a second, independent route
-for normal-form instances so the two can be cross-checked bit-tightly.
+Everything here is plain backward/forward induction over the dense tensors,
+one stage at a time with every state at once: on-path values, visitation,
+single-deviator best responses, and the per-constraint strictness gaps of
+each concept, as arrays.  A one-stage re-implementation (:func:`nfg_oracle`)
+provides a second, independent route for normal-form instances so the two
+can be cross-checked bit-tightly.
 
 Deviation semantics: margins quantify over deviations that actually change
 play.  An action carrying a player's whole stage mass replicates the target
@@ -29,6 +30,7 @@ from .games import (
     ValueTables,
     conditional_matrix,
     genuine_deviations,
+    genuine_mask,
     is_product,
 )
 from .installability import Concept, DeviationClass, NotProductError
@@ -127,40 +129,6 @@ def visitation(skeleton: MarkovGameSkeleton, policy: MarkovPolicy) -> np.ndarray
     return mu
 
 
-def _allowed_actions(
-    stage: JointMixedStrategy,
-    player: int,
-    dev_class: DeviationClass,
-    where: str,
-) -> np.ndarray:
-    if dev_class != DeviationClass.NEVER_TARGET:
-        return np.arange(stage.action_counts[player])
-    actions = np.array(genuine_deviations(stage, player), dtype=int)
-    if actions.size == 0:
-        raise ValueError(
-            f"never-target class leaves player {player} no action at {where}"
-        )
-    return actions
-
-
-def _deviation_q(
-    skeleton: MarkovGameSkeleton,
-    reward: RewardFunction,
-    policy: MarkovPolicy,
-    player: int,
-    h: int,
-    s: int,
-    cont: np.ndarray,
-) -> np.ndarray:
-    """Value of each own action at (h, s) against the stage marginal, with
-    continuation values ``cont`` over next states."""
-    ev = skeleton.transitions[h, s] @ cont
-    payoff = reward.rewards[player, h, s] + ev
-    mat = np.moveaxis(payoff, player, 0).reshape(payoff.shape[player], -1)
-    marg = policy.stage(h, s).opponent_marginal(player).reshape(-1)
-    return mat @ marg
-
-
 def best_response(
     skeleton: MarkovGameSkeleton,
     reward: RewardFunction,
@@ -188,19 +156,36 @@ def best_response(
     v = np.zeros((horizon + 1, num_s))
     q = np.zeros((horizon, num_s, count))
     actions = np.zeros((horizon, num_s), dtype=int)
+    allowed = None
+    if dev_class == DeviationClass.NEVER_TARGET:
+        allowed = genuine_mask(policy.marginal(player))
+    # Own action values as (state, own, opponents); transpose beats np.moveaxis.
+    others = [1 + i for i in range(skeleton.num_players) if i != player]
     for h in range(horizon - 1, -1, -1):
-        for s in range(num_s):
-            row = _deviation_q(skeleton, reward, policy, player, h, s, v[h + 1])
-            q[h, s] = row
-            allowed = _allowed_actions(
-                policy.stage(h, s), player, dev_class, f"(h={h}, s={s})"
-            )
-            pick = allowed[int(np.argmax(row[allowed]))]
-            actions[h, s] = pick
-            v[h, s] = row[pick]
+        payoff = reward.rewards[player, h] + skeleton.transitions[h] @ v[h + 1]
+        mat = payoff.transpose([0, 1 + player] + others).reshape(num_s, count, -1)
+        marg = policy.stages[h].sum(axis=1 + player).reshape(num_s, -1, 1)
+        q[h] = best = (mat @ marg)[..., 0]
+        if allowed is not None:
+            some = allowed[h].any(axis=1)
+            if not some.all():
+                raise ValueError(
+                    f"never-target class leaves player {player} no action at "
+                    f"(h={h}, s={int(some.argmin())})"
+                )
+            best = np.where(allowed[h], best, -math.inf)
+        actions[h] = best.argmax(axis=1)
+        v[h] = np.maximum.reduce(best, axis=1)
     return BestResponse(
         player=player, deviation_class=dev_class, v=v, q=q, actions=actions
     )
+
+
+def _add_gaps(gaps: dict, player: int, mask: np.ndarray, table: np.ndarray) -> None:
+    """Add ``table`` where ``mask`` holds, keyed ``(player, *index)``, row-major."""
+    index = np.nonzero(mask)
+    keys = zip([player] * index[0].size, *(ax.tolist() for ax in index))
+    gaps.update(zip(keys, table[mask].tolist()))
 
 
 def _coarse_gaps(
@@ -215,37 +200,21 @@ def _coarse_gaps(
         if skeleton.action_counts[i] < 2:
             continue  # no deviation exists for a single-action player
         br = best_response(skeleton, reward, policy, i, dev_class)
-        for h in range(skeleton.horizon):
-            for s in range(skeleton.num_states):
-                for m in genuine_deviations(policy.stage(h, s), i):
-                    gaps[(i, h, s, m)] = float(values.v[i, h, s] - br.q[h, s, m])
+        genuine = genuine_mask(policy.marginal(i))
+        _add_gaps(gaps, i, genuine, values.v[i, :-1, :, None] - br.q)
     return gaps
 
 
-def _ce_gaps(
-    skeleton: MarkovGameSkeleton,
-    policy: MarkovPolicy,
-    values: ValueTables,
-) -> dict:
+def _ce_gaps(policy: MarkovPolicy, values: ValueTables) -> dict:
     gaps: dict = {}
-    for i in range(skeleton.num_players):
-        count = skeleton.action_counts[i]
-        if count < 2:
-            continue
-        for h in range(skeleton.horizon):
-            for s in range(skeleton.num_states):
-                stage = policy.stage(h, s)
-                p, conds = conditional_matrix(stage, i)
-                qmat = np.moveaxis(values.q[i, h, s], i, 0).reshape(count, -1)
-                on_rec = np.einsum("jr,jr->j", conds, qmat)
-                cross = conds @ qmat.T  # cross[j, k] = E_cond_j[q under k]
-                for j in np.flatnonzero(p > 0.0):
-                    for k in range(count):
-                        if k == int(j):
-                            continue
-                        gaps[(i, h, s, int(j), k)] = float(
-                            on_rec[j] - cross[j, k]
-                        )
+    for i in range(len(policy.action_counts)):
+        p, conds = policy.conditional_table[i]
+        qmat = np.moveaxis(values.q[i], 2 + i, 2).reshape(conds.shape)
+        on_rec = np.einsum("...jr,...jr->...j", conds, qmat)
+        cross = conds @ qmat.swapaxes(-1, -2)  # [.., j, k] = E_cond_j[q_k]
+        other = np.arange(p.shape[-1])
+        rec = (p > 0.0)[..., None] & (other[:, None] != other)
+        _add_gaps(gaps, i, rec, on_rec[..., None] - cross)
     return gaps
 
 
@@ -307,7 +276,7 @@ def check_strict(
             raise ValueError(
                 "never-target deviations apply to the NE/CCE concepts only"
             )
-        gaps = _ce_gaps(skeleton, policy, values)
+        gaps = _ce_gaps(policy, values)
     else:
         raise ValueError(f"unknown concept {concept!r}")
     return _finalize(concept, epsilon, dev_class, gaps)

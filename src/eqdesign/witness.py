@@ -5,7 +5,8 @@ their conditional opponent distribution, L2-normalized per own action.  Its
 strictness margins have an exact cosine form, which also yields the maximum
 margin ``gamma`` attainable per concept and the epsilon-strict scalings.
 Markov targets get a backward-induction variant whose rewards cancel the
-continuation value so that every stage inherits the normal-form margins.
+continuation value so that every stage inherits the normal-form margins; all
+stages' utilities come at once from the policy's conditional table.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from .games import (
     MarkovGameSkeleton,
     MarkovPolicy,
     RewardFunction,
-    conditional_matrix,
-    genuine_deviations,
-    support,
+    genuine_mask,
 )
 from .installability import (
     Concept,
@@ -31,6 +30,7 @@ from .installability import (
     check_markov,
     check_sce,
     check_scce,
+    stage_reports,
 )
 
 
@@ -73,19 +73,23 @@ class GammaResult(NamedTuple):
 
 
 def _unit_rows(conds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L2 row norms and L2-normalized rows (zero rows stay zero)."""
-    norms = np.linalg.norm(conds, axis=1)
-    units = np.zeros_like(conds)
-    pos = norms > 0.0
-    units[pos] = conds[pos] / norms[pos, None]
-    return norms, units
+    """L2 row norms and L2-normalized rows (zero rows stay zero), over any
+    leading axes."""
+    norms = np.linalg.norm(conds, axis=-1)[..., None]
+    units = np.divide(conds, norms, out=np.zeros_like(conds), where=norms > 0.0)
+    return norms[..., 0], units
 
 
-def _joint_field(rows: np.ndarray, player: int, counts: tuple[int, ...]) -> np.ndarray:
-    """Expand per-(own action, opponent profile) rows to a joint-shaped tensor."""
-    other = tuple(c for ax, c in enumerate(counts) if ax != player)
-    shaped = rows.reshape((counts[player],) + other)
-    return np.moveaxis(shaped, 0, player)
+def _witness_field(table, counts: tuple[int, ...]) -> np.ndarray:
+    """Witness utility of every stage in a conditional table, shaped
+    ``(num_players, *leading axes, *counts)``."""
+    lead = table[0][0].shape[:-1]
+    out = np.empty((len(counts),) + lead + counts)
+    for i, (_, conds) in enumerate(table):
+        other = counts[:i] + counts[i + 1 :]
+        shaped = _unit_rows(conds)[1].reshape(lead + (counts[i],) + other)
+        out[i] = np.moveaxis(shaped, len(lead), len(lead) + i)
+    return out
 
 
 def witness_utility(sigma: JointMixedStrategy) -> np.ndarray:
@@ -95,13 +99,28 @@ def witness_utility(sigma: JointMixedStrategy) -> np.ndarray:
     supported own actions; rows of unsupported actions are identically zero.
     Shape ``(num_players, *action_counts)``.
     """
-    counts = sigma.action_counts
-    out = np.zeros((sigma.num_players,) + counts)
-    for i in range(sigma.num_players):
-        _, conds = conditional_matrix(sigma, i)
-        _, units = _unit_rows(conds)
-        out[i] = _joint_field(units, i, counts)
-    return out
+    return _witness_field(sigma.conditional_table, sigma.action_counts)
+
+
+def _gamma_values(table, concept: Concept) -> np.ndarray:
+    """Unit-bound CE or CCE margin of every stage in a conditional table,
+    with no installability check."""
+    best = np.full(table[0][0].shape[:-1], math.inf)
+    for p, conds in table:
+        norms, units = _unit_rows(conds)
+        gaps = 1.0 - np.minimum(np.maximum(units @ units.swapaxes(-1, -2), -1.0), 1.0)
+        if concept == Concept.CE:
+            # gaps[..., j, k] for supported j and every k != j.
+            gaps = norms[..., None] * gaps
+            other = np.arange(p.shape[-1])
+            keep = (p > 0.0)[..., None] & (other[:, None] != other)
+        else:
+            # Mass-weighted over supported j, per genuine deviation m.
+            weights = np.where(p > 0.0, norms * p, 0.0)[..., None, :]
+            gaps, keep = (weights @ gaps)[..., 0, :], genuine_mask(p)
+        gaps = np.where(keep, gaps, math.inf)
+        best = np.minimum(best, gaps.reshape(best.shape + (-1,)).min(axis=-1))
+    return best
 
 
 def gamma_ce(sigma: JointMixedStrategy) -> GammaResult:
@@ -113,32 +132,7 @@ def gamma_ce(sigma: JointMixedStrategy) -> GammaResult:
     """
     if not check_sce(sigma).installable:
         return GammaResult(0.0, False)
-    best = math.inf
-    for i in range(sigma.num_players):
-        if sigma.action_counts[i] < 2:
-            continue
-        p, conds = conditional_matrix(sigma, i)
-        supported = np.flatnonzero(p > 0.0)
-        norms, units = _unit_rows(conds)
-        cos = np.clip(units[supported] @ units.T, -1.0, 1.0)
-        gaps = norms[supported, None] * (1.0 - cos)
-        mask = np.ones_like(gaps, dtype=bool)
-        mask[np.arange(supported.size), supported] = False
-        best = min(best, float(gaps[mask].min()))
-    return GammaResult(best, True)
-
-
-def _cce_margins(sigma: JointMixedStrategy, player: int):
-    """Per-deviation coarse margins for one player, or None if no deviation
-    exists."""
-    p, conds = conditional_matrix(sigma, player)
-    devs = np.array(genuine_deviations(sigma, player), dtype=int)
-    if devs.size == 0:
-        return None
-    supported = np.flatnonzero(p > 0.0)
-    norms, units = _unit_rows(conds)
-    cos = np.clip(units[supported] @ units[devs].T, -1.0, 1.0)
-    return (norms[supported] * p[supported]) @ (1.0 - cos)
+    return GammaResult(float(_gamma_values(sigma.conditional_table, Concept.CE)), True)
 
 
 def gamma_cce(sigma: JointMixedStrategy) -> GammaResult:
@@ -150,22 +144,70 @@ def gamma_cce(sigma: JointMixedStrategy) -> GammaResult:
     """
     if not check_scce(sigma).installable:
         return GammaResult(0.0, False)
-    best = math.inf
-    for i in range(sigma.num_players):
-        margins = _cce_margins(sigma, i)
-        if margins is not None:
-            best = min(best, float(margins.min()))
-    return GammaResult(best, True)
+    return GammaResult(float(_gamma_values(sigma.conditional_table, Concept.CCE)), True)
 
 
-def _pure_profile(sigma: JointMixedStrategy) -> tuple[int, ...]:
-    profile = []
-    for i in range(sigma.num_players):
-        sup = support(sigma, i)
-        if len(sup) != 1:
-            raise ValueError("strict Nash scaling requires a pure target")
-        profile.append(sup[0])
-    return tuple(profile)
+def _epsilon_fields(probs: np.ndarray, table, concept: Concept, config: EpsilonConfig):
+    """:func:`epsilon_witness` for every stage of ``probs`` and its
+    conditional table: ``(fields, None)``, shaped ``(num_players, *leading
+    axes, *counts)``, or ``(None, (k, exc))`` for the first stage (flat index
+    ``k``, row-major) that cannot carry the margin, with its error ``exc``."""
+    eps, bound, dev = config.epsilon, config.bound, config.deviation_class
+    lead, counts = probs.shape[: -len(table)], probs.shape[-len(table) :]
+    if concept == Concept.NE and dev == DeviationClass.UNRESTRICTED:
+        return None, (0, ValueError(
+            "strict Nash has no finite margin against unrestricted "
+            "deviations; use the never-target class"
+        ))
+    if concept == Concept.CE and dev != DeviationClass.NEVER_RECOMMENDED:
+        return None, (0, ValueError(
+            "correlated epsilon-strictness is guaranteed only for the "
+            "never-recommended deviation class"
+        ))
+    if concept == Concept.NE:
+        # A stage is pure iff its joint support is a single profile.
+        cells = np.count_nonzero(probs.reshape(-1, int(np.prod(counts))), axis=1)
+        mixed = np.flatnonzero(cells != 1)
+        max_gap = 2.0 * bound
+        if mixed.size and (mixed[0] == 0 or eps < max_gap):
+            message = "strict Nash scaling requires a pure target"
+            return None, (int(mixed[0]), ValueError(message))
+        if eps >= max_gap:
+            return None, (0, InfeasibleEpsilonError(
+                f"epsilon {eps} not achievable: margin must stay below "
+                f"{max_gap}",
+                max_gap=max_gap,
+            ))
+        return np.repeat(np.where(probs > 0, bound, -bound)[None], len(counts), 0), None
+
+    if concept not in (Concept.CE, Concept.CCE):
+        return None, (0, ValueError(f"unknown concept {concept!r}"))
+    gammas = _gamma_values(table, concept).reshape(-1).tolist()
+    alphas = []
+    for k, (rep, gamma) in enumerate(zip(stage_reports(table, concept), gammas)):
+        if not rep.installable:
+            message = f"target is not {concept.value}-installable"
+            return None, (k, ValueError(message))
+        # A single-support player with spare actions would let a deviator
+        # replicate play exactly, so no positive margin covers unrestricted
+        # deviations.  Players with one action have no deviations and are
+        # exempt.
+        for i, entry in enumerate(rep.evidence):
+            if entry[0] == "single" and counts[i] > 1:
+                return None, (k, ValueError(
+                    "coarse epsilon-strictness needs two supported "
+                    "actions with differing conditionals for every "
+                    f"player; player {i} has a single supported action"
+                ))
+        max_gap = bound * gamma
+        if eps > max_gap:
+            return None, (k, InfeasibleEpsilonError(
+                f"epsilon {eps} exceeds the achievable margin {max_gap}",
+                max_gap=max_gap,
+            ))
+        alphas.append(eps / gamma if math.isfinite(gamma) else 0.0)
+    scale = np.reshape(alphas, lead + (1,) * len(counts))
+    return scale * _witness_field(table, counts), None
 
 
 def epsilon_witness(
@@ -181,84 +223,33 @@ def epsilon_witness(
     two supported actions with differing conditionals, since its guarantee
     covers unrestricted deviations.
     """
-    eps, bound = config.epsilon, config.bound
-    if concept == Concept.NE:
-        if config.deviation_class == DeviationClass.UNRESTRICTED:
-            raise ValueError(
-                "strict Nash has no finite margin against unrestricted "
-                "deviations; use the never-target class"
-            )
-        profile = _pure_profile(sigma)
-        max_gap = 2.0 * bound
-        if eps >= max_gap:
-            raise InfeasibleEpsilonError(
-                f"epsilon {eps} not achievable: margin must stay below "
-                f"{max_gap}",
-                max_gap=max_gap,
-            )
-        u = np.full((sigma.num_players,) + sigma.action_counts, -bound)
-        u[(slice(None),) + profile] = bound
-        return u
-
-    if concept == Concept.CE:
-        if config.deviation_class != DeviationClass.NEVER_RECOMMENDED:
-            raise ValueError(
-                "correlated epsilon-strictness is guaranteed only for the "
-                "never-recommended deviation class"
-            )
-        gamma = gamma_ce(sigma)
-    elif concept == Concept.CCE:
-        rep = check_scce(sigma)
-        if rep.installable:
-            # A single-support player with spare actions would let a
-            # deviator replicate play exactly, so no positive margin covers
-            # unrestricted deviations.  Players with one action have no
-            # deviations and are exempt.
-            for i, entry in enumerate(rep.evidence):
-                if entry[0] == "single" and sigma.action_counts[i] > 1:
-                    raise ValueError(
-                        "coarse epsilon-strictness needs two supported "
-                        "actions with differing conditionals for every "
-                        f"player; player {i} has a single supported action"
-                    )
-        gamma = gamma_cce(sigma)
-    else:
-        raise ValueError(f"unknown concept {concept!r}")
-
-    if not gamma.installable:
-        raise ValueError(f"target is not {concept.value}-installable")
-    max_gap = bound * gamma.value
-    if eps > max_gap:
-        raise InfeasibleEpsilonError(
-            f"epsilon {eps} exceeds the achievable margin {max_gap}",
-            max_gap=max_gap,
-        )
-    alpha = eps / gamma.value if math.isfinite(gamma.value) else 0.0
-    return alpha * witness_utility(sigma)
+    fields, error = _epsilon_fields(
+        sigma.probs, sigma.conditional_table, concept, config
+    )
+    if error is not None:
+        raise error[1]
+    return fields
 
 
 def _cancel_continuation(
     policy: MarkovPolicy,
     skeleton: MarkovGameSkeleton,
-    stage_u: dict,
+    stage_u: np.ndarray,
     bound: float,
 ) -> RewardFunction:
     """Rewards whose on-path action values at every ``(h, s)`` equal the
-    stage utility ``stage_u[(h, s)]``: backward induction subtracts each
+    stage utility ``stage_u[:, h, s]``: backward induction subtracts each
     stage's expected continuation value, then clips to the bound."""
     n = skeleton.num_players
     horizon, num_s = skeleton.horizon, skeleton.num_states
     rewards = np.zeros((n, horizon, num_s) + skeleton.action_counts)
     values = np.zeros((n, horizon + 1, num_s))
+    action_axes = tuple(range(2, 2 + n))
     for h in range(horizon - 1, -1, -1):
-        for s in range(num_s):
-            probs = policy.stages[h, s]
-            # Expected next-stage value per joint action, one column per player.
-            ev = skeleton.transitions[h, s] @ values[:, h + 1].T
-            u = stage_u[(h, s)]
-            for i in range(n):
-                rewards[i, h, s] = u[i] - ev[..., i]
-                values[i, h, s] = float(np.sum(probs * u[i]))
+        # Expected next-stage value per state and joint action, per player.
+        ev = skeleton.transitions[h] @ values[:, h + 1].T
+        rewards[:, h] = stage_u[:, h] - np.moveaxis(ev, -1, 0)
+        values[:, h] = np.sum(policy.stages[h] * stage_u[:, h], axis=action_axes)
     np.clip(rewards, -bound, bound, out=rewards)
     return RewardFunction(rewards=rewards, bound=bound)
 
@@ -288,12 +279,8 @@ def markov_witness(
             f"{concept.value}-installable",
             stage=bad,
         )
-    stage_u = {
-        (h, s): 0.5 * bound * witness_utility(policy.stage(h, s))
-        for h in range(skeleton.horizon)
-        for s in range(skeleton.num_states)
-    }
-    return _cancel_continuation(policy, skeleton, stage_u, bound)
+    stage_u = _witness_field(policy.conditional_table, policy.action_counts)
+    return _cancel_continuation(policy, skeleton, 0.5 * bound * stage_u, bound)
 
 
 def epsilon_markov_witness(
@@ -307,24 +294,20 @@ def epsilon_markov_witness(
     Splits the bound evenly across the horizon, requires every stage to
     support the margin at bound ``B / H``, and subtracts continuation values
     exactly as :func:`markov_witness`, so each stage's measured margin is the
-    normal-form one.
+    normal-form one.  The first failing stage in row-major order is named,
+    with the error :func:`epsilon_witness` gives for it.
     """
     policy.check_fits(skeleton)
-    horizon = skeleton.horizon
     stage_cfg = EpsilonConfig(
         epsilon=config.epsilon,
-        bound=config.bound / horizon,
+        bound=config.bound / skeleton.horizon,
         deviation_class=config.deviation_class,
     )
-    stage_u = {}
-    for h in range(horizon):
-        for s in range(skeleton.num_states):
-            try:
-                stage_u[(h, s)] = epsilon_witness(
-                    policy.stage(h, s), concept, stage_cfg
-                )
-            except (ValueError, InfeasibleEpsilonError) as exc:
-                raise StageCheckError(
-                    f"stage (h={h}, s={s}): {exc}", stage=(h, s)
-                ) from exc
-    return _cancel_continuation(policy, skeleton, stage_u, config.bound)
+    fields, error = _epsilon_fields(
+        policy.stages, policy.conditional_table, concept, stage_cfg
+    )
+    if error is not None:
+        k, exc = error
+        h, s = divmod(k, skeleton.num_states)
+        raise StageCheckError(f"stage (h={h}, s={s}): {exc}", stage=(h, s)) from exc
+    return _cancel_continuation(policy, skeleton, fields, config.bound)

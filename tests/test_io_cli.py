@@ -158,6 +158,13 @@ class TestGameLoading:
         with pytest.raises(InputFormatError, match="horizon"):
             load_game(bad)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_horizon_rejected(self, flag):
+        doc = game_doc(random_skeleton(make_rng("io-bool-horizon")))
+        doc["horizon"] = flag
+        with pytest.raises(InputFormatError, match=r"game\.horizon"):
+            load_game(doc)
+
     def test_non_finite_utility_rejected(self):
         doc = dict(NFG_DOC)
         doc["utility"] = [[1.0, math.inf, 0.0, 0.0], [0.0] * 4]
@@ -209,6 +216,15 @@ class TestPolicyAndRewardLoading:
             load_reward(doc, sk)
         doc["bound"] = "big"
         with pytest.raises(InputFormatError, match="bound"):
+            load_reward(doc, sk)
+
+    def test_boolean_bound_rejected(self):
+        rng = make_rng("io-bool-bound")
+        sk = random_skeleton(rng)
+        shape = (sk.num_players, sk.horizon, sk.num_states) + sk.action_counts
+        doc = reward_to_doc(RewardFunction(rewards=np.zeros(shape), bound=1.0))
+        doc["bound"] = True
+        with pytest.raises(InputFormatError, match=r"reward\.bound"):
             load_reward(doc, sk)
 
     def test_baseline_accepts_utility_or_rewards(self):
@@ -309,6 +325,18 @@ class TestCliCheck:
         result = invoke(["check", game, target, "--concept", "ne"])
         assert result.exit_code == 2
         assert "error:" in result.stderr
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_horizon_exits_two(self, files, flag):
+        rng = make_rng("cli-bool-horizon")
+        sk = random_skeleton(rng)
+        doc = game_doc(sk)
+        doc["horizon"] = flag
+        game = files("game.json", doc)
+        target = files("target.json", policy_doc(installable_policy(rng, sk)))
+        result = invoke(["check", game, target])
+        assert result.exit_code == 2, result.output
+        assert "horizon" in result.stderr
 
     def test_missing_file_exits_two(self, files):
         game = files("game.json", NFG_DOC)
