@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import click
-import numpy as np
 
 from . import __version__
 from .design import CostKind, CostSpec, DesignConfig, design
@@ -25,7 +24,6 @@ from .games import (
     MarkovGameSkeleton,
     MarkovPolicy,
     NormalFormGame,
-    RewardFunction,
     nfg_as_markov,
 )
 from .installability import (
@@ -37,13 +35,13 @@ from .installability import (
     check_markov,
 )
 from .io import (
-    InputFormatError,
     dump_json,
     load_baseline,
     load_game,
     load_json,
     load_policy,
     load_reward,
+    load_utility,
     reward_to_doc,
     utility_to_doc,
 )
@@ -305,17 +303,7 @@ def _run_verify(job: JobSpec) -> tuple[int, dict]:
     game, skeleton, policy = _load_inputs(job)
     doc = load_json(job.reward_path)
     if isinstance(game, NormalFormGame) and "utility" in doc:
-        counts = game.action_counts
-        num_a = int(np.prod(counts))
-        arr = np.array(doc["utility"], dtype=float)
-        if arr.shape != (game.num_players, num_a):
-            raise InputFormatError(
-                f"{job.reward_path}.utility: shape {arr.shape}, expected "
-                f"{(game.num_players, num_a)}"
-            )
-        tensor = arr.reshape((game.num_players, 1, 1) + counts)
-        bound = float(doc.get("bound", max(np.abs(arr).max(), 1.0)))
-        reward = RewardFunction(rewards=tensor, bound=bound)
+        reward = load_utility(doc, game, where=job.reward_path)
     else:
         reward = load_reward(doc, skeleton, where=job.reward_path)
     dev = job.deviation_class or _default_class(job.concept)

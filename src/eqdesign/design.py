@@ -4,10 +4,13 @@ Builds one linear program per request whose unknowns are the rewards, boxed
 by the bound, plus the auxiliary columns of the chosen cost.  With the
 target policy fixed, action and state values are linear in the rewards, so
 one backward-induction operator turns every deviation constraint into a
-single strictness row over rewards.  The L1 costs write each reward as
-``base + d+ - d-`` with bounded deviation columns ``d+`` and ``d-`` in place
-of the rewards, so their programs have the strictness rows alone.  A
-normal-form game is designed as its one-stage, one-state Markov embedding.
+single strictness row over rewards.  The rows of every stage are built at
+once from the policy's stage arrays and conditional table; :mod:`.games` is
+the one home of conditionals, supports and genuine deviations.  The L1
+costs write each reward as ``base + d+ - d-`` with bounded deviation columns
+``d+`` and ``d-`` in place of the rewards, so their programs have the
+strictness rows alone.  A normal-form game is designed as its one-stage,
+one-state Markov embedding.
 
 Costs: ``ONLINE`` weights reward changes by the target's visitation measure,
 ``OFFLINE`` counts them unweighted, ``SOCIAL_WELFARE`` maximizes the sum of
@@ -31,14 +34,13 @@ from .games import (
     NormalFormGame,
     RewardFunction,
     ShapeError,
-    conditional_matrix,
-    genuine_deviations,
+    genuine_mask,
     nfg_as_markov,
     strategy_as_policy,
 )
 from .installability import Concept, DeviationClass, NotProductError
 from .lp import LinearProgram, LpStatus, solve
-from .verify import GapReport, check_strict, nfg_oracle, visitation
+from .verify import GapReport, check_strict, nfg_oracle, policy_eval, visitation
 
 # Post-solve verification allows this much slip below the requested slack.
 GAP_SLIP = 1e-6
@@ -100,39 +102,39 @@ class DesignResult:
     phase_steps: tuple[int, int] = (0, 0)
 
 
-def _stage_rows(
-    stage: JointMixedStrategy, concept: Concept
-) -> list[tuple[int, np.ndarray]]:
-    """Strictness rows for one stage as ``(player, w)`` pairs: the margin of
-    each deviation constraint is ``w`` dotted with the player's action values
-    over the stage's flat joint actions."""
-    counts = stage.action_counts
-    flat = stage.probs.reshape(-1)
-    cells = np.arange(flat.size).reshape(counts)
-    rows: list[tuple[int, np.ndarray]] = []
-    for i in range(stage.num_players):
-        if counts[i] < 2:
-            continue
-        own = np.moveaxis(cells, i, 0).reshape(counts[i], -1)
-        if concept in (Concept.NE, Concept.CCE):
-            marg_other = stage.opponent_marginal(i).reshape(-1)
-            for m in genuine_deviations(stage, i):
-                w = flat.copy()
-                w[own[m]] -= marg_other
-                rows.append((i, w))
-        else:  # CE
-            p, conds = conditional_matrix(stage, i)
-            for j in np.flatnonzero(p > 0.0):
-                for k in range(counts[i]):
-                    if k == j:
-                        continue
-                    # Conditional weights (not raw joint mass) so row slack is
-                    # on the same scale as the verifier's per-recommendation gap.
-                    w = np.zeros(flat.size)
-                    w[own[j]] = conds[j]
-                    w[own[k]] = -conds[j]
-                    rows.append((i, w))
-    return rows
+def _strict_rows(
+    policy: MarkovPolicy, concept: Concept, ops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Strictness rows of every stage at once, as ``(players, rows)`` in
+    (stage, state, player, constraint) order.  A row is over one player's
+    rewards: the constraint's weights over its stage's flat joint actions
+    times that stage's block of the action-value operator ``ops``."""
+    stages, counts = policy.stages, policy.action_counts
+    horizon, num_s, n = policy.horizon, policy.num_states, len(counts)
+    ce = concept == Concept.CE
+    width = max(counts) ** (2 if ce else 1)
+    weights = np.zeros((horizon, num_s, n, width, stages[0, 0].size))
+    keep = np.zeros(weights.shape[:-1], dtype=bool)
+    for i, c in enumerate(counts):
+        # e[m] is the indicator of a_i == m over the joint action axes.
+        e = np.eye(c).reshape((c,) + tuple(c if j == i else 1 for j in range(n)))
+        if ce:
+            # Weights (e_j - e_k) x the conditional given j, not raw joint
+            # mass, so row slack is on the verifier's per-recommendation scale.
+            p, conds = policy.conditional_table[i]
+            cond = conds.reshape(p.shape + counts[:i] + (1,) + counts[i + 1 :])
+            w = (e[:, None] - e) * cond[:, :, :, None]
+            ok = (p > 0.0)[..., None] & (e.reshape(c, c) == 0.0)
+        else:  # the target minus e_m x the opponents' marginal
+            marg = stages.sum(axis=2 + i, keepdims=True)
+            w = stages[:, :, None] - e * marg[:, :, None]
+            ok = genuine_mask(policy.marginal(i))
+        ok = ok.reshape(horizon, num_s, -1)
+        keep[:, :, i, : ok.shape[2]] = ok
+        weights[:, :, i, : ok.shape[2]] = w.reshape(ok.shape + (-1,))
+    # A stack of row-vector products; one matrix product would round otherwise.
+    blocks = ops.reshape(weights.shape[:2] + (1, 1) + weights.shape[-1:] + (-1,))
+    return np.nonzero(keep)[2], (weights[..., None, :] @ blocks)[..., 0, :][keep]
 
 
 def _value_operator(
@@ -236,22 +238,19 @@ def build_mg_lp(
         lp.set_bounds(col, lower[col], upper[col])
 
     q_of_r, v0_of_r = _value_operator(skeleton, policy)
-    for h in range(horizon):
-        for s in range(num_s):
-            at = (h * num_s + s) * num_a
-            for i, w in _stage_rows(policy.stage(h, s), concept):
-                row = np.zeros(num_vars)
-                cut = slice(i * size, (i + 1) * size)
-                row[cut] = w @ q_of_r[at : at + num_a]
-                rhs = config.slack
-                if l1:
-                    rhs -= row[cut] @ base[cut]
-                    row[blk + i * size : blk + (i + 1) * size] = -row[cut]
-                if slack_col is None:
-                    lp.add_constraint(row, ">=", rhs)
-                else:
-                    row[slack_col] = -1.0
-                    lp.add_constraint(row, ">=", 0.0)
+    for i, coeffs in zip(*_strict_rows(policy, concept, q_of_r)):
+        row = np.zeros(num_vars)
+        cut = slice(i * size, (i + 1) * size)
+        row[cut] = coeffs
+        rhs = config.slack
+        if l1:
+            rhs -= row[cut] @ base[cut]
+            row[blk + i * size : blk + (i + 1) * size] = -row[cut]
+        if slack_col is None:
+            lp.add_constraint(row, ">=", rhs)
+        else:
+            row[slack_col] = -1.0
+            lp.add_constraint(row, ">=", 0.0)
 
     objective = np.zeros(num_vars)
     # One player's expected initial value per reward entry.
@@ -411,8 +410,6 @@ def evaluate_cost(
             return float(diff.sum())
         mu = visitation(skeleton, policy)
         return float((diff * mu[None]).sum())
-    from .verify import policy_eval
-
     values = policy_eval(skeleton, reward, policy)
     per_player = values.v[:, 0, :] @ skeleton.initial_dist
     if cost.kind == CostKind.SOCIAL_WELFARE:

@@ -52,6 +52,12 @@ def _as_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
     return arr
 
 
+def _as_number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputFormatError(f"{where}: expected a number")
+    return float(value)
+
+
 def _clean_rows(arr: np.ndarray, where: str) -> np.ndarray:
     try:
         return clean_distribution(arr, where=where)
@@ -162,21 +168,20 @@ def load_policy(
                 f"{where}: bare strategy given for a game with "
                 f"horizon {horizon} and {num_s} states"
             )
-        sigma = load_strategy(doc, counts, where)
-        return MarkovPolicy(
-            stages=sigma.probs.reshape((1, 1) + counts),
-            product=bool(doc.get("product", False)),
+        stages = load_strategy(doc, counts, where).probs
+    else:
+        stages = _as_array(
+            _require(doc, "stages", where),
+            (horizon, num_s, num_a),
+            f"{where}.stages",
         )
-    stages = _as_array(
-        _require(doc, "stages", where),
-        (horizon, num_s, num_a),
-        f"{where}.stages",
-    )
-    stages = _clean_rows(stages, f"{where}.stages")
+        stages = _clean_rows(stages, f"{where}.stages")
+    product = doc.get("product", False)
+    if not isinstance(product, bool):
+        raise InputFormatError(f"{where}.product: expected true or false")
     try:
         return MarkovPolicy(
-            stages=stages.reshape((horizon, num_s) + counts),
-            product=bool(doc.get("product", False)),
+            stages=stages.reshape((horizon, num_s) + counts), product=product
         )
     except (ShapeError, DistributionError) as exc:
         raise InputFormatError(f"{where}: {exc}") from None
@@ -192,12 +197,29 @@ def load_reward(
     rewards = _as_array(
         _require(doc, "rewards", where), shape, f"{where}.rewards"
     )
-    bound = _require(doc, "bound", where)
-    if isinstance(bound, bool) or not isinstance(bound, (int, float)):
-        raise InputFormatError(f"{where}.bound: expected a number")
+    bound = _as_number(_require(doc, "bound", where), f"{where}.bound")
+    try:
+        return RewardFunction(rewards=rewards.reshape(shape[:3] + counts), bound=bound)
+    except (ShapeError, DistributionError) as exc:
+        raise InputFormatError(f"{where}: {exc}") from None
+
+
+def load_utility(
+    doc: dict, game: NormalFormGame, where: str = "reward"
+) -> RewardFunction:
+    """Parse a one-shot ``{"utility": [i][a], "bound": B}`` document as the
+    rewards of the game's one-stage embedding; ``bound`` defaults to
+    ``max(max |utility|, 1)``."""
+    counts = game.action_counts
+    shape = (game.num_players, int(np.prod(counts)))
+    utility = _as_array(_require(doc, "utility", where), shape, f"{where}.utility")
+    if "bound" in doc:
+        bound = _as_number(doc["bound"], f"{where}.bound")
+    else:
+        bound = max(float(np.abs(utility).max()), 1.0)
     try:
         return RewardFunction(
-            rewards=rewards.reshape(shape[:3] + counts), bound=float(bound)
+            rewards=utility.reshape((shape[0], 1, 1) + counts), bound=bound
         )
     except (ShapeError, DistributionError) as exc:
         raise InputFormatError(f"{where}: {exc}") from None

@@ -5,6 +5,8 @@ their margins; expected objective values come with a short optimality
 argument rather than from the solver.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -505,6 +507,29 @@ class TestPinnedOptima:
                 assert result.objective == pytest.approx(value, abs=1e-6), (
                     k, cost.kind, config.max_gap,
                 )
+
+
+class TestPinnedPrograms:
+    """SHA-256 of the ``--lp-dump`` text of two ladder programs, recorded
+    before the strictness rows were built for all stages at once; a change
+    to any coefficient, bound or row order shows here."""
+
+    DIGESTS = {
+        (Concept.CCE, CostKind.OFFLINE): (
+            "b0ad8cd509aa3bcb26164457d1890e5cbffe85f0cfff2d6d9de4c553fa558661"
+        ),
+        (Concept.CE, CostKind.ONLINE): (
+            "45da172cf4d3cf3996ab433a197e7eb0fd250b4bf64bf9e70b7b7f0e814a6579"
+        ),
+    }
+
+    def test_3_3_3x3_dumps_are_pinned(self):
+        sk, pol = recipe_instance(3, 3, (3, 3))
+        config = DesignConfig(slack=recipe_slack(pol, 2.0), bound=2.0)
+        for (concept, kind), digest in self.DIGESTS.items():
+            lp, _ = build_mg_lp(sk, pol, concept, CostSpec(kind), config)
+            text = lp.dump().encode()
+            assert hashlib.sha256(text).hexdigest() == digest, (concept, kind)
 
 
 class TestAgainstHighs:

@@ -1,0 +1,251 @@
+"""The design program's strictness rows against their per-stage definition.
+
+``build_mg_lp`` builds the rows of every ``(stage, state)`` at once from the
+policy's stage arrays and conditional table.  The reference below builds
+them one stage at a time, as the constraints read, from the per-stage
+helpers of ``games``: each row is a weight vector over the stage's flat
+joint actions times that stage's block of the action-value operator.  Both
+must give the same program byte for byte: coefficients, right-hand sides,
+bounds, objective and ``dump()`` text, signed zeros included.
+"""
+
+import importlib
+
+import numpy as np
+import pytest
+
+from eqdesign import (
+    Concept,
+    CostKind,
+    CostSpec,
+    DesignConfig,
+    JointMixedStrategy,
+    MarkovGameSkeleton,
+    MarkovPolicy,
+    NormalFormGame,
+    build_mg_lp,
+    build_nfg_lp,
+    nfg_as_markov,
+)
+from eqdesign.games import conditional_matrix, genuine_deviations
+
+from conftest import make_rng
+
+design_module = importlib.import_module("eqdesign.design")
+
+
+def reference_stage_rows(stage: JointMixedStrategy, concept: Concept) -> list:
+    """Strictness rows of one stage as ``(player, w)`` pairs: the margin of
+    each deviation constraint is ``w`` dotted with the player's action values
+    over the stage's flat joint actions."""
+    counts = stage.action_counts
+    flat = stage.probs.reshape(-1)
+    cells = np.arange(flat.size).reshape(counts)
+    rows = []
+    for i in range(stage.num_players):
+        if counts[i] < 2:
+            continue
+        own = np.moveaxis(cells, i, 0).reshape(counts[i], -1)
+        if concept in (Concept.NE, Concept.CCE):
+            marg_other = stage.opponent_marginal(i).reshape(-1)
+            for m in genuine_deviations(stage, i):
+                w = flat.copy()
+                w[own[m]] -= marg_other
+                rows.append((i, w))
+        else:
+            p, conds = conditional_matrix(stage, i)
+            for j in np.flatnonzero(p > 0.0):
+                for k in range(counts[i]):
+                    if k == j:
+                        continue
+                    w = np.zeros(flat.size)
+                    w[own[j]] = conds[j]
+                    w[own[k]] = -conds[j]
+                    rows.append((i, w))
+    return rows
+
+
+def reference_rows(policy: MarkovPolicy, concept: Concept, ops: np.ndarray):
+    """``_strict_rows`` stage by stage: ``(players, rows)`` in (stage, state,
+    player, constraint) order."""
+    num_a = int(np.prod(policy.action_counts))
+    players, rows = [], []
+    for h in range(policy.horizon):
+        for s in range(policy.num_states):
+            at = (h * policy.num_states + s) * num_a
+            for i, w in reference_stage_rows(policy.stage(h, s), concept):
+                players.append(i)
+                rows.append(w @ ops[at : at + num_a])
+    return players, rows
+
+
+def program_bytes(lp) -> dict:
+    a = np.array([c.coeffs for c in lp.constraints]).reshape(-1, lp.num_vars)
+    return {
+        "a": a.tobytes(),
+        "rows": a.shape,
+        "relations": [c.relation for c in lp.constraints],
+        "b": np.array([c.rhs for c in lp.constraints]).tobytes(),
+        "lower": lp.lower.tobytes(),
+        "upper": lp.upper.tobytes(),
+        "objective": lp.objective.tobytes(),
+        "dump": lp.dump(),
+    }
+
+
+def stage_probs(rng, counts, kind: str) -> np.ndarray:
+    """One stage's joint distribution of the given kind."""
+    num_a = int(np.prod(counts))
+    if kind == "pure":
+        probs = np.zeros(num_a)
+        probs[rng.integers(num_a)] = 1.0
+    elif kind == "sparse":
+        probs = np.zeros(num_a)
+        cells = rng.choice(num_a, size=max(1, num_a // 2), replace=False)
+        probs[cells] = rng.dirichlet(np.ones(cells.size))
+    elif kind == "signed-zero":
+        # Zeros read as -0.0 from a document pass every input check.
+        probs = np.full(num_a, -0.0)
+        cells = rng.choice(num_a, size=max(1, num_a // 2), replace=False)
+        probs[cells] = rng.dirichlet(np.ones(cells.size))
+    elif kind == "product":
+        probs = np.ones(())
+        for c in counts:
+            marg = rng.dirichlet(np.ones(c))
+            if rng.random() < 0.3:
+                marg = np.eye(c)[rng.integers(c)]
+            probs = np.multiply.outer(probs, marg)
+    else:
+        probs = rng.dirichlet(np.full(num_a, 0.8))
+    return probs.reshape(counts)
+
+
+def grid_game(rng, counts, num_s: int, horizon: int) -> MarkovGameSkeleton:
+    num_a = int(np.prod(counts))
+    return MarkovGameSkeleton(
+        action_sets=tuple(tuple(f"a{k}" for k in range(c)) for c in counts),
+        states=tuple(f"s{k}" for k in range(num_s)),
+        horizon=horizon,
+        transitions=rng.dirichlet(
+            np.full(num_s, 0.9), size=(horizon, num_s, num_a)
+        ).reshape((horizon, num_s) + counts + (num_s,)),
+        initial_dist=rng.dirichlet(np.full(num_s, 0.9)),
+        baseline_reward=rng.uniform(
+            -1.5, 1.5, (len(counts), horizon, num_s) + counts
+        ),
+    )
+
+
+SHAPES = [(2, 2), (3, 2), (2, 3), (1, 3), (3, 1), (2, 2, 2), (2, 1, 3)]
+KINDS = ["correlated", "sparse", "pure", "product", "signed-zero"]
+COSTS = [(kind, False) for kind in CostKind] + [(CostKind.OFFLINE, True)]
+
+
+def grid_policies(rng, counts, num_s, horizon):
+    """A mixed policy cycling through every stage kind, and an all-product
+    one for Nash."""
+    cells = horizon * num_s
+    mixed = [stage_probs(rng, counts, KINDS[k % len(KINDS)]) for k in range(cells)]
+    product = [stage_probs(rng, counts, "product") for _ in range(cells)]
+    return [
+        (MarkovPolicy(np.reshape(stages, (horizon, num_s) + counts)), concepts)
+        for stages, concepts in (
+            (mixed, (Concept.CE, Concept.CCE)),
+            (product, (Concept.NE, Concept.CE, Concept.CCE)),
+        )
+    ]
+
+
+def programs_match(monkeypatch, build) -> int:
+    """Build with the kernel, then with the reference rows; assert the two
+    programs are byte-identical and return the row count."""
+    new = program_bytes(build())
+    with monkeypatch.context() as patch:
+        patch.setattr(design_module, "_strict_rows", reference_rows)
+        old = program_bytes(build())
+    assert new == old
+    return new["rows"][0]
+
+
+@pytest.mark.parametrize("counts", SHAPES, ids=str)
+def test_markov_programs_match_the_per_stage_reference(monkeypatch, counts):
+    rng = make_rng(f"design-rows-{counts}")
+    rows = 0
+    for num_s, horizon in ((3, 2), (2, 1), (1, 1)):
+        sk = grid_game(rng, counts, num_s, horizon)
+        other = rng.uniform(-3.0, 3.0, sk.baseline_reward.shape)
+        for policy, concepts in grid_policies(rng, counts, num_s, horizon):
+            for concept in concepts:
+                for kind, max_gap in COSTS:
+                    # The L1 costs also run from a baseline partly outside the box.
+                    l1 = kind in (CostKind.ONLINE, CostKind.OFFLINE) and not max_gap
+                    for base in (None, other) if l1 else (None,):
+                        cost = CostSpec(kind, baseline=base)
+                        config = DesignConfig(slack=0.1, bound=2.0, max_gap=max_gap)
+                        rows += programs_match(
+                            monkeypatch,
+                            lambda: build_mg_lp(sk, policy, concept, cost, config)[0],
+                        )
+    assert rows > 0
+
+
+@pytest.mark.parametrize("counts", SHAPES, ids=str)
+def test_one_stage_programs_match_the_per_stage_reference(monkeypatch, counts):
+    rng = make_rng(f"design-rows-nfg-{counts}")
+    for kind_name in KINDS:
+        sigma = JointMixedStrategy(stage_probs(rng, counts, kind_name))
+        utility = rng.uniform(-1.0, 1.0, (len(counts),) + counts)
+        concepts = [Concept.CE, Concept.CCE]
+        if kind_name in ("pure", "product"):
+            concepts.append(Concept.NE)
+        for concept in concepts:
+            for kind, max_gap in COSTS:
+                config = DesignConfig(slack=0.05, bound=1.0, max_gap=max_gap)
+                programs_match(
+                    monkeypatch,
+                    lambda: build_nfg_lp(
+                        sigma, concept, CostSpec(kind), config, baseline=utility
+                    )[0],
+                )
+
+
+def test_building_constructs_no_stage_objects(monkeypatch):
+    rng = make_rng("design-rows-guard")
+    counts = (3, 2)
+    sk = grid_game(rng, counts, 3, 2)
+    built = []
+    post_init = JointMixedStrategy.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    policies = grid_policies(rng, counts, 3, 2)
+    monkeypatch.setattr(JointMixedStrategy, "__post_init__", counting)
+    for policy, concepts in policies:
+        for concept in concepts:
+            build_mg_lp(
+                sk, policy, concept, CostSpec(CostKind.ONLINE),
+                DesignConfig(slack=0.1, bound=2.0),
+            )
+    assert built == []
+
+
+def test_one_action_players_give_no_rows(monkeypatch):
+    # A player with one action has no deviation and contributes no row.
+    rng = make_rng("design-rows-lone")
+    game = nfg_as_markov(
+        NormalFormGame((("a",), ("b0", "b1", "b2")), rng.uniform(-1.0, 1.0, (2, 1, 3)))
+    )
+    policy = MarkovPolicy(np.array([[[[0.2, 0.3, 0.5]]]]))
+    for concept in (Concept.NE, Concept.CE, Concept.CCE):
+        players, _ = design_module._strict_rows(policy, concept, np.eye(3))
+        assert set(players.tolist()) == {1}
+        rows = programs_match(
+            monkeypatch,
+            lambda: build_mg_lp(
+                game, policy, concept, CostSpec(CostKind.OFFLINE),
+                DesignConfig(slack=0.1, bound=1.0),
+            )[0],
+        )
+        assert rows == (6 if concept == Concept.CE else 3)

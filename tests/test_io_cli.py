@@ -18,6 +18,7 @@ from eqdesign import (
     MarkovGameSkeleton,
     NormalFormGame,
     RewardFunction,
+    nfg_as_markov,
 )
 from eqdesign.cli import main
 from eqdesign.io import (
@@ -226,6 +227,25 @@ class TestPolicyAndRewardLoading:
         doc["bound"] = True
         with pytest.raises(InputFormatError, match=r"reward\.bound"):
             load_reward(doc, sk)
+
+    @pytest.mark.parametrize("flag", ["false", 0, None, [True]])
+    def test_non_boolean_product_rejected(self, flag):
+        one_stage = nfg_as_markov(load_game(NFG_DOC))
+        with pytest.raises(InputFormatError, match=r"^target\.product: "):
+            load_policy(dict(CORR_TARGET, product=flag), one_stage)
+        rng = make_rng("io-product-flag")
+        markov = random_skeleton(rng)
+        doc = dict(policy_doc(installable_policy(rng, markov)), product=flag)
+        with pytest.raises(InputFormatError, match=r"^target\.product: "):
+            load_policy(doc, markov)
+
+    def test_boolean_product_flag_still_checked(self):
+        one_stage = nfg_as_markov(load_game(NFG_DOC))
+        assert load_policy(dict(CORR_TARGET, product=False), one_stage)
+        with pytest.raises(ValueError, match="does not factorize"):
+            load_policy(dict(CORR_TARGET, product=True), one_stage)
+        pol = load_policy(dict(UNIFORM_TARGET, product=True), one_stage)
+        assert pol.product is True
 
     def test_baseline_accepts_utility_or_rewards(self):
         game = load_game(NFG_DOC)
@@ -581,6 +601,48 @@ class TestCliVerify:
         assert result.exit_code == 0, result.output
         report = json.loads(result.output)
         assert report["result"]["min_gap"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bound", [None, [1], True])
+    def test_utility_bound_must_be_a_number(self, files, bound):
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", CORR_TARGET)
+        reward = files(
+            "reward.json",
+            {"utility": [[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]], "bound": bound},
+        )
+        result = invoke(["verify", game, target, reward, "--concept", "ce"])
+        assert result.exit_code == 2, result.output
+        assert f"{reward}.bound: expected a number" in result.stderr
+
+    def test_utility_entries_must_be_numbers(self, files):
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", CORR_TARGET)
+        reward = files(
+            "reward.json", {"utility": [["x", 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]]}
+        )
+        result = invoke(["verify", game, target, reward, "--concept", "ce"])
+        assert result.exit_code == 2, result.output
+        assert f"{reward}.utility: not numeric" in result.stderr
+
+    def test_utility_shape_and_bound_errors_exit_two(self, files):
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", CORR_TARGET)
+        for doc, field in [
+            ({"utility": [[1.0, 0.0, 0.0]]}, ".utility: shape"),
+            ({"utility": [[3.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]], "bound": 1},
+             ": reward magnitude"),
+        ]:
+            reward = files("reward.json", doc)
+            result = invoke(["verify", game, target, reward, "--concept", "ce"])
+            assert result.exit_code == 2, result.output
+            assert f"{reward}{field}" in result.stderr
+
+    def test_non_boolean_product_exits_two(self, files):
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", dict(CORR_TARGET, product="false"))
+        result = invoke(["check", game, target, "--concept", "ce"])
+        assert result.exit_code == 2, result.output
+        assert f"{target}.product: expected true or false" in result.stderr
 
     def test_epsilon_gate(self, files):
         game = files("game.json", NFG_DOC)
