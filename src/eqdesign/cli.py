@@ -3,35 +3,34 @@
 Four subcommands share one input convention: a game file, a target file
 (strategy or policy), and for ``verify`` a reward file.  One-shot games are
 routed through the one-stage embedding where a Markov object is needed.
-Every run prints a JSON report; exit status 0 means a positive verdict
-(installable, strict, optimal), 1 a negative one, 2 a usage or input error,
-and 3 a failure of the tool itself (a solver or post-solve check that broke
-down), which is no verdict at all.
+Every run prints a JSON report whose ``config`` lists the command and every
+option it ran with; exit status 0 means a positive verdict (installable,
+strict, optimal), 1 a negative one, 2 a usage or input error, and 3 a
+failure of the tool itself (a solver or post-solve check that broke down),
+which is no verdict at all.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import click
 
 from . import __version__
-from .design import CostKind, CostSpec, DesignConfig, design
-from .games import (
-    JointMixedStrategy,
-    MarkovGameSkeleton,
-    MarkovPolicy,
-    NormalFormGame,
-    nfg_as_markov,
+from .design import (
+    CostKind,
+    CostSpec,
+    DesignConfig,
+    build_mg_lp,
+    build_nfg_lp,
+    design,
 )
+from .games import NormalFormGame, nfg_as_markov
 from .installability import (
     Concept,
     DeviationClass,
     InstallabilityReport,
     MarkovInstallability,
-    check,
     check_markov,
 )
 from .io import (
@@ -49,35 +48,15 @@ from .lp import LpStatus
 from .verify import GapReport, check_strict, nfg_oracle
 from .witness import (
     EpsilonConfig,
-    GammaResult,
     InfeasibleEpsilonError,
     StageCheckError,
     epsilon_markov_witness,
     epsilon_witness,
-    gamma_cce,
     gamma_ce,
+    gamma_cce,
     markov_witness,
     witness_utility,
 )
-
-@dataclass
-class JobSpec:
-    """One resolved invocation; ``run`` executes it without any I/O setup."""
-
-    command: str
-    game_path: str
-    target_path: str
-    reward_path: Optional[str] = None
-    concept: Concept = Concept.CCE
-    deviation_class: Optional[DeviationClass] = None
-    epsilon: Optional[float] = None
-    slack: float = 0.0
-    bound: float = 1.0
-    cost: CostKind = CostKind.OFFLINE
-    baseline_path: Optional[str] = None
-    out_path: Optional[str] = None
-    max_gap: bool = False
-    lp_dump: Optional[str] = None
 
 
 def _default_class(concept: Concept) -> DeviationClass:
@@ -130,108 +109,38 @@ def _gap_doc(report: GapReport) -> dict:
     }
 
 
-def _load_inputs(job: JobSpec):
-    game = load_game(load_json(job.game_path), where=job.game_path)
-    if isinstance(game, NormalFormGame):
-        skeleton = nfg_as_markov(game)
-    else:
-        skeleton = game
-    policy = load_policy(
-        load_json(job.target_path), skeleton, where=job.target_path
-    )
+def _load_inputs(game_path: str, target_path: str):
+    """The game, its Markov form, and the target as a policy of that form."""
+    game = load_game(load_json(game_path), where=game_path)
+    skeleton = nfg_as_markov(game) if isinstance(game, NormalFormGame) else game
+    policy = load_policy(load_json(target_path), skeleton, where=target_path)
     return game, skeleton, policy
 
 
-def _config_doc(job: JobSpec) -> dict:
-    doc = {
-        "command": job.command,
-        "game": job.game_path,
-        "target": job.target_path,
-        "concept": job.concept.value,
-    }
-    if job.reward_path is not None:
-        doc["reward"] = job.reward_path
-    if job.command in ("witness", "verify"):
-        doc["deviation_class"] = (
-            job.deviation_class or _default_class(job.concept)
-        ).value
-    if job.command in ("witness", "design"):
-        doc["bound"] = job.bound
-    if job.epsilon is not None:
-        doc["epsilon"] = job.epsilon
-    if job.command == "verify" and job.epsilon is None:
-        doc["epsilon"] = 0.0
-    if job.command == "design":
-        doc["slack"] = job.slack
-        doc["cost"] = job.cost.value
-        doc["max_gap"] = job.max_gap
-        if job.baseline_path is not None:
-            doc["baseline"] = job.baseline_path
-    return doc
-
-
-def _run_check(job: JobSpec) -> tuple[int, dict]:
-    game, _, policy = _load_inputs(job)
+def _run_check(game, target, concept) -> tuple[int, dict]:
+    game, _, policy = _load_inputs(game, target)
+    verdict = check_markov(policy, concept)
     if isinstance(game, NormalFormGame):
-        report = check(policy.stage(0, 0), job.concept)
-        result = _installability_doc(report)
-        ok = report.installable
+        result = _installability_doc(verdict.stage(0, 0))
     else:
-        verdict = check_markov(policy, job.concept)
         result = _markov_installability_doc(verdict)
-        ok = verdict.installable
-    return (0 if ok else 1), result
+    return (0 if verdict.installable else 1), result
 
 
-def _run_witness(job: JobSpec) -> tuple[int, dict]:
-    game, skeleton, policy = _load_inputs(job)
-    dev = job.deviation_class or _default_class(job.concept)
-    one_shot = isinstance(game, NormalFormGame)
-    if one_shot and job.epsilon is None and job.concept != Concept.NE:
-        sigma = policy.stage(0, 0)
-        gamma: GammaResult = (
-            gamma_ce(sigma) if job.concept == Concept.CE else gamma_cce(sigma)
-        )
-        result = {
-            "installable": gamma.installable,
-            "gamma": gamma.value,
-        }
-        if not gamma.installable:
-            return 1, result
-        utility = witness_utility(sigma)
-        oracle = nfg_oracle(utility, sigma, job.concept)
-        result["min_gap"] = oracle.min_gap
-        result["utility"] = utility_to_doc(utility)["utility"]
-        return 0, result
-    if one_shot:
-        sigma = policy.stage(0, 0)
-        cfg = EpsilonConfig(
-            epsilon=job.epsilon if job.epsilon is not None else 0.0,
-            bound=job.bound,
-            deviation_class=dev,
-        )
-        try:
-            utility = epsilon_witness(sigma, job.concept, cfg)
-        except InfeasibleEpsilonError as exc:
-            return 1, {
-                "feasible": False,
-                "max_epsilon": exc.max_gap,
-                "message": str(exc),
-            }
-        oracle = nfg_oracle(utility, sigma, job.concept)
-        return 0, {
-            "feasible": True,
-            "min_gap": oracle.min_gap,
-            "utility": utility_to_doc(utility)["utility"],
-        }
+def _run_witness(
+    game, target, concept, deviation_class, bound, epsilon, **_
+) -> tuple[int, dict]:
+    game, skeleton, policy = _load_inputs(game, target)
+    cfg = EpsilonConfig(
+        epsilon=epsilon or 0.0, bound=bound, deviation_class=deviation_class
+    )
+    if isinstance(game, NormalFormGame):
+        return _one_shot_witness(policy.stage(0, 0), concept, cfg, epsilon)
     try:
-        if job.epsilon is None:
-            reward = markov_witness(policy, skeleton, job.bound, job.concept)
+        if epsilon is None:
+            reward = markov_witness(policy, skeleton, bound, concept)
         else:
-            cfg = EpsilonConfig(
-                epsilon=job.epsilon, bound=job.bound, deviation_class=dev
-            )
-            reward = epsilon_markov_witness(policy, skeleton, job.concept, cfg)
+            reward = epsilon_markov_witness(policy, skeleton, concept, cfg)
     except StageCheckError as exc:
         return 1, {
             "feasible": False,
@@ -239,12 +148,8 @@ def _run_witness(job: JobSpec) -> tuple[int, dict]:
             "message": str(exc),
         }
     gap = check_strict(
-        skeleton,
-        reward,
-        policy,
-        job.concept,
-        epsilon=job.epsilon if job.epsilon is not None else 0.0,
-        dev_class=dev,
+        skeleton, reward, policy, concept,
+        epsilon=cfg.epsilon, dev_class=deviation_class,
     )
     return 0, {
         "feasible": True,
@@ -253,29 +158,51 @@ def _run_witness(job: JobSpec) -> tuple[int, dict]:
     }
 
 
-def _run_design(job: JobSpec) -> tuple[int, dict]:
-    game, skeleton, policy = _load_inputs(job)
-    baseline = None
-    if job.baseline_path is not None:
-        baseline = load_baseline(
-            load_json(job.baseline_path), game, where=job.baseline_path
-        )
-    cost = CostSpec(kind=job.cost, baseline=baseline)
-    config = DesignConfig(slack=job.slack, bound=job.bound, max_gap=job.max_gap)
+def _one_shot_witness(sigma, concept, cfg, epsilon) -> tuple[int, dict]:
+    """The canonical witness scaled to the bound, or the epsilon witness
+    (the only one NE has)."""
+    if epsilon is None and concept != Concept.NE:
+        gamma = gamma_ce(sigma) if concept == Concept.CE else gamma_cce(sigma)
+        result = {"installable": gamma.installable, "gamma": gamma.value}
+        if not gamma.installable:
+            return 1, result
+        utility = cfg.bound * witness_utility(sigma)
+        result["min_gap"] = nfg_oracle(utility, sigma, concept).min_gap
+        result["utility"] = utility_to_doc(utility)["utility"]
+        return 0, result
+    try:
+        utility = epsilon_witness(sigma, concept, cfg)
+    except InfeasibleEpsilonError as exc:
+        return 1, {
+            "feasible": False,
+            "max_epsilon": exc.max_gap,
+            "message": str(exc),
+        }
+    return 0, {
+        "feasible": True,
+        "min_gap": nfg_oracle(utility, sigma, concept).min_gap,
+        "utility": utility_to_doc(utility)["utility"],
+    }
+
+
+def _run_design(
+    game, target, concept, slack, bound, cost, baseline, max_gap, lp_dump, out
+) -> tuple[int, dict]:
+    game, skeleton, policy = _load_inputs(game, target)
+    if baseline is not None:
+        baseline = load_baseline(load_json(baseline), game, where=baseline)
+    cost = CostSpec(kind=cost, baseline=baseline)
+    config = DesignConfig(slack=slack, bound=bound, max_gap=max_gap)
     one_shot = isinstance(game, NormalFormGame)
     target = policy.stage(0, 0) if one_shot else policy
-    if job.lp_dump is not None:
-        from .design import build_mg_lp, build_nfg_lp
-
+    if lp_dump is not None:
         if one_shot:
-            lp, _ = build_nfg_lp(
-                target, job.concept, cost, config, baseline=game.utility
-            )
+            lp, _ = build_nfg_lp(target, concept, cost, config, baseline=game.utility)
         else:
-            lp, _ = build_mg_lp(skeleton, target, job.concept, cost, config)
-        with open(job.lp_dump, "w", encoding="utf-8") as handle:
+            lp, _ = build_mg_lp(skeleton, target, concept, cost, config)
+        with open(lp_dump, "w", encoding="utf-8") as handle:
             handle.write(lp.dump())
-    res = design(game, target, job.concept, cost, config)
+    res = design(game, target, concept, cost, config)
     result = {
         "status": res.status.value,
         "cost": res.cost.value,
@@ -289,71 +216,79 @@ def _run_design(job: JobSpec) -> tuple[int, dict]:
         result["achieved_slack"] = res.achieved_slack
     result["min_gap"] = res.report.min_gap
     if one_shot:
-        result["utility"] = utility_to_doc(res.utility)["utility"]
         artifact = utility_to_doc(res.utility)
+        result["utility"] = artifact["utility"]
     else:
-        result["reward"] = reward_to_doc(res.reward)
         artifact = reward_to_doc(res.reward)
-    if job.out_path is not None:
-        dump_json(artifact, job.out_path)
+        result["reward"] = artifact
+    if out is not None:
+        dump_json(artifact, out)
     return 0, result
 
 
-def _run_verify(job: JobSpec) -> tuple[int, dict]:
-    game, skeleton, policy = _load_inputs(job)
-    doc = load_json(job.reward_path)
+def _run_verify(
+    game, target, reward, concept, deviation_class, epsilon, **_
+) -> tuple[int, dict]:
+    game, skeleton, policy = _load_inputs(game, target)
+    doc = load_json(reward)
     if isinstance(game, NormalFormGame) and "utility" in doc:
-        reward = load_utility(doc, game, where=job.reward_path)
+        loaded = load_utility(doc, game, where=reward)
     else:
-        reward = load_reward(doc, skeleton, where=job.reward_path)
-    dev = job.deviation_class or _default_class(job.concept)
+        loaded = load_reward(doc, skeleton, where=reward)
     report = check_strict(
-        skeleton,
-        reward,
-        policy,
-        job.concept,
-        epsilon=job.epsilon if job.epsilon is not None else 0.0,
-        dev_class=dev,
+        skeleton, loaded, policy, concept,
+        epsilon=epsilon, dev_class=deviation_class,
     )
     return (0 if report.strict else 1), _gap_doc(report)
 
 
-_RUNNERS = {
-    "check": _run_check,
-    "witness": _run_witness,
-    "design": _run_design,
-    "verify": _run_verify,
-}
+def _execute(runner, opts: dict) -> None:
+    """Run one subcommand on click's option values, print its report, exit.
 
-
-def run(job: JobSpec) -> tuple[int, dict]:
-    """Execute a job and return (exit_code, full report document)."""
-    code, result = _RUNNERS[job.command](job)
-    report = {
-        "tool": {"name": "eqdesign", "version": __version__},
-        "config": _config_doc(job),
-        "result": result,
-    }
-    return code, report
-
-
-def _emit(job: JobSpec, code: int, report: dict) -> None:
-    dump_json(report, sys.stdout)
-    if job.command != "design" and job.out_path is not None:
-        dump_json(report, job.out_path)
-    sys.exit(code)
-
-
-def _execute(job: JobSpec) -> None:
+    The report's ``config`` is the command plus every option that is set,
+    apart from the output paths, with the concept's default deviation class
+    filled in.  Input errors exit 2 and tool failures 3, with no report.
+    """
+    command = click.get_current_context().command.name
+    config = {"command": command}
+    config.update(
+        (key, value) for key, value in opts.items()
+        if value is not None and key not in ("out", "lp_dump")
+    )
+    opts["concept"] = Concept(opts["concept"])
+    if "deviation_class" in opts:
+        dev = opts["deviation_class"]
+        dev = DeviationClass(dev) if dev else _default_class(opts["concept"])
+        opts["deviation_class"], config["deviation_class"] = dev, dev.value
+    if "cost" in opts:
+        opts["cost"] = CostKind(opts["cost"])
     try:
-        code, report = run(job)
+        code, result = runner(**opts)
     except ValueError as exc:  # every input error of the package is one
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except RuntimeError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
-    _emit(job, code, report)
+    report = {
+        "tool": {"name": "eqdesign", "version": __version__},
+        "config": config,
+        "result": result,
+    }
+    dump_json(report, sys.stdout)
+    if command != "design" and opts.get("out") is not None:
+        dump_json(report, opts["out"])
+    sys.exit(code)
+
+
+def _inputs(command):
+    """The GAME and TARGET arguments every subcommand starts with."""
+    # click lists the last-applied decorator first, so GAME goes on last.
+    for name in ("target", "game"):
+        command = click.argument(
+            name, type=click.Path(exists=True, dir_okay=False)
+        )(command)
+    return command
 
 
 _concept_option = click.option(
@@ -369,6 +304,10 @@ _class_option = click.option(
     default=None,
     help="Deviation family for margins (default depends on the concept).",
 )
+_report_out_option = click.option(
+    "--out", type=click.Path(dir_okay=False), default=None,
+    help="Also write the report to this file.",
+)
 
 
 @click.group()
@@ -379,61 +318,29 @@ def main() -> None:
 
 
 @main.command("check")
-@click.argument("game", type=click.Path(exists=True, dir_okay=False))
-@click.argument("target", type=click.Path(exists=True, dir_okay=False))
+@_inputs
 @_concept_option
-def check_cmd(game: str, target: str, concept: str) -> None:
+def check_cmd(**opts) -> None:
     """Decide whether TARGET can be made strictly stable in some game."""
-    _execute(
-        JobSpec(
-            command="check",
-            game_path=game,
-            target_path=target,
-            concept=Concept(concept),
-        )
-    )
+    _execute(_run_check, opts)
 
 
 @main.command("witness")
-@click.argument("game", type=click.Path(exists=True, dir_okay=False))
-@click.argument("target", type=click.Path(exists=True, dir_okay=False))
+@_inputs
 @_concept_option
 @_class_option
 @click.option("--bound", type=float, default=1.0, show_default=True,
               help="Payoff magnitude cap for the constructed tensor.")
 @click.option("--epsilon", type=float, default=None,
               help="Requested strictness margin; omit for the canonical witness.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
-              help="Also write the report to this file.")
-def witness_cmd(
-    game: str,
-    target: str,
-    concept: str,
-    deviation_class: Optional[str],
-    bound: float,
-    epsilon: Optional[float],
-    out_path: Optional[str],
-) -> None:
+@_report_out_option
+def witness_cmd(**opts) -> None:
     """Construct payoffs that make TARGET strictly stable."""
-    _execute(
-        JobSpec(
-            command="witness",
-            game_path=game,
-            target_path=target,
-            concept=Concept(concept),
-            deviation_class=DeviationClass(deviation_class)
-            if deviation_class
-            else None,
-            bound=bound,
-            epsilon=epsilon,
-            out_path=out_path,
-        )
-    )
+    _execute(_run_witness, opts)
 
 
 @main.command("design")
-@click.argument("game", type=click.Path(exists=True, dir_okay=False))
-@click.argument("target", type=click.Path(exists=True, dir_okay=False))
+@_inputs
 @_concept_option
 @click.option("--slack", type=float, default=0.0, show_default=True,
               help="Required margin on every deviation constraint.")
@@ -442,79 +349,31 @@ def witness_cmd(
 @click.option("--cost", type=click.Choice([c.value for c in CostKind]),
               default=CostKind.OFFLINE.value, show_default=True,
               help="Objective to optimize.")
-@click.option("--baseline", "baseline_path",
-              type=click.Path(exists=True, dir_okay=False), default=None,
+@click.option("--baseline", type=click.Path(exists=True, dir_okay=False),
+              default=None,
               help="Reference reward file for the modification costs.")
 @click.option("--max-gap", is_flag=True, default=False,
               help="Ignore the cost and maximize the uniform margin instead.")
-@click.option("--lp-dump", "lp_dump", type=click.Path(dir_okay=False),
-              default=None, help="Write the assembled program to this file.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
+@click.option("--lp-dump", type=click.Path(dir_okay=False), default=None,
+              help="Write the assembled program to this file.")
+@click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the designed reward document to this file.")
-def design_cmd(
-    game: str,
-    target: str,
-    concept: str,
-    slack: float,
-    bound: float,
-    cost: str,
-    baseline_path: Optional[str],
-    max_gap: bool,
-    lp_dump: Optional[str],
-    out_path: Optional[str],
-) -> None:
+def design_cmd(**opts) -> None:
     """Find minimal-cost rewards installing TARGET with the given margin."""
-    _execute(
-        JobSpec(
-            command="design",
-            game_path=game,
-            target_path=target,
-            concept=Concept(concept),
-            slack=slack,
-            bound=bound,
-            cost=CostKind(cost),
-            baseline_path=baseline_path,
-            max_gap=max_gap,
-            lp_dump=lp_dump,
-            out_path=out_path,
-        )
-    )
+    _execute(_run_design, opts)
 
 
 @main.command("verify")
-@click.argument("game", type=click.Path(exists=True, dir_okay=False))
-@click.argument("target", type=click.Path(exists=True, dir_okay=False))
+@_inputs
 @click.argument("reward", type=click.Path(exists=True, dir_okay=False))
 @_concept_option
 @_class_option
-@click.option("--epsilon", type=float, default=None,
+@click.option("--epsilon", type=float, default=0.0,
               help="Margin the report should certify (default 0).")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
-              help="Also write the report to this file.")
-def verify_cmd(
-    game: str,
-    target: str,
-    reward: str,
-    concept: str,
-    deviation_class: Optional[str],
-    epsilon: Optional[float],
-    out_path: Optional[str],
-) -> None:
+@_report_out_option
+def verify_cmd(**opts) -> None:
     """Measure every deviation margin of REWARD at TARGET."""
-    _execute(
-        JobSpec(
-            command="verify",
-            game_path=game,
-            target_path=target,
-            reward_path=reward,
-            concept=Concept(concept),
-            deviation_class=DeviationClass(deviation_class)
-            if deviation_class
-            else None,
-            epsilon=epsilon,
-            out_path=out_path,
-        )
-    )
+    _execute(_run_verify, opts)
 
 
 if __name__ == "__main__":

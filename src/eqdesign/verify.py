@@ -255,8 +255,10 @@ def check_strict(
     requires a product policy.  CE gaps compare action values along each
     supported recommendation against every replacement, weighted by the
     conditional opponent distribution.  The report is strict iff every gap
-    exceeds ``epsilon``.
+    exceeds ``epsilon``, which must be finite.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon {epsilon} must be finite")
     _check_shapes(skeleton, reward, policy)
     values = policy_eval(skeleton, reward, policy)
     if concept in (Concept.NE, Concept.CCE):

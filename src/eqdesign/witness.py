@@ -23,10 +23,12 @@ from .games import (
     MarkovPolicy,
     RewardFunction,
     genuine_mask,
+    is_product,
 )
 from .installability import (
     Concept,
     DeviationClass,
+    NotProductError,
     check_markov,
     check_sce,
     check_scce,
@@ -35,7 +37,8 @@ from .installability import (
 
 
 class InfeasibleEpsilonError(ValueError):
-    """Requested strictness exceeds what the bound allows; carries the max."""
+    """Requested strictness exceeds what the target and bound allow; carries
+    the max, which is 0 for a target that admits no margin at all."""
 
     def __init__(self, message: str, max_gap: float):
         super().__init__(message)
@@ -151,19 +154,24 @@ def _epsilon_fields(probs: np.ndarray, table, concept: Concept, config: EpsilonC
     """:func:`epsilon_witness` for every stage of ``probs`` and its
     conditional table: ``(fields, None)``, shaped ``(num_players, *leading
     axes, *counts)``, or ``(None, (k, exc))`` for the first stage (flat index
-    ``k``, row-major) that cannot carry the margin, with its error ``exc``."""
+    ``k``, row-major) that cannot carry the margin, with its
+    :class:`InfeasibleEpsilonError`.  A deviation class the concept does not
+    cover raises at once, as does an unknown concept; NE assumes product
+    stages."""
     eps, bound, dev = config.epsilon, config.bound, config.deviation_class
     lead, counts = probs.shape[: -len(table)], probs.shape[-len(table) :]
+    if concept not in (Concept.NE, Concept.CE, Concept.CCE):
+        raise ValueError(f"unknown concept {concept!r}")
     if concept == Concept.NE and dev == DeviationClass.UNRESTRICTED:
-        return None, (0, ValueError(
+        raise ValueError(
             "strict Nash has no finite margin against unrestricted "
             "deviations; use the never-target class"
-        ))
+        )
     if concept == Concept.CE and dev != DeviationClass.NEVER_RECOMMENDED:
-        return None, (0, ValueError(
+        raise ValueError(
             "correlated epsilon-strictness is guaranteed only for the "
             "never-recommended deviation class"
-        ))
+        )
     if concept == Concept.NE:
         # A stage is pure iff its joint support is a single profile.
         cells = np.count_nonzero(probs.reshape(-1, int(np.prod(counts))), axis=1)
@@ -171,7 +179,7 @@ def _epsilon_fields(probs: np.ndarray, table, concept: Concept, config: EpsilonC
         max_gap = 2.0 * bound
         if mixed.size and (mixed[0] == 0 or eps < max_gap):
             message = "strict Nash scaling requires a pure target"
-            return None, (int(mixed[0]), ValueError(message))
+            return None, (int(mixed[0]), InfeasibleEpsilonError(message, max_gap=0.0))
         if eps >= max_gap:
             return None, (0, InfeasibleEpsilonError(
                 f"epsilon {eps} not achievable: margin must stay below "
@@ -180,24 +188,23 @@ def _epsilon_fields(probs: np.ndarray, table, concept: Concept, config: EpsilonC
             ))
         return np.repeat(np.where(probs > 0, bound, -bound)[None], len(counts), 0), None
 
-    if concept not in (Concept.CE, Concept.CCE):
-        return None, (0, ValueError(f"unknown concept {concept!r}"))
     gammas = _gamma_values(table, concept).reshape(-1).tolist()
     alphas = []
     for k, (rep, gamma) in enumerate(zip(stage_reports(table, concept), gammas)):
         if not rep.installable:
             message = f"target is not {concept.value}-installable"
-            return None, (k, ValueError(message))
+            return None, (k, InfeasibleEpsilonError(message, max_gap=0.0))
         # A single-support player with spare actions would let a deviator
         # replicate play exactly, so no positive margin covers unrestricted
         # deviations.  Players with one action have no deviations and are
         # exempt.
         for i, entry in enumerate(rep.evidence):
             if entry[0] == "single" and counts[i] > 1:
-                return None, (k, ValueError(
+                return None, (k, InfeasibleEpsilonError(
                     "coarse epsilon-strictness needs two supported "
                     "actions with differing conditionals for every "
-                    f"player; player {i} has a single supported action"
+                    f"player; player {i} has a single supported action",
+                    max_gap=0.0,
                 ))
         max_gap = bound * gamma
         if eps > max_gap:
@@ -221,8 +228,13 @@ def epsilon_witness(
     and CCE: the witness utility scaled by ``epsilon / gamma``; requires
     ``epsilon <= bound * gamma``.  CCE additionally demands every player hold
     two supported actions with differing conditionals, since its guarantee
-    covers unrestricted deviations.
+    covers unrestricted deviations.  A target that cannot carry the margin
+    raises :class:`InfeasibleEpsilonError` (``max_gap`` 0 when it carries
+    none); a correlated NE target or a deviation class the concept does not
+    cover is an input error.
     """
+    if concept == Concept.NE and not is_product(sigma):
+        raise NotProductError("strict Nash scaling requires a product target")
     fields, error = _epsilon_fields(
         sigma.probs, sigma.conditional_table, concept, config
     )
@@ -295,9 +307,16 @@ def epsilon_markov_witness(
     support the margin at bound ``B / H``, and subtracts continuation values
     exactly as :func:`markov_witness`, so each stage's measured margin is the
     normal-form one.  The first failing stage in row-major order is named,
-    with the error :func:`epsilon_witness` gives for it.
+    with the error :func:`epsilon_witness` gives for it; the input errors of
+    :func:`epsilon_witness` are raised as they are, NE's product check
+    first, as in :func:`check_markov`.
     """
     policy.check_fits(skeleton)
+    bad = policy.first_correlated() if concept == Concept.NE else None
+    if bad is not None:
+        raise NotProductError(
+            f"stage (h={bad[0]}, s={bad[1]}) is not a product strategy"
+        )
     stage_cfg = EpsilonConfig(
         epsilon=config.epsilon,
         bound=config.bound / skeleton.horizon,

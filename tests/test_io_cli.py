@@ -43,6 +43,25 @@ NFG_DOC = {
 
 CORR_TARGET = {"probs": [0.5, 0.0, 0.0, 0.5]}
 UNIFORM_TARGET = {"probs": [0.25, 0.25, 0.25, 0.25]}
+PURE_TARGET = {"probs": [1.0, 0.0, 0.0, 0.0]}
+# A one-stage reward document; accepted for one-shot and Markov inputs alike.
+UNIT_REWARD = {
+    "rewards": [[[[1.0, 0.0, 0.0, 1.0]]], [[[1.0, 0.0, 0.0, 1.0]]]],
+    "bound": 1.0,
+}
+
+
+def one_stage(game: dict, target: dict) -> tuple[dict, dict]:
+    """The one-stage Markov documents of a one-shot game and its target."""
+    num_a = len(target["probs"])
+    markov = {
+        "actions": game["actions"],
+        "states": ["s0"],
+        "horizon": 1,
+        "transitions": [[[[1.0]] * num_a]],
+        "initial_dist": [1.0],
+    }
+    return markov, {"stages": [[target["probs"]]]}
 
 
 def game_doc(skeleton: MarkovGameSkeleton) -> dict:
@@ -375,6 +394,20 @@ class TestCliWitness:
         assert report["result"]["min_gap"] == pytest.approx(1.0, abs=1e-9)
         assert len(report["result"]["utility"]) == 2
 
+    @pytest.mark.parametrize("concept", ["ce", "cce"])
+    def test_canonical_witness_scales_to_bound(self, files, concept):
+        # The unit witness times the bound: entries within the cap and the
+        # margin bound * gamma.
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", CORR_TARGET)
+        result = invoke(
+            ["witness", game, target, "--concept", concept, "--bound", "0.25"]
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)["result"]
+        assert np.max(np.abs(report["utility"])) == pytest.approx(0.25)
+        assert report["min_gap"] == pytest.approx(0.25 * report["gamma"])
+
     def test_uninstallable_exits_one(self, files):
         game = files("game.json", NFG_DOC)
         target = files("target.json", UNIFORM_TARGET)
@@ -644,6 +677,16 @@ class TestCliVerify:
         assert result.exit_code == 2, result.output
         assert f"{target}.product: expected true or false" in result.stderr
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_two(self, files, epsilon):
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", CORR_TARGET)
+        reward = files("reward.json", UNIT_REWARD)
+        result = invoke(["verify", game, target, reward, "--epsilon", epsilon])
+        assert result.exit_code == 2, result.output
+        assert "must be finite" in result.stderr
+        assert result.stdout == ""
+
     def test_epsilon_gate(self, files):
         game = files("game.json", NFG_DOC)
         target = files("target.json", CORR_TARGET)
@@ -681,3 +724,168 @@ class TestCliEnvelope:
         )
         assert result.exit_code == 0
         assert load_json(out) == json.loads(result.output)
+
+
+# witness on a one-shot game and on its one-stage Markov document: a target
+# the concept cannot install (or carry the margin on) is a negative verdict,
+# exit 1 with a report; a deviation class the concept does not cover, or a
+# correlated Nash target, is an input error, exit 2.
+WITNESS_PARITY_CASES = [
+    (UNIFORM_TARGET, ["--concept", "cce", "--epsilon", "0.1"], 1),
+    (UNIFORM_TARGET, ["--concept", "ce", "--epsilon", "0.1"], 1),
+    (UNIFORM_TARGET, ["--concept", "ne"], 1),
+    (UNIFORM_TARGET, ["--concept", "ne", "--epsilon", "0.5"], 1),
+    (PURE_TARGET, ["--concept", "cce", "--epsilon", "0.1"], 1),
+    (PURE_TARGET, ["--concept", "ne", "--epsilon", "3"], 1),
+    (CORR_TARGET, ["--concept", "ce", "--epsilon", "2"], 1),
+    (
+        CORR_TARGET,
+        ["--concept", "ce", "--epsilon", "0.01", "--deviation-class", "unrestricted"],
+        2,
+    ),
+    (
+        PURE_TARGET,
+        ["--concept", "ne", "--epsilon", "0.5", "--deviation-class", "unrestricted"],
+        2,
+    ),
+    (CORR_TARGET, ["--concept", "ne"], 2),
+    (CORR_TARGET, ["--concept", "ne", "--epsilon", "0.5"], 2),
+]
+
+
+class TestCliWitnessParity:
+    @pytest.mark.parametrize("markov", [False, True], ids=["one-shot", "markov"])
+    @pytest.mark.parametrize(
+        "target,args,code", WITNESS_PARITY_CASES,
+        ids=[f"{case[0]['probs']} {' '.join(case[1])}" for case in WITNESS_PARITY_CASES],
+    )
+    def test_same_exit_code(self, files, markov, target, args, code):
+        game_doc_, target_doc = NFG_DOC, target
+        if markov:
+            game_doc_, target_doc = one_stage(NFG_DOC, target)
+        game = files("game.json", game_doc_)
+        path = files("target.json", target_doc)
+        result = invoke(["witness", game, path] + args)
+        assert result.exit_code == code, result.output
+        if code == 2:
+            assert result.stdout == ""
+            assert "error:" in result.stderr
+        else:
+            report = json.loads(result.stdout)["result"]
+            assert False in (report.get("feasible"), report.get("installable"))
+
+
+# Every subcommand's whole ``config`` block: options that were passed, the
+# defaults of those that were not, the concept's default deviation class,
+# and never the ``--out`` or ``--lp-dump`` paths.
+CONFIG_CASES = [
+    (["check"], CORR_TARGET, {"concept": "cce"}),
+    (["check", "--concept", "ce"], CORR_TARGET, {"concept": "ce"}),
+    (
+        ["witness"],
+        CORR_TARGET,
+        {"concept": "cce", "deviation_class": "unrestricted", "bound": 1.0},
+    ),
+    (
+        ["witness", "--concept", "ce"],
+        CORR_TARGET,
+        {"concept": "ce", "deviation_class": "never-recommended", "bound": 1.0},
+    ),
+    (
+        ["witness", "--concept", "ne"],
+        PURE_TARGET,
+        {"concept": "ne", "deviation_class": "never-target", "bound": 1.0},
+    ),
+    (
+        [
+            "witness", "--concept", "ce", "--epsilon", "0.25", "--bound", "2",
+            "--deviation-class", "never-recommended", "--out", "{out}",
+        ],
+        CORR_TARGET,
+        {
+            "concept": "ce", "deviation_class": "never-recommended",
+            "bound": 2.0, "epsilon": 0.25,
+        },
+    ),
+    (
+        ["design"],
+        CORR_TARGET,
+        {
+            "concept": "cce", "slack": 0.0, "bound": 1.0, "cost": "offline",
+            "max_gap": False,
+        },
+    ),
+    (
+        [
+            "design", "--concept", "ce", "--slack", "0.1", "--bound", "2",
+            "--cost", "online", "--max-gap", "--baseline", "{base}",
+            "--lp-dump", "{dump}", "--out", "{out}",
+        ],
+        CORR_TARGET,
+        {
+            "concept": "ce", "slack": 0.1, "bound": 2.0, "cost": "online",
+            "max_gap": True, "baseline": "{base}",
+        },
+    ),
+    (
+        ["verify", "{reward}"],
+        CORR_TARGET,
+        {
+            "reward": "{reward}", "concept": "cce",
+            "deviation_class": "unrestricted", "epsilon": 0.0,
+        },
+    ),
+    (
+        ["verify", "{reward}", "--concept", "ce", "--epsilon", "0.5"],
+        CORR_TARGET,
+        {
+            "reward": "{reward}", "concept": "ce",
+            "deviation_class": "never-recommended", "epsilon": 0.5,
+        },
+    ),
+    (
+        [
+            "verify", "{reward}", "--concept", "ne",
+            "--deviation-class", "unrestricted", "--out", "{out}",
+        ],
+        PURE_TARGET,
+        {
+            "reward": "{reward}", "concept": "ne",
+            "deviation_class": "unrestricted", "epsilon": 0.0,
+        },
+    ),
+]
+
+
+class TestCliConfig:
+    @pytest.mark.parametrize("markov", [False, True], ids=["one-shot", "markov"])
+    @pytest.mark.parametrize(
+        "args,target,expected", CONFIG_CASES,
+        ids=[" ".join(case[0]) for case in CONFIG_CASES],
+    )
+    def test_config_block(self, files, tmp_path, markov, args, target, expected):
+        game_doc_, target_doc = NFG_DOC, target
+        base = {"utility": [[0.0] * 4, [0.0] * 4]}
+        if markov:
+            game_doc_, target_doc = one_stage(NFG_DOC, target)
+            base = UNIT_REWARD
+        paths = {
+            "game": files("game.json", game_doc_),
+            "target": files("target.json", target_doc),
+            "reward": files("reward.json", UNIT_REWARD),
+            "base": files("base.json", base),
+            "out": str(tmp_path / "out.json"),
+            "dump": str(tmp_path / "program.lp"),
+        }
+        command, rest = args[0], [arg.format(**paths) for arg in args[1:]]
+        result = invoke([command, paths["game"], paths["target"]] + rest)
+        assert result.exit_code in (0, 1), result.output
+        config = json.loads(result.output)["config"]
+        want = {
+            "command": command, "game": paths["game"], "target": paths["target"]
+        }
+        want.update(
+            {key: value.format(**paths) if isinstance(value, str) else value
+             for key, value in expected.items()}
+        )
+        assert config == want

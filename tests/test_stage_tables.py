@@ -16,9 +16,11 @@ from eqdesign import (
     Concept,
     DeviationClass,
     EpsilonConfig,
+    InfeasibleEpsilonError,
     JointMixedStrategy,
     MarkovGameSkeleton,
     MarkovPolicy,
+    NotProductError,
     StageCheckError,
     best_response,
     check,
@@ -29,6 +31,7 @@ from eqdesign import (
     epsilon_witness,
     gamma_ce,
     gamma_cce,
+    is_product,
     markov_witness,
     policy_eval,
     support,
@@ -197,18 +200,25 @@ def ref_markov_witness(policy, skeleton, bound, concept):
 
 
 def ref_epsilon_markov_witness(policy, skeleton, concept, config):
+    """Stages that cannot carry the margin are named; input errors (a
+    correlated Nash target, checked first, or a deviation class the concept
+    does not cover) are raised as they are."""
     stage_cfg = EpsilonConfig(
         epsilon=config.epsilon,
         bound=config.bound / skeleton.horizon,
         deviation_class=config.deviation_class,
     )
+    stages = list(np.ndindex(skeleton.horizon, skeleton.num_states))
+    for h, s in stages:
+        if concept == Concept.NE and not is_product(policy.stage(h, s)):
+            raise NotProductError(f"stage (h={h}, s={s}) is not a product strategy")
     stage_u = {}
-    for h, s in np.ndindex(skeleton.horizon, skeleton.num_states):
+    for h, s in stages:
         try:
             stage_u[(h, s)] = epsilon_witness(
                 policy.stage(h, s), concept, stage_cfg
             )
-        except ValueError as exc:
+        except InfeasibleEpsilonError as exc:
             raise StageCheckError(f"stage (h={h}, s={s}): {exc}", stage=(h, s))
     return ref_cancel(policy, skeleton, stage_u, config.bound)
 
@@ -333,6 +343,12 @@ class TestAllStagesMatchPerStage:
                     with pytest.raises(StageCheckError) as err:
                         epsilon_markov_witness(pol, sk, concept, cfg)
                     assert err.value.stage == exc.stage
+                    assert str(err.value) == str(exc)
+                    continue
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as err:
+                        epsilon_markov_witness(pol, sk, concept, cfg)
+                    assert type(err.value) is type(exc)
                     assert str(err.value) == str(exc)
                     continue
                 got = epsilon_markov_witness(pol, sk, concept, cfg).rewards

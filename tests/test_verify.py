@@ -328,6 +328,14 @@ class TestCheckStrict:
         with pytest.raises(NotProductError, match=r"\(h=0, s=0\)"):
             check_strict(sk, rw, pol, Concept.NE)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        # A margin that compares false (or true) with every gap is no
+        # verdict: the input is rejected instead.
+        sk, rw, pol = embed(np.zeros((2, 2, 2)), sigma_corr())
+        with pytest.raises(ValueError, match="must be finite"):
+            check_strict(sk, rw, pol, Concept.CCE, epsilon=epsilon)
+
     def test_class_concept_compatibility(self):
         sk, rw, pol = embed(np.zeros((2, 2, 2)), sigma_corr())
         with pytest.raises(ValueError, match="CE concept only"):
