@@ -38,7 +38,7 @@ from .games import (
     nfg_as_markov,
     strategy_as_policy,
 )
-from .installability import Concept, DeviationClass, NotProductError
+from .installability import Concept, DeviationClass, require
 from .lp import LinearProgram, LpStatus, solve
 from .verify import GapReport, check_strict, nfg_oracle, policy_eval, visitation
 
@@ -197,12 +197,7 @@ def build_mg_lp(
     horizon, num_s = skeleton.horizon, skeleton.num_states
     counts = skeleton.action_counts
     num_a = int(np.prod(counts))
-    bad = policy.first_correlated() if concept == Concept.NE else None
-    if bad is not None:
-        raise NotProductError(
-            f"Nash design requires product stages; (h={bad[0]}, s={bad[1]}) "
-            "is correlated"
-        )
+    require(concept, policy)
 
     size = horizon * num_s * num_a  # one player's rewards
     blk = n * size

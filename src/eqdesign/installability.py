@@ -7,6 +7,11 @@ test on the target's conditional distributions; no optimization is involved.
 A Markov policy qualifies iff every (stage, state) strategy does; one array
 expression over the policy's conditional table checks all stages at once.
 
+It is also the one home of the concept rules that every check, witness,
+design and verification shares: :func:`require` rejects a concept it does
+not know, a Nash target with a correlated stage, and a class the concept
+cannot measure.
+
 Verdicts are deterministic: players, then actions, are scanned in ascending
 index order and the first violation found becomes the certificate.
 """
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -83,15 +88,46 @@ class MarkovInstallability:
         return self.stages[(h, s)]
 
 
+def require(
+    concept: Concept,
+    target: Union[JointMixedStrategy, MarkovPolicy],
+    dev_class: Optional[DeviationClass] = None,
+    atol: float = COND_ATOL,
+) -> None:
+    """Raise unless ``concept`` is known, applies to ``target``, and can
+    measure ``dev_class``, checked in that order.  A Nash target's first
+    correlated stage (row-major; a joint strategy is stage ``(0, 0)``) raises
+    :class:`NotProductError`.  Only CE measures never-recommended deviations,
+    and only NE and CCE never-target ones."""
+    if concept not in (Concept.NE, Concept.CE, Concept.CCE):
+        raise ValueError(f"unknown concept {concept!r}")
+    if concept == Concept.NE:
+        if isinstance(target, MarkovPolicy):
+            bad = target.first_correlated(atol)
+        else:
+            bad = None if is_product(target, atol) else (0, 0)
+        if bad is not None:
+            raise NotProductError(
+                f"stage (h={bad[0]}, s={bad[1]}) is not a product strategy"
+            )
+    if dev_class == DeviationClass.NEVER_RECOMMENDED and concept != Concept.CE:
+        raise ValueError(
+            "never-recommended deviations are recommendation-aware: "
+            "they apply to the CE concept only"
+        )
+    if dev_class == DeviationClass.NEVER_TARGET and concept == Concept.CE:
+        raise ValueError(
+            "never-target deviations apply to the NE/CCE concepts only"
+        )
+
+
 def stage_reports(
     table, concept: Concept, atol: float = COND_ATOL
 ) -> list[InstallabilityReport]:
     """Verdicts for every stage of a ``conditional_table`` (of a
     :class:`MarkovPolicy`, axes ``(h, s)``, or of a :class:`JointMixedStrategy`,
-    none) at once, in row-major order of its leading axes.  NE assumes product
-    stages."""
-    if concept not in (Concept.NE, Concept.CE, Concept.CCE):
-        raise ValueError(f"unknown concept {concept!r}")
+    none) at once, in row-major order of its leading axes.  The caller has
+    passed :func:`require`."""
     failing, certs, evidence = [], [], []
     for p, conds in table:
         count = p.shape[-1]
@@ -177,8 +213,7 @@ def check(
     sigma: JointMixedStrategy, concept: Concept, atol: float = COND_ATOL
 ) -> InstallabilityReport:
     """One stage of :func:`stage_reports`; NE requires a product strategy."""
-    if concept == Concept.NE and not is_product(sigma, atol=atol):
-        raise NotProductError("strict Nash check requires a product strategy")
+    require(concept, sigma, atol=atol)
     return stage_reports(sigma.conditional_table, concept, atol)[0]
 
 
@@ -191,11 +226,7 @@ def check_markov(
     conditional table, so the report is complete; each stage's report equals
     :func:`check` on that stage.  For ``NE`` every stage must factorize.
     """
-    bad = policy.first_correlated(atol) if concept == Concept.NE else None
-    if bad is not None:
-        raise NotProductError(
-            f"stage (h={bad[0]}, s={bad[1]}) is not a product strategy"
-        )
+    require(concept, policy, atol=atol)
     reports = stage_reports(policy.conditional_table, concept, atol)
     return MarkovInstallability(
         concept=concept,

@@ -5,7 +5,8 @@ one stage at a time with every state at once: on-path values, visitation,
 single-deviator best responses, and the per-constraint strictness gaps of
 each concept, as arrays.  A one-stage re-implementation (:func:`nfg_oracle`)
 provides a second, independent route for normal-form instances so the two
-can be cross-checked bit-tightly.
+can be cross-checked bit-tightly; it shares only the precondition check,
+:func:`~eqdesign.installability.require`, with the rest of the module.
 
 Deviation semantics: margins quantify over deviations that actually change
 play.  An action carrying a player's whole stage mass replicates the target
@@ -31,9 +32,8 @@ from .games import (
     conditional_matrix,
     genuine_deviations,
     genuine_mask,
-    is_product,
 )
-from .installability import Concept, DeviationClass, NotProductError
+from .installability import Concept, DeviationClass, require
 
 
 @dataclass(frozen=True)
@@ -140,15 +140,11 @@ def best_response(
 
     At each (h, s) the deviator faces opponents drawn from the stage
     marginal; a deterministic stage choice is optimal, so the argmax over
-    allowed pure actions is exact.  ``NEVER_RECOMMENDED`` is rejected here:
-    recommendation-aware deviations are handled by the CE gap table.
+    allowed pure actions is exact.  The classes are the coarse (NE and CCE)
+    ones: recommendation-aware deviations are the CE gap table's.
     """
     _check_shapes(skeleton, reward, policy)
-    if dev_class == DeviationClass.NEVER_RECOMMENDED:
-        raise ValueError(
-            "best response is recommendation-blind; use the CE gap table "
-            "for never-recommended deviations"
-        )
+    require(Concept.CCE, policy, dev_class)
     if not 0 <= player < skeleton.num_players:
         raise ShapeError(f"player {player} out of range")
     horizon, num_s = skeleton.horizon, skeleton.num_states
@@ -260,27 +256,12 @@ def check_strict(
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon {epsilon} must be finite")
     _check_shapes(skeleton, reward, policy)
+    require(concept, policy, dev_class)
     values = policy_eval(skeleton, reward, policy)
-    if concept in (Concept.NE, Concept.CCE):
-        if dev_class == DeviationClass.NEVER_RECOMMENDED:
-            raise ValueError(
-                "never-recommended deviations apply to the CE concept only"
-            )
-        bad = policy.first_correlated() if concept == Concept.NE else None
-        if bad is not None:
-            raise NotProductError(
-                f"Nash check requires product stages; "
-                f"(h={bad[0]}, s={bad[1]}) is correlated"
-            )
-        gaps = _coarse_gaps(skeleton, reward, policy, dev_class, values)
-    elif concept == Concept.CE:
-        if dev_class == DeviationClass.NEVER_TARGET:
-            raise ValueError(
-                "never-target deviations apply to the NE/CCE concepts only"
-            )
+    if concept == Concept.CE:
         gaps = _ce_gaps(policy, values)
     else:
-        raise ValueError(f"unknown concept {concept!r}")
+        gaps = _coarse_gaps(skeleton, reward, policy, dev_class, values)
     return _finalize(concept, epsilon, dev_class, gaps)
 
 
@@ -298,10 +279,9 @@ def nfg_oracle(
         raise ShapeError(
             f"utility shape {u.shape}, expected {(n,) + sigma.action_counts}"
         )
+    require(concept, sigma)
     gaps: dict = {}
-    if concept in (Concept.NE, Concept.CCE):
-        if concept == Concept.NE and not is_product(sigma):
-            raise NotProductError("Nash oracle requires a product strategy")
+    if concept != Concept.CE:
         for i in range(n):
             on_path = float(np.sum(sigma.probs * u[i]))
             marg = sigma.opponent_marginal(i).reshape(-1)
@@ -309,7 +289,7 @@ def nfg_oracle(
             dev_vals = mat @ marg
             for m in genuine_deviations(sigma, i):
                 gaps[(i, 0, 0, m)] = float(on_path - dev_vals[m])
-    elif concept == Concept.CE:
+    else:
         for i in range(n):
             count = sigma.action_counts[i]
             if count < 2:
@@ -323,6 +303,4 @@ def nfg_oracle(
                     if k == int(j):
                         continue
                     gaps[(i, 0, 0, int(j), k)] = float(on_rec[j] - cross[j, k])
-    else:
-        raise ValueError(f"unknown concept {concept!r}")
     return _finalize(concept, 0.0, None, gaps)

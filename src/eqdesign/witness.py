@@ -23,15 +23,14 @@ from .games import (
     MarkovPolicy,
     RewardFunction,
     genuine_mask,
-    is_product,
 )
 from .installability import (
     Concept,
     DeviationClass,
-    NotProductError,
     check_markov,
     check_sce,
     check_scce,
+    require,
     stage_reports,
 )
 
@@ -155,13 +154,12 @@ def _epsilon_fields(probs: np.ndarray, table, concept: Concept, config: EpsilonC
     conditional table: ``(fields, None)``, shaped ``(num_players, *leading
     axes, *counts)``, or ``(None, (k, exc))`` for the first stage (flat index
     ``k``, row-major) that cannot carry the margin, with its
-    :class:`InfeasibleEpsilonError`.  A deviation class the concept does not
-    cover raises at once, as does an unknown concept; NE assumes product
-    stages."""
+    :class:`InfeasibleEpsilonError`.  The caller has passed
+    :func:`~eqdesign.installability.require`; the witness's narrower class
+    rules (NE excludes unrestricted deviations, CE needs never-recommended
+    ones) raise here at once."""
     eps, bound, dev = config.epsilon, config.bound, config.deviation_class
     lead, counts = probs.shape[: -len(table)], probs.shape[-len(table) :]
-    if concept not in (Concept.NE, Concept.CE, Concept.CCE):
-        raise ValueError(f"unknown concept {concept!r}")
     if concept == Concept.NE and dev == DeviationClass.UNRESTRICTED:
         raise ValueError(
             "strict Nash has no finite margin against unrestricted "
@@ -233,8 +231,7 @@ def epsilon_witness(
     none); a correlated NE target or a deviation class the concept does not
     cover is an input error.
     """
-    if concept == Concept.NE and not is_product(sigma):
-        raise NotProductError("strict Nash scaling requires a product target")
+    require(concept, sigma, config.deviation_class)
     fields, error = _epsilon_fields(
         sigma.probs, sigma.conditional_table, concept, config
     )
@@ -307,16 +304,11 @@ def epsilon_markov_witness(
     support the margin at bound ``B / H``, and subtracts continuation values
     exactly as :func:`markov_witness`, so each stage's measured margin is the
     normal-form one.  The first failing stage in row-major order is named,
-    with the error :func:`epsilon_witness` gives for it; the input errors of
-    :func:`epsilon_witness` are raised as they are, NE's product check
-    first, as in :func:`check_markov`.
+    with the error :func:`epsilon_witness` gives for it; its input errors
+    are raised as they are.
     """
     policy.check_fits(skeleton)
-    bad = policy.first_correlated() if concept == Concept.NE else None
-    if bad is not None:
-        raise NotProductError(
-            f"stage (h={bad[0]}, s={bad[1]}) is not a product strategy"
-        )
+    require(concept, policy, config.deviation_class)
     stage_cfg = EpsilonConfig(
         epsilon=config.epsilon,
         bound=config.bound / skeleton.horizon,

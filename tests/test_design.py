@@ -532,6 +532,55 @@ class TestPinnedPrograms:
             assert hashlib.sha256(text).hexdigest() == digest, (concept, kind)
 
 
+def pure_policy(horizon, num_s):
+    """A pure profile at every (h, s) of a two-player 3x3 game."""
+    stages = np.zeros((horizon, num_s, 3, 3))
+    for h, s in np.ndindex(horizon, num_s):
+        stages[h, s, (h + s) % 3, (h * s + 1) % 3] = 1.0
+    return MarkovPolicy(stages=stages)
+
+
+class TestPinnedProgramBytes:
+    """SHA-256 of the raw float64 bytes of three programs: the stacked row
+    coefficients, rhs, column bounds and objective, then the relations.
+    ``dump`` prints 6 significant digits, so :class:`TestPinnedPrograms`
+    cannot see a change below about 1e-6; these digests see every bit.  Being
+    bit-exact, they can also move with the numpy or BLAS build."""
+
+    DIGESTS = {
+        (Concept.CCE, CostKind.OFFLINE): (
+            "68bbf9b834bda2cd3a13179bd7b0d9defaa1269b91f3b8a6574e404296065354"
+        ),
+        (Concept.CE, CostKind.ONLINE): (
+            "6674da07d037a4281ab99ff2fccb61e295246775f564230f7259cb0145060d8f"
+        ),
+        (Concept.NE, CostKind.OFFLINE): (
+            "7b73fd4576002bc0555eb7fc2ae5ff04f80da4a1fe25f3a7a0e6c00e3782d548"
+        ),
+    }
+
+    @staticmethod
+    def digest(lp):
+        sha = hashlib.sha256()
+        rows = np.array([c.coeffs for c in lp.constraints])
+        rhs = np.array([c.rhs for c in lp.constraints])
+        for arr in (rows, rhs, lp.lower, lp.upper, lp.objective):
+            sha.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        sha.update("".join(c.relation for c in lp.constraints).encode())
+        return sha.hexdigest()
+
+    def test_3_3_3x3_programs_are_pinned_bitwise(self):
+        sk, pol = recipe_instance(3, 3, (3, 3))
+        config = DesignConfig(slack=recipe_slack(pol, 2.0), bound=2.0)
+        for (concept, kind), digest in self.DIGESTS.items():
+            target, cfg = pol, config
+            if concept == Concept.NE:
+                target = pure_policy(sk.horizon, sk.num_states)
+                cfg = DesignConfig(slack=0.5, bound=2.0)
+            lp, _ = build_mg_lp(sk, target, concept, CostSpec(kind), cfg)
+            assert self.digest(lp) == digest, (concept, kind)
+
+
 class TestAgainstHighs:
     """The in-package simplex against scipy's HiGHS on the seeded ladder
     programs of ROADMAP.md, far larger than the vertex-enumeration battery."""

@@ -750,6 +750,21 @@ WITNESS_PARITY_CASES = [
     ),
     (CORR_TARGET, ["--concept", "ne"], 2),
     (CORR_TARGET, ["--concept", "ne", "--epsilon", "0.5"], 2),
+    # A deviation class the concept cannot measure is an input error on
+    # either kind of game, canonical or epsilon witness alike.
+    (CORR_TARGET, ["--concept", "cce", "--deviation-class", "never-recommended"], 2),
+    (
+        CORR_TARGET,
+        ["--concept", "cce", "--deviation-class", "never-recommended", "--epsilon", "0.1"],
+        2,
+    ),
+    (CORR_TARGET, ["--concept", "ce", "--deviation-class", "never-target"], 2),
+    (PURE_TARGET, ["--concept", "ne", "--deviation-class", "never-recommended"], 2),
+    (
+        PURE_TARGET,
+        ["--concept", "ne", "--deviation-class", "never-recommended", "--epsilon", "0.5"],
+        2,
+    ),
 ]
 
 

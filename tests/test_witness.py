@@ -270,6 +270,23 @@ class TestEpsilonMarkovWitness:
             epsilon_markov_witness(policy, skeleton, Concept.CCE, cfg)
 
 
+def test_coarse_witnesses_reject_never_recommended():
+    # check_strict cannot measure CCE against recommendation-aware
+    # deviations, so neither epsilon witness may promise a margin there.
+    cfg = EpsilonConfig(
+        epsilon=0.1, bound=1.0,
+        deviation_class=DeviationClass.NEVER_RECOMMENDED,
+    )
+    sigma = sigma_corr()
+    with pytest.raises(ValueError, match="CE concept only"):
+        epsilon_witness(sigma, Concept.CCE, cfg)
+    rng = make_rng("emw-nr")
+    skeleton = random_skeleton(rng, max_states=2, max_horizon=2, max_actions=2)
+    policy = installable_policy(rng, skeleton, allow_pure=False)
+    with pytest.raises(ValueError, match="CE concept only"):
+        epsilon_markov_witness(policy, skeleton, Concept.CCE, cfg)
+
+
 def test_policy_misfit_raises_one_error_everywhere():
     skeleton = random_skeleton(make_rng("misfit"), max_states=2, max_horizon=2)
     horizon, num_s = skeleton.horizon, skeleton.num_states
