@@ -15,7 +15,6 @@ from __future__ import annotations
 import sys
 
 import click
-import numpy as np
 
 from . import __version__
 from .design import (
@@ -168,11 +167,7 @@ def _run_witness(
             "message": str(exc),
         }
     if one_shot:
-        # Measured as printed: at the largest epsilon the utility can pass
-        # the bound by a rounding error, and a reward's bound only validates.
-        reward = RewardFunction(
-            utility[:, None, None], max(bound, float(np.abs(utility).max()))
-        )
+        reward = RewardFunction(utility[:, None, None], bound)
     result["min_gap"] = check_strict(
         skeleton, reward, policy, concept,
         epsilon=cfg.epsilon, dev_class=deviation_class,

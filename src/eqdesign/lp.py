@@ -6,31 +6,44 @@ Each row gets one logical column ``s`` with ``a @ x + s = b``: ``s >= 0`` on
 <=, ``s <= 0`` on >=, ``s = 0`` on =.  Every column keeps its own bounds,
 and a nonbasic column sits at one of them (at 0 if it is free).
 
+A column is pulled when its cost pulls it toward an infinite bound: a
+negative cost with no upper bound, or a positive cost with no lower bound.
+Only a program with a pulled column can be unbounded.  Each pulled column
+hands its cost to its rows as row prices, ``y = a[:, j] * cost[j] /
+|a[:, j]|^2`` summed over the pulled columns and clipped to the sign each
+row's relation allows, and the first phase prices the columns at ``cost -
+y @ a``.  An egalitarian design's first phase thus minimizes the social
+cost over the number of players, and a max-gap design's maximizes the
+average margin.  With no pulled column the price is the cost.
+
 The solve starts from the all-logical basis with each column at the bound
-its cost prefers.  A column whose preferred bound is infinite starts at its
+its price prefers.  A column whose preferred bound is infinite starts at its
 finite bound, or at 0 if free, and is priced at 0 in the first phase, so
 the start is dual feasible.  The dual phase then brings every basic column
-within its bounds on these shifted costs, and the primal phase minimizes
-the true costs from the basis it leaves; it takes no step when no cost was
-shifted.
+within its bounds on this price, and the primal phase minimizes the true
+costs from the basis it leaves; it takes no step when no column is
+pulled.
 
 Dual phase: the leaving row has the largest bound violation and the
 entering column comes from a Harris two-pass ratio test on the reduced
 costs; a run of ``BLAND_AFTER`` steps without progress switches both
 choices to the lowest index.  A row no column can repair makes the program
 infeasible, and its row of the basis inverse is checked as a certificate on
-the original data.  Primal phase: the entering column is the lowest
-eligible index and the leaving row comes from a Harris two-pass ratio test,
-or after a run of pivots that do not move, the lowest basic index among the
-rows that limit the step (Bland's rule).  Both tests use ``PIVOT_TOL``.
+the original data.  Primal phase: the entering column is the eligible one
+with the largest reduced cost in magnitude and the leaving row comes from a
+Harris two-pass ratio test; after a run of ``BLAND_AFTER`` pivots that do
+not move, both become the lowest index (Bland's rule).  Both tests use
+``PIVOT_TOL``.  An entering column that no row limits and whose bound is
+infinite makes the program unbounded; the ray it moves along is checked on
+the original data.
 
 ``iterations`` counts pivots and bound flips, and ``phase_steps`` splits
 them between the two phases; a phase that takes more than ``MAX_PIVOTS`` of
 them raises ``RuntimeError``.  An optimal point is checked against the
 original rows and bounds within ``FEAS_TOL`` before it is returned, and a
-miss raises ``RuntimeError``, as does an infeasibility certificate that
-fails.  Determinism: identical inputs pivot identically, so solutions are
-bit-reproducible.
+miss raises ``RuntimeError``, as does an infeasibility certificate or a
+ray that fails.  Determinism: identical inputs pivot identically, so
+solutions are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ import numpy as np
 # A tableau entry this small is treated as zero when selecting pivots.
 PIVOT_TOL = 1e-9
 # Rows and bounds are checked to this tolerance, and an infeasibility
-# certificate must clear it.
+# certificate or an unbounded ray must clear it.
 FEAS_TOL = 1e-7
 # Either simplex phase taking more steps than this is a tool failure.
 MAX_PIVOTS = 200_000
@@ -160,18 +173,23 @@ def _simplex(
     lower: np.ndarray,
     upper: np.ndarray,
     cost: np.ndarray,
-) -> tuple[str, int]:
+) -> tuple[Optional[np.ndarray], int]:
     """Minimize ``cost @ x`` in place from a basis whose columns are all
-    within their bounds; returns (outcome, steps taken).
+    within their bounds; returns (ray, steps taken), with ``ray`` None at an
+    optimum, else a direction along which the cost falls without end.
 
-    Each step either moves the entering column, the lowest eligible index,
-    to its other bound (a bound flip) or pivots it into the basis.  The
-    leaving row comes from a Harris two-pass ratio test: the longest step
-    that keeps every basic column within its bounds widened by
-    ``PIVOT_TOL``, then the largest pivot among the rows that limit it.
-    After ``BLAND_AFTER`` pivots in a row that do not move, the leaving row
-    is the limiting one with the lowest basic index, which completes Bland's
-    rule, until a step moves again.
+    Each step either moves the entering column to its other bound (a bound
+    flip) or pivots it into the basis.  The entering column is the eligible
+    one with the largest reduced cost in magnitude.  The leaving row comes
+    from a Harris two-pass ratio test: the longest step that keeps every
+    basic column within its bounds widened by ``PIVOT_TOL``, then the
+    largest pivot among the rows that limit it.  After ``BLAND_AFTER``
+    pivots in a row that do not move, the entering column is the lowest
+    eligible index and the leaving row the limiting one with the lowest
+    basic index (Bland's rule), until a step moves again.  When no row
+    limits an entering column with an infinite bound, the ray moves that
+    column by one unit and each basic column by ``-direction`` times its
+    tableau entry.
     """
     crow = cost - cost[basis] @ tableau
     count = stalled = 0
@@ -182,8 +200,11 @@ def _simplex(
             | ((crow > PIVOT_TOL) & (x > lower))
         )
         if eligible.size == 0:
-            return "optimal", count
-        col = int(eligible[0])
+            return None, count
+        if stalled >= BLAND_AFTER:
+            col = int(eligible[0])
+        else:
+            col = int(eligible[np.argmax(np.abs(crow[eligible]))])
         direction = 1.0 if crow[col] < 0.0 else -1.0
         # Basic values move by -step * alpha as the entering column moves.
         alpha = direction * tableau[:, col]
@@ -198,7 +219,10 @@ def _simplex(
         span = upper[col] - lower[col]
         if span <= longest:
             if math.isinf(span):
-                return "unbounded", count
+                ray = np.zeros(x.size)
+                ray[basis] = -alpha
+                ray[col] = direction
+                return ray, count
             x[col] = upper[col] if direction > 0.0 else lower[col]
             x[basis] -= span * alpha
             stalled = 0
@@ -311,6 +335,12 @@ def _step(
     basis[row] = col
 
 
+def _row_misses(lhs: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """How far each entry of ``lhs`` lies on the wrong side of 0 for its
+    row's relation."""
+    return np.select([rel == "<=", rel == ">="], [lhs, -lhs], abs(lhs))
+
+
 def _check_point(
     lp: LinearProgram,
     a: np.ndarray,
@@ -320,8 +350,7 @@ def _check_point(
 ) -> None:
     """Raise unless ``x`` meets every row ``a @ x rel b`` and every bound of
     ``lp`` within ``FEAS_TOL``."""
-    lhs = a @ x
-    miss = np.select([rel == "<=", rel == ">="], [lhs - b, b - lhs], abs(lhs - b))
+    miss = _row_misses(a @ x - b, rel)
     if miss.size and miss.max() > FEAS_TOL:
         row = int(np.argmax(miss))
         raise RuntimeError(f"simplex point misses row {row} by {miss[row]:.3g}")
@@ -331,6 +360,30 @@ def _check_point(
         raise RuntimeError(
             f"simplex point leaves the box of variable {var} by {off[var]:.3g}"
         )
+
+
+def _check_ray(
+    lp: LinearProgram, a: np.ndarray, rel: np.ndarray, d: np.ndarray
+) -> None:
+    """Raise unless ``d`` proves the program unbounded on the original data,
+    within ``FEAS_TOL``: ``a @ d`` keeps each row's sign, ``d`` stays in the
+    recession cone of the bounds, and ``lp.objective @ d`` is negative."""
+    miss = _row_misses(a @ d, rel)
+    if miss.size and miss.max() > FEAS_TOL:
+        row = int(np.argmax(miss))
+        raise RuntimeError(f"unbounded ray leaves row {row} by {miss[row]:.3g}")
+    off = np.maximum(
+        np.where(np.isfinite(lp.lower), -d, 0.0),
+        np.where(np.isfinite(lp.upper), d, 0.0),
+    )
+    if off.max() > FEAS_TOL:
+        var = int(np.argmax(off))
+        raise RuntimeError(
+            f"unbounded ray leaves the bounds of variable {var} by {off[var]:.3g}"
+        )
+    slope = float(lp.objective @ d)
+    if not slope < -FEAS_TOL:
+        raise RuntimeError(f"unbounded ray does not lower the objective: {slope:.3g}")
 
 
 def _check_infeasible(
@@ -360,8 +413,24 @@ def _check_infeasible(
         )
 
 
+def _row_prices(
+    a: np.ndarray, rel: np.ndarray, cost: np.ndarray, pulled: np.ndarray
+) -> np.ndarray:
+    """Row duals that hand each pulled column's cost to its rows in
+    proportion to its coefficients, ``y = a[:, j] * cost[j] / |a[:, j]|^2``
+    summed over the pulled columns, clipped to the sign each row's relation
+    allows (>= rows nonnegative, <= rows nonpositive, = rows free)."""
+    cols = a[:, pulled]
+    norms = np.einsum("ij,ij->j", cols, cols)
+    used = norms > 0.0
+    y = cols[:, used] @ (cost[pulled][used] / norms[used])
+    return np.select(
+        [rel == ">=", rel == "<="], [np.maximum(y, 0.0), np.minimum(y, 0.0)], y
+    )
+
+
 def solve(lp: LinearProgram) -> LpSolution:
-    """Dual phase on shifted costs, then primal phase on the true costs."""
+    """Dual phase on priced costs, then primal phase on the true costs."""
     n, m = lp.num_vars, len(lp.constraints)
     a = np.array([con.coeffs for con in lp.constraints]).reshape(m, n)
     b = np.array([con.rhs for con in lp.constraints])
@@ -369,17 +438,24 @@ def solve(lp: LinearProgram) -> LpSolution:
     # One logical column per row, a @ x + s = b, bounded by the relation.
     s_lower = np.where(rel == ">=", -math.inf, 0.0)
     s_upper = np.where(rel == "<=", math.inf, 0.0)
-    # Each column starts at the bound its cost prefers.  Where that bound is
-    # infinite it starts at its finite bound, or at 0 if free, and the dual
-    # phase prices it at 0, so the all-logical start is dual feasible.
+    # A pulled column's cost pulls it toward an infinite bound.  The dual
+    # phase prices the columns at cost - y @ a, with y from the pulled
+    # columns' rows, so that their cost bears on the start.
     cost = lp.objective
+    pulled = ((cost < 0.0) & (lp.upper == math.inf)) | (
+        (cost > 0.0) & (lp.lower == -math.inf)
+    )
+    price = cost - _row_prices(a, rel, cost, pulled) @ a if pulled.any() else cost
+    # Each column starts at the bound its price prefers.  Where that bound
+    # is infinite it starts at its finite bound, or at 0 if free, and the
+    # dual phase prices it at 0, so the all-logical start is dual feasible.
     start = np.where(
         np.isfinite(lp.lower),
         lp.lower,
         np.where(np.isfinite(lp.upper), lp.upper, 0.0),
     )
     preferred = np.where(
-        cost > 0.0, lp.lower, np.where(cost < 0.0, lp.upper, start)
+        price > 0.0, lp.lower, np.where(price < 0.0, lp.upper, start)
     )
     kept = np.isfinite(preferred)
     x0 = np.where(kept, preferred, start)
@@ -390,7 +466,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     basis = n + np.arange(m)
 
     shifted = np.zeros(n + m)
-    shifted[:n] = np.where(kept, cost, 0.0)
+    shifted[:n] = np.where(kept, price, 0.0)
     row, dual_steps = _dual_simplex(tableau, basis, x, lower, upper, shifted)
     if row is not None:
         _check_infeasible(a, b, lower, upper, tableau[row, n:])
@@ -399,9 +475,10 @@ def solve(lp: LinearProgram) -> LpSolution:
         )
     full = np.zeros(n + m)
     full[:n] = cost
-    outcome, primal_steps = _simplex(tableau, basis, x, lower, upper, full)
+    ray, primal_steps = _simplex(tableau, basis, x, lower, upper, full)
     steps = (dual_steps, primal_steps)
-    if outcome == "unbounded":
+    if ray is not None:
+        _check_ray(lp, a, rel, ray[:n])
         return LpSolution(LpStatus.UNBOUNDED, None, None, sum(steps), steps)
     _check_point(lp, a, b, rel, x[:n])
     return LpSolution(

@@ -210,7 +210,8 @@ def _epsilon_fields(probs: np.ndarray, table, concept: Concept, config: EpsilonC
                 f"epsilon {eps} exceeds the achievable margin {max_gap}",
                 max_gap=max_gap,
             ))
-        alphas.append(eps / gamma if math.isfinite(gamma) else 0.0)
+        # eps / gamma can round above the bound when eps is its largest value.
+        alphas.append(min(eps / gamma, bound) if math.isfinite(gamma) else 0.0)
     scale = np.reshape(alphas, lead + (1,) * len(counts))
     return scale * _witness_field(table, counts), None
 

@@ -6,6 +6,7 @@ argument rather than from the solver.
 """
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -593,8 +594,8 @@ class TestAgainstHighs:
             assert sol.objective == pytest.approx(objective, abs=1e-6)
         return sol
 
-    def test_every_cost_and_max_gap_at_3_3_3x3(self):
-        sk, pol = recipe_instance(3, 3, (3, 3))
+    def check_every_cost_and_max_gap(self, num_s, horizon, counts):
+        sk, pol = recipe_instance(num_s, horizon, counts)
         slack = recipe_slack(pol, 2.0)
         for kind in CostKind:
             lp, _ = build_mg_lp(
@@ -607,6 +608,16 @@ class TestAgainstHighs:
             DesignConfig(slack=0.0, bound=2.0, max_gap=True),
         )
         assert self.check(lp).status == LpStatus.OPTIMAL
+
+    def test_every_cost_and_max_gap_at_3_3_3x3(self):
+        self.check_every_cost_and_max_gap(3, 3, (3, 3))
+
+    @pytest.mark.skipif(
+        os.environ.get("EQDESIGN_SLOW") != "1",
+        reason="about 10 s; set EQDESIGN_SLOW=1 to run",
+    )
+    def test_every_cost_and_max_gap_at_8_6_4x4(self):
+        self.check_every_cost_and_max_gap(8, 6, (4, 4))
 
     def test_offline_at_4_4_3x3(self):
         sk, pol = recipe_instance(4, 4, (3, 3))
@@ -645,6 +656,28 @@ class TestAgainstHighs:
             assert result.objective == pytest.approx(
                 evaluate_cost(sk, pol, cost, result.reward), abs=1e-6
             ), kind
+
+
+class TestPricedStart:
+    """Egalitarian's dual phase runs on the social cost over the number of
+    players, whose optimum is already egalitarian-optimal because each
+    player's rows touch only that player's rewards."""
+
+    def test_egalitarian_starts_from_the_social_optimum(self):
+        egalitarian = CostSpec(CostKind.EGALITARIAN)
+        for rung in ((3, 3, (2, 2)), (2, 2, (3, 3)), (3, 3, (3, 3)), (4, 4, (3, 3))):
+            sk, pol = recipe_instance(*rung)
+            config = DesignConfig(slack=recipe_slack(pol, 2.0), bound=2.0)
+            for concept in (Concept.CCE, Concept.CE):
+                social = design(
+                    sk, pol, concept, CostSpec(CostKind.SOCIAL_WELFARE), config
+                )
+                egal = design(sk, pol, concept, egalitarian, config)
+                assert egal.objective == pytest.approx(
+                    evaluate_cost(sk, pol, egalitarian, social.reward), abs=1e-9
+                ), (rung, concept)
+                assert egal.phase_steps[0] == social.phase_steps[0], (rung, concept)
+                assert egal.phase_steps[1] <= sk.num_players, (rung, concept)
 
 
 class TestMgDesign:

@@ -30,6 +30,56 @@ def simple_program():
     return lp
 
 
+def unbounded_by_free_row_column():
+    lp = LinearProgram(2)
+    lp.set_objective([-1.0, 0.0])
+    lp.add_constraint([0.0, 1.0], "<=", 1.0)
+    lp.set_bounds(1, 0.0, 1.0)
+    return lp
+
+
+def unbounded_without_rows(lower):
+    """One column and no row; its cost pulls it toward -inf when ``lower``
+    is -inf, else toward +inf."""
+    lp = LinearProgram(1)
+    lp.set_objective([1.0 if lower == -math.inf else -1.0])
+    lp.set_bounds(0, lower, math.inf)
+    return lp
+
+
+def pulled_program(case, box_rows=True):
+    """``build_lp(*case)`` with each negative-cost column's upper bound
+    lifted to +inf, so that its cost pulls it there; ``box_rows`` gives the
+    old upper bound back as a row, which keeps the vertex oracle exact."""
+    coeffs, rels, rhs, cost, lo, hi = case
+    lp = build_lp(*case)
+    for j in np.flatnonzero(cost < 0.0):
+        lp.set_bounds(j, lo[j], math.inf)
+        if box_rows:
+            lp.add_constraint(np.eye(len(cost))[j], "<=", hi[j])
+    return lp
+
+
+def check_pulled_battery(tag, count):
+    """Solve pulled programs with their box rows and check each against its
+    vertex optimum; returns the summed phase steps."""
+    steps = np.zeros(2, dtype=int)
+    for num_vars in (2, 3, 4):
+        for k in range(count):
+            case = random_lp_case(make_rng(f"{tag}-{num_vars}-{k}"), num_vars)
+            sol = solve(pulled_program(case))
+            steps += sol.phase_steps
+            coeffs, rels, rhs, cost, lo, hi = case
+            rows, limits = inequality_form(coeffs, rels, rhs, lo, hi)
+            oracle = vertex_optimum(cost, rows, limits)
+            if oracle is None:
+                assert sol.status == LpStatus.INFEASIBLE, (num_vars, k)
+            else:
+                assert sol.status == LpStatus.OPTIMAL, (num_vars, k)
+                assert sol.objective == pytest.approx(oracle, abs=1e-6)
+    return steps
+
+
 class TestStatuses:
     def test_optimal(self):
         sol = solve(simple_program())
@@ -48,11 +98,7 @@ class TestStatuses:
         assert sol.x is None and sol.objective is None
 
     def test_unbounded(self):
-        lp = LinearProgram(2)
-        lp.set_objective([-1.0, 0.0])
-        lp.add_constraint([0.0, 1.0], "<=", 1.0)
-        lp.set_bounds(1, 0.0, 1.0)
-        sol = solve(lp)
+        sol = solve(unbounded_by_free_row_column())
         assert sol.status == LpStatus.UNBOUNDED
 
     def test_degenerate_duplicate_rows(self):
@@ -77,9 +123,7 @@ class TestBounds:
         assert sol.x[0] == -3.0
 
     def test_constraint_free_program_unbounded(self):
-        lp = LinearProgram(1)
-        lp.set_objective([1.0])
-        sol = solve(lp)
+        sol = solve(unbounded_without_rows(-math.inf))
         assert sol.status == LpStatus.UNBOUNDED
 
     def test_constraint_free_zero_objective(self):
@@ -152,10 +196,7 @@ class TestShiftedStart:
         assert sol.phase_steps == (0, 1)
 
     def test_ray_column_without_rows_is_unbounded(self):
-        lp = LinearProgram(1)
-        lp.set_objective([-1.0])
-        lp.set_bounds(0, 0.0, math.inf)
-        sol = solve(lp)
+        sol = solve(unbounded_without_rows(0.0))
         assert sol.status == LpStatus.UNBOUNDED
         assert sol.x is None and sol.objective is None
 
@@ -378,34 +419,80 @@ class TestOracleBattery:
                 assert sol.objective == pytest.approx(oracle, abs=1e-6)
 
 
+class TestPulledOracleBattery:
+    """:class:`TestOracleBattery` on programs whose negative costs pull
+    their columns toward +inf, so the dual phase starts from row prices."""
+
+    def test_matches_vertex_enumeration(self):
+        check_pulled_battery("lp-pulled", 50)
+
+
 class TestLowestIndexFallback:
     def test_lowest_index_rules_from_the_first_step(self, monkeypatch):
         # With the run length at 0 both phases use their lowest-index rules
-        # on every step; they must still reach the true optimum.  Columns
-        # whose cost prefers the upper bound get it as a row instead, so
-        # their start is shifted and the primal phase has work to do.
+        # on every step; they must still reach the true optimum.  The pulled
+        # columns start shifted, so the primal phase has work to do.
         lp_module = importlib.import_module("eqdesign.lp")
         monkeypatch.setattr(lp_module, "BLAND_AFTER", 0)
-        steps = np.zeros(2, dtype=int)
-        for num_vars in (2, 3, 4):
-            for k in range(30):
-                rng = make_rng(f"lp-lowest-index-{num_vars}-{k}")
-                case = random_lp_case(rng, num_vars)
-                coeffs, rels, rhs, cost, lo, hi = case
-                lp = build_lp(*case)
-                for j in np.flatnonzero(cost < 0.0):
-                    lp.set_bounds(j, lo[j], math.inf)
-                    lp.add_constraint(np.eye(num_vars)[j], "<=", hi[j])
-                sol = solve(lp)
-                steps += sol.phase_steps
-                rows, limits = inequality_form(coeffs, rels, rhs, lo, hi)
-                oracle = vertex_optimum(cost, rows, limits)
-                if oracle is None:
-                    assert sol.status == LpStatus.INFEASIBLE, (num_vars, k)
-                else:
-                    assert sol.status == LpStatus.OPTIMAL, (num_vars, k)
-                    assert sol.objective == pytest.approx(oracle, abs=1e-6)
-        assert steps.min() > 0
+        assert check_pulled_battery("lp-lowest-index", 30).min() > 0
+
+
+class TestUnboundedIsCertified:
+    """An unbounded verdict must come with a ray that proves it on the
+    original data; one that proves nothing is a tool failure."""
+
+    def record_rays(self, monkeypatch):
+        lp_module = importlib.import_module("eqdesign.lp")
+        simplex = lp_module._simplex
+        rays = []
+
+        def recording(*args):
+            ray, count = simplex(*args)
+            rays.append(ray)
+            return ray, count
+
+        monkeypatch.setattr(lp_module, "_simplex", recording)
+        return rays
+
+    def test_every_unbounded_verdict_carries_a_ray(self, monkeypatch):
+        rays = self.record_rays(monkeypatch)
+        programs = [
+            unbounded_by_free_row_column(),
+            unbounded_without_rows(-math.inf),
+            unbounded_without_rows(0.0),
+        ]
+        for k in range(100):
+            case = random_lp_case(make_rng(f"lp-ray-{k}"), 3)
+            programs.append(pulled_program(case, box_rows=False))
+        unbounded = 0
+        for lp in programs:
+            sol = solve(lp)
+            if sol.status != LpStatus.UNBOUNDED:
+                continue
+            unbounded += 1
+            d = rays[-1][: lp.num_vars]
+            for con in lp.constraints:
+                lhs = con.coeffs @ d
+                if con.relation != ">=":
+                    assert lhs <= 1e-9
+                if con.relation != "<=":
+                    assert lhs >= -1e-9
+            assert np.all(d[np.isfinite(lp.lower)] >= -1e-9)
+            assert np.all(d[np.isfinite(lp.upper)] <= 1e-9)
+            assert lp.objective @ d < 0.0
+        assert unbounded >= 15
+
+    def test_bad_ray_raises(self, monkeypatch):
+        lp_module = importlib.import_module("eqdesign.lp")
+        simplex = lp_module._simplex
+
+        def reversed_ray(*args):
+            ray, count = simplex(*args)
+            return -ray, count
+
+        monkeypatch.setattr(lp_module, "_simplex", reversed_ray)
+        with pytest.raises(RuntimeError, match="unbounded ray"):
+            solve(unbounded_by_free_row_column())
 
 
 class TestValidation:

@@ -23,8 +23,10 @@ from eqdesign import (
     gamma_cce,
     gamma_ce,
     markov_witness,
+    nfg_as_markov,
     nfg_oracle,
     policy_eval,
+    strategy_as_policy,
     visitation,
     witness_utility,
 )
@@ -35,6 +37,7 @@ from conftest import (
     random_skeleton,
     sigma_corr,
     sigma_ex,
+    zero_game,
 )
 
 
@@ -170,6 +173,49 @@ class TestEpsilonWitness:
         uniform = JointMixedStrategy(np.full((2, 2), 0.25))
         with pytest.raises(ValueError):
             epsilon_witness(uniform, Concept.CCE, cfg)
+
+    def test_largest_epsilon_stays_within_the_bound(self):
+        # At epsilon = bound * gamma the scale eps / gamma can round above
+        # the bound; the witness must still fit a reward of that bound and
+        # carry the margin.
+        checked = 0
+        for k in range(300):
+            rng = make_rng(f"eps-at-cap-{k}")
+            counts = tuple(
+                int(c) for c in rng.integers(2, 4, size=int(rng.integers(2, 4)))
+            )
+            cells = int(np.prod(counts))
+            support = rng.choice(
+                cells, size=int(rng.integers(1, cells + 1)), replace=False
+            )
+            probs = np.zeros(cells)
+            probs[support] = rng.dirichlet(np.ones(support.size))
+            sigma = JointMixedStrategy(probs.reshape(counts))
+            bound = float(rng.uniform(0.3, 7.0))
+            for concept, gamma, dev in (
+                (Concept.CE, gamma_ce, DeviationClass.NEVER_RECOMMENDED),
+                (Concept.CCE, gamma_cce, DeviationClass.UNRESTRICTED),
+            ):
+                g = gamma(sigma)
+                if not (g.installable and math.isfinite(g.value)):
+                    continue
+                eps = bound * g.value
+                cfg = EpsilonConfig(eps, bound, dev)
+                try:
+                    u = epsilon_witness(sigma, concept, cfg)
+                except InfeasibleEpsilonError:
+                    continue
+                assert np.abs(u).max() <= bound, (k, concept)
+                rep = check_strict(
+                    nfg_as_markov(zero_game(counts, len(counts))),
+                    RewardFunction(u[:, None, None], bound),
+                    strategy_as_policy(sigma),
+                    concept,
+                    dev_class=dev,
+                )
+                assert rep.min_gap >= eps - 1e-9, (k, concept)
+                checked += 1
+        assert checked >= 300
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
