@@ -229,23 +229,33 @@ def build_mg_lp(
     num_vars = cursor
 
     lp = LinearProgram(num_vars)
-    for col in range(lower.size):
-        lp.set_bounds(col, lower[col], upper[col])
+    lp.set_bounds(np.arange(lower.size), lower, upper)
+
+    def player_rows(players, blocks):
+        """Rows holding ``blocks[k]`` in the reward (or ``d+``) columns of
+        player ``players[k]``, and the index of those entries."""
+        at = (
+            np.arange(players.size)[:, None],
+            players[:, None] * size + np.arange(size),
+        )
+        rows = np.zeros((players.size, num_vars))
+        rows[at] = blocks
+        return rows, at
 
     q_of_r, v0_of_r = _value_operator(skeleton, policy)
-    for i, coeffs in zip(*_strict_rows(policy, concept, q_of_r)):
-        row = np.zeros(num_vars)
-        cut = slice(i * size, (i + 1) * size)
-        row[cut] = coeffs
-        rhs = config.slack
-        if l1:
-            rhs -= row[cut] @ base[cut]
-            row[blk + i * size : blk + (i + 1) * size] = -row[cut]
-        if slack_col is None:
-            lp.add_constraint(row, ">=", rhs)
-        else:
-            row[slack_col] = -1.0
-            lp.add_constraint(row, ">=", 0.0)
+    players, coeffs = _strict_rows(policy, concept, q_of_r)
+    rows, at = player_rows(players, coeffs)
+    if slack_col is not None:
+        rows[:, slack_col] = -1.0
+        lp.add_constraint(rows, ">=", 0.0)
+    elif l1:
+        rows[at[0], at[1] + blk] = -coeffs
+        # One dot product per row; a matrix product would round otherwise.
+        blocks = base.reshape(n, size)
+        shift = np.array([c @ blocks[i] for i, c in zip(players, coeffs)])
+        lp.add_constraint(rows, ">=", config.slack - shift)
+    else:
+        lp.add_constraint(rows, ">=", config.slack)
 
     objective = np.zeros(num_vars)
     # One player's expected initial value per reward entry.
@@ -262,11 +272,10 @@ def build_mg_lp(
         objective[:blk] = -np.tile(value0, n)
     elif cost.kind == CostKind.EGALITARIAN:
         objective[z_col] = -1.0
-        for i in range(n):
-            row = np.zeros(num_vars)
-            row[z_col] = -1.0
-            row[i * size : (i + 1) * size] = value0
-            lp.add_constraint(row, ">=", 0.0)
+        # z <= each player's expected initial value.
+        rows, _ = player_rows(np.arange(n), value0)
+        rows[:, z_col] = -1.0
+        lp.add_constraint(rows, ">=", 0.0)
     lp.set_objective(objective)
     layout = {
         "slack_col": slack_col,

@@ -37,13 +37,23 @@ not move, both become the lowest index (Bland's rule).  Both tests use
 infinite makes the program unbounded; the ray it moves along is checked on
 the original data.
 
+Each pivot costs a few dozen small numpy calls plus one dense rank-one
+update, so the loops keep those calls few: each row's basic-column bounds
+are kept in step with the basis instead of gathered per step, the dual
+leaving row is one ``argmax``, and ``_step`` copies the pivot column once,
+both to carry the basic values and as the factors of the update.  Every
+such shortcut is exact: it makes the same choices with the same roundings.
+
 ``iterations`` counts pivots and bound flips, and ``phase_steps`` splits
 them between the two phases; a phase that takes more than ``MAX_PIVOTS`` of
-them raises ``RuntimeError``.  An optimal point is checked against the
-original rows and bounds within ``FEAS_TOL`` before it is returned, and a
+them raises ``RuntimeError``.  Before an optimal point is returned it is
+checked against the original rows and bounds within ``FEAS_TOL``, and its
+final basis against the original data: the row duals it implies must leave
+no nonbasic column able to lower the cost by more than ``FEAS_TOL``.  A
 miss raises ``RuntimeError``, as does an infeasibility certificate or a
-ray that fails.  Determinism: identical inputs pivot identically, so
-solutions are bit-reproducible.
+ray that fails; each check is written so that a NaN fails it.
+Determinism: identical inputs pivot identically, so solutions are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -66,7 +76,8 @@ MAX_PIVOTS = 200_000
 # lowest-index rules, which it keeps until a step makes progress again.
 BLAND_AFTER = 10
 
-_RELATIONS = ("<=", ">=", "=")
+# The bounds of a row's logical column ``s`` in ``a @ x + s = b``.
+_LOGICAL_BOUNDS = {"<=": (0.0, math.inf), ">=": (-math.inf, 0.0), "=": (0.0, 0.0)}
 
 
 class LpStatus(str, Enum):
@@ -113,34 +124,60 @@ class LinearProgram:
         self.upper = np.full(num_vars, math.inf)
 
     def set_objective(self, coeffs) -> None:
-        arr = self._vector(coeffs, "objective")
-        self.objective = arr
+        self.objective = self._coeffs(coeffs, "objective", (1,))
 
-    def set_bounds(self, var: int, lower: float, upper: float) -> None:
-        if not 0 <= var < self.num_vars:
-            raise LpInputError(f"variable {var} out of range")
-        if math.isnan(lower) or math.isnan(upper):
-            raise LpInputError("bounds may not be NaN")
-        if lower > upper:
-            raise LpInputError(f"empty bound interval [{lower}, {upper}]")
-        self.lower[var] = lower
-        self.upper[var] = upper
-
-    def add_constraint(self, coeffs, relation: str, rhs: float) -> None:
-        if relation not in _RELATIONS:
-            raise LpInputError(f"unknown relation {relation!r}")
-        arr = self._vector(coeffs, "constraint")
-        if not math.isfinite(rhs):
-            raise LpInputError("constraint rhs must be finite")
-        self.constraints.append(Constraint(arr, relation, float(rhs)))
-
-    def _vector(self, coeffs, what: str) -> np.ndarray:
-        arr = np.asarray(coeffs, dtype=float)
-        if arr.shape != (self.num_vars,):
+    def set_bounds(self, var, lower, upper) -> None:
+        """Box one variable, or each variable of an index array, with
+        ``lower`` and ``upper`` scalars or shaped like ``var``; validated
+        once per call."""
+        idx = np.asarray(var)
+        lo = np.asarray(lower, dtype=float)
+        hi = np.asarray(upper, dtype=float)
+        if idx.dtype.kind not in "iu":
+            raise LpInputError(f"variable index {var!r} is not an integer")
+        if lo.shape not in ((), idx.shape) or hi.shape not in ((), idx.shape):
             raise LpInputError(
-                f"{what} has shape {arr.shape}, expected ({self.num_vars},)"
+                f"bounds of shapes {lo.shape} and {hi.shape} do not fit "
+                f"variables of shape {idx.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        inside = (idx >= 0) & (idx < self.num_vars)
+        if not inside.all():
+            raise LpInputError(f"variable {idx.flat[inside.argmin()]} out of range")
+        # False on NaN, on lower > upper and on a box at +inf or at -inf.
+        boxed = (lo <= hi) & (lo < math.inf) & (hi > -math.inf)
+        if not boxed.all():
+            k = np.broadcast_to(boxed, idx.shape).argmin()
+            lo, hi = (np.broadcast_to(v, idx.shape).flat[k] for v in (lo, hi))
+            raise LpInputError(
+                f"bounds [{lo}, {hi}] of variable {idx.flat[k]} hold no finite point"
+            )
+        self.lower[idx] = lo
+        self.upper[idx] = hi
+
+    def add_constraint(self, coeffs, relation: str, rhs) -> None:
+        """Add the row ``coeffs @ x relation rhs``, or one row per line of a
+        2-D ``coeffs`` with ``rhs`` broadcast to them; validated once per
+        call."""
+        if relation not in _LOGICAL_BOUNDS:
+            raise LpInputError(f"unknown relation {relation!r}")
+        rows = self._coeffs(coeffs, "constraint", (1, 2)).reshape(-1, self.num_vars)
+        b = np.asarray(rhs, dtype=float)
+        if b.shape not in ((), rows.shape[:1]):
+            raise LpInputError(f"rhs of shape {b.shape} does not fit {len(rows)} rows")
+        if not np.isfinite(b).all():
+            raise LpInputError("constraint rhs must be finite")
+        rhs = b.tolist() if b.ndim else [float(b)] * len(rows)
+        self.constraints.extend(
+            Constraint(row, relation, r) for row, r in zip(rows, rhs)
+        )
+
+    def _coeffs(self, coeffs, what: str, ndims: tuple[int, ...]) -> np.ndarray:
+        arr = np.asarray(coeffs, dtype=float)
+        if arr.ndim not in ndims or arr.shape[-1:] != (self.num_vars,):
+            raise LpInputError(
+                f"{what} has shape {arr.shape}, not {self.num_vars} per row"
+            )
+        if not np.isfinite(arr).all():
             raise LpInputError(f"{what} has non-finite coefficients")
         return arr.copy()
 
@@ -192,30 +229,30 @@ def _simplex(
     tableau entry.
     """
     crow = cost - cost[basis] @ tableau
+    # The bounds of each row's basic column, kept in step with the basis.
+    row_lower, row_upper = lower[basis], upper[basis]
     count = stalled = 0
     while True:
         crow[basis] = 0.0
-        eligible = np.flatnonzero(
-            ((crow < -PIVOT_TOL) & (x < upper))
-            | ((crow > PIVOT_TOL) & (x > lower))
-        )
-        if eligible.size == 0:
+        eligible = (
+            ((crow < -PIVOT_TOL) & (x < upper)) | ((crow > PIVOT_TOL) & (x > lower))
+        ).nonzero()[0]
+        if not eligible.size:
             return None, count
         if stalled >= BLAND_AFTER:
-            col = int(eligible[0])
+            col = eligible[0]
         else:
-            col = int(eligible[np.argmax(np.abs(crow[eligible]))])
+            col = eligible[np.abs(crow[eligible]).argmax()]
         direction = 1.0 if crow[col] < 0.0 else -1.0
         # Basic values move by -step * alpha as the entering column moves.
         alpha = direction * tableau[:, col]
         values = x[basis]
-        room = np.where(
-            alpha > 0.0, values - lower[basis], upper[basis] - values
-        )
+        room = np.where(alpha > 0.0, values - row_lower, row_upper - values)
         size = np.abs(alpha)
-        rows = np.flatnonzero(size > PIVOT_TOL)
+        rows = (size > PIVOT_TOL).nonzero()[0]
         ratios = room[rows] / size[rows]
-        longest = ((room[rows] + PIVOT_TOL) / size[rows]).min(initial=math.inf)
+        reach = (room[rows] + PIVOT_TOL) / size[rows]
+        longest = reach[reach.argmin()] if rows.size else math.inf
         span = upper[col] - lower[col]
         if span <= longest:
             if math.isinf(span):
@@ -229,14 +266,15 @@ def _simplex(
         else:
             limiting = rows[ratios <= longest]
             if stalled >= BLAND_AFTER:
-                row = int(limiting[np.argmin(basis[limiting])])
+                row = limiting[basis[limiting].argmin()]
             else:
-                row = int(limiting[np.argmax(size[limiting])])
+                row = limiting[size[limiting].argmax()]
             leaving = basis[row]
             bound = lower[leaving] if alpha[row] > 0.0 else upper[leaving]
             step = max(room[row] / size[row], 0.0)
             stalled = stalled + 1 if step == 0.0 else 0
             _step(tableau, crow, basis, x, row, col, direction * step, bound)
+            row_lower[row], row_upper[row] = lower[col], upper[col]
         count += 1
         if count > MAX_PIVOTS:
             raise RuntimeError(f"simplex exceeded {MAX_PIVOTS} pivots")
@@ -254,58 +292,65 @@ def _dual_simplex(
     reduced costs of ``cost`` dual feasible; returns (row, steps taken), with
     ``row`` None on success, else a row no nonbasic column can repair.
 
-    The leaving row has the largest bound violation; the entering column
-    comes from a Harris two-pass ratio test on the reduced costs: the
-    longest dual step that keeps every reduced cost on its side of zero
-    within ``PIVOT_TOL``, then the largest pivot among the columns that
-    limit it.  A step makes progress when it moves the reduced costs (it is
-    not dual degenerate) or brings the total violation below its lowest so
-    far.  After ``BLAND_AFTER`` steps in a row without progress, the leaving
-    row is the infeasible one with the lowest basic index and the entering
-    column the lowest index among those that limit the step.  A cycle
-    repeats its bases, so after one turn it makes no progress and falls
-    under these rules.
+    The leaving row has the largest bound violation, the first such row on a
+    tie; the entering column comes from a Harris two-pass ratio test on the
+    reduced costs: the longest dual step that keeps every reduced cost on
+    its side of zero within ``PIVOT_TOL``, then the largest pivot among the
+    columns that limit it.  A step makes progress when it moves the reduced
+    costs (it is not dual degenerate) or brings the total violation below
+    its lowest so far.  After ``BLAND_AFTER`` steps in a row without
+    progress, the leaving row is the infeasible one with the lowest basic
+    index and the entering column the lowest index among those that limit
+    the step.  A cycle repeats its bases, so after one turn it makes no
+    progress and falls under these rules.
     """
+    if not basis.size:
+        return None, 0
     crow = cost - cost[basis] @ tableau
+    # The bounds of each row's basic column, kept in step with the basis.
+    row_lower, row_upper = lower[basis], upper[basis]
     count = stalled = 0
     least = math.inf
     while True:
         values = x[basis]
-        below = lower[basis] - values
-        violation = np.maximum(below, values - upper[basis])
-        infeasible = np.flatnonzero(violation > PIVOT_TOL)
-        if infeasible.size == 0:
+        below = row_lower - values
+        violation = np.maximum(below, values - row_upper)
+        row = violation.argmax()
+        if not violation[row] > PIVOT_TOL:
             return None, count
-        total = violation[infeasible].sum()
+        infeasible = violation > PIVOT_TOL
+        total = np.add.reduce(violation[infeasible])
         if total < least - PIVOT_TOL:
             least, stalled = total, 0
         bland = stalled >= BLAND_AFTER
         if bland:
-            row = int(infeasible[np.argmin(basis[infeasible])])
-        else:
-            row = int(infeasible[np.argmax(violation[infeasible])])
+            rows = infeasible.nonzero()[0]
+            row = rows[basis[rows].argmin()]
         leaving = basis[row]
         rising = below[row] > 0.0
-        # The leaving value moves by -move * tableau[row, col]; alpha < 0
-        # marks columns that repair it by rising, alpha > 0 by falling.
-        alpha = tableau[row] if rising else -tableau[row]
-        eligible = np.flatnonzero(
-            ((alpha < -PIVOT_TOL) & (x < upper))
-            | ((alpha > PIVOT_TOL) & (x > lower))
-        )
-        if eligible.size == 0:
+        # The leaving value moves by move * alpha[col]; alpha > 0 marks
+        # columns that repair it by rising, alpha < 0 by falling.
+        alpha = -tableau[row] if rising else tableau[row]
+        eligible = (
+            ((alpha > PIVOT_TOL) & (x < upper)) | ((alpha < -PIVOT_TOL) & (x > lower))
+        ).nonzero()[0]
+        if not eligible.size:
             return row, count
-        size = np.abs(alpha[eligible])
+        entries = alpha[eligible]
+        sign = np.sign(entries)
+        size = entries * sign  # |entries|, exactly
         # How far each reduced cost may travel before it changes sign.
-        room = np.where(alpha[eligible] < 0.0, crow[eligible], -crow[eligible])
-        longest = ((room + PIVOT_TOL) / size).min()
-        ties = np.flatnonzero(room / size <= longest)
-        pick = int(ties[0] if bland else ties[np.argmax(size[ties])])
-        col = int(eligible[pick])
+        room = crow[eligible] * sign
+        reach = (room + PIVOT_TOL) / size
+        longest = reach[reach.argmin()]
+        ties = (room / size <= longest).nonzero()[0]
+        pick = ties[0] if bland else ties[size[ties].argmax()]
+        col = eligible[pick]
         stalled = stalled + 1 if room[pick] <= PIVOT_TOL else 0
         bound = lower[leaving] if rising else upper[leaving]
         move = (x[leaving] - bound) / tableau[row, col]
         _step(tableau, crow, basis, x, row, col, move, bound)
+        row_lower[row], row_upper[row] = lower[col], upper[col]
         count += 1
         if count > MAX_PIVOTS:
             raise RuntimeError(f"dual simplex exceeded {MAX_PIVOTS} pivots")
@@ -322,66 +367,72 @@ def _step(
     bound: float,
 ) -> None:
     """Move column ``col`` by ``move``, carrying the basic columns along,
-    set the column leaving ``row`` to ``bound`` and pivot ``col`` into it."""
-    leaving = basis[row]
+    set the column leaving ``row`` to ``bound`` and pivot ``col`` into it.
+
+    One copy of the pivot column serves both: it carries the basic values,
+    then, with its pivot entry zeroed, it holds the factors of the rank-one
+    update that clears ``col`` from every other row."""
+    column = tableau[:, col].copy()
     x[col] += move
-    x[basis] -= move * tableau[:, col]
-    x[leaving] = bound
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    crow -= crow[col] * tableau[row]
+    x[basis] -= move * column
+    x[basis[row]] = bound
+    pivot_row = tableau[row]
+    pivot_row /= column[row]
+    column[row] = 0.0
+    tableau -= column[:, None] * pivot_row
+    crow -= crow[col] * pivot_row
     basis[row] = col
 
 
-def _row_misses(lhs: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    """How far each entry of ``lhs`` lies on the wrong side of 0 for its
-    row's relation."""
-    return np.select([rel == "<=", rel == ">="], [lhs, -lhs], abs(lhs))
+def _outside(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """How far each entry of ``v`` lies outside ``[lower, upper]``."""
+    return np.maximum(lower - v, v - upper)
 
 
 def _check_point(
-    lp: LinearProgram,
     a: np.ndarray,
     b: np.ndarray,
-    rel: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
     x: np.ndarray,
 ) -> None:
-    """Raise unless ``x`` meets every row ``a @ x rel b`` and every bound of
-    ``lp`` within ``FEAS_TOL``."""
-    miss = _row_misses(a @ x - b, rel)
-    if miss.size and miss.max() > FEAS_TOL:
-        row = int(np.argmax(miss))
-        raise RuntimeError(f"simplex point misses row {row} by {miss[row]:.3g}")
-    off = np.maximum(lp.lower - x, x - lp.upper)
-    if off.max() > FEAS_TOL:
-        var = int(np.argmax(off))
-        raise RuntimeError(
-            f"simplex point leaves the box of variable {var} by {off[var]:.3g}"
+    """Raise unless ``x`` and its logical columns ``s = b - a @ x`` lie in
+    the box ``[lower, upper]`` within ``FEAS_TOL``, so that ``x`` meets
+    every row and bound; a NaN anywhere fails."""
+    off = _outside(np.concatenate([x, b - a @ x]), lower, upper)
+    worst = off.argmax()
+    if not off[worst] <= FEAS_TOL:
+        where = (
+            f"misses row {worst - x.size}"
+            if worst >= x.size
+            else f"leaves the box of variable {worst}"
         )
+        raise RuntimeError(f"simplex point {where} by {off[worst]:.3g}")
 
 
 def _check_ray(
-    lp: LinearProgram, a: np.ndarray, rel: np.ndarray, d: np.ndarray
+    a: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    objective: np.ndarray,
+    d: np.ndarray,
 ) -> None:
     """Raise unless ``d`` proves the program unbounded on the original data,
-    within ``FEAS_TOL``: ``a @ d`` keeps each row's sign, ``d`` stays in the
-    recession cone of the bounds, and ``lp.objective @ d`` is negative."""
-    miss = _row_misses(a @ d, rel)
-    if miss.size and miss.max() > FEAS_TOL:
-        row = int(np.argmax(miss))
-        raise RuntimeError(f"unbounded ray leaves row {row} by {miss[row]:.3g}")
-    off = np.maximum(
-        np.where(np.isfinite(lp.lower), -d, 0.0),
-        np.where(np.isfinite(lp.upper), d, 0.0),
-    )
-    if off.max() > FEAS_TOL:
-        var = int(np.argmax(off))
-        raise RuntimeError(
-            f"unbounded ray leaves the bounds of variable {var} by {off[var]:.3g}"
+    within ``FEAS_TOL``: ``d`` and the logical columns' move ``-a @ d`` stay
+    in the recession cone of the box ``[lower, upper]``, and ``objective @
+    d`` is negative; a NaN anywhere fails."""
+    cone_lower = np.where(np.isfinite(lower), 0.0, lower)
+    cone_upper = np.where(np.isfinite(upper), 0.0, upper)
+    off = _outside(np.concatenate([d, -(a @ d)]), cone_lower, cone_upper)
+    worst = off.argmax()
+    if not off[worst] <= FEAS_TOL:
+        where = (
+            f"leaves row {worst - d.size}"
+            if worst >= d.size
+            else f"leaves the bounds of variable {worst}"
         )
-    slope = float(lp.objective @ d)
+        raise RuntimeError(f"unbounded ray {where} by {off[worst]:.3g}")
+    slope = float(objective @ d)
     if not slope < -FEAS_TOL:
         raise RuntimeError(f"unbounded ray does not lower the objective: {slope:.3g}")
 
@@ -396,7 +447,7 @@ def _check_infeasible(
     """Raise unless ``y`` proves that no point meets the rows ``a @ x + s =
     b`` with ``(x, s)`` in the box ``[lower, upper]``: ``y @ b`` must lie
     more than ``FEAS_TOL`` outside the interval that ``y @ (a @ x + s)``
-    spans over the box."""
+    spans over the box.  A NaN anywhere fails."""
     g = np.concatenate([y @ a, y])
     # The bounds at which each term of g @ (x, s) is least, then greatest.
     ends = np.stack(
@@ -406,38 +457,77 @@ def _check_infeasible(
     ends = np.where(np.isfinite(ends) | (np.abs(g) > PIVOT_TOL), ends, 0.0)
     least, greatest = ends @ g
     target = float(y @ b)
-    if least - FEAS_TOL <= target <= greatest + FEAS_TOL:
+    if not (target < least - FEAS_TOL or target > greatest + FEAS_TOL):
         raise RuntimeError(
             f"infeasibility certificate fails: {target:.6g} lies in "
             f"[{least:.6g}, {greatest:.6g}]"
         )
 
 
+def _check_duals(
+    a: np.ndarray,
+    cost: np.ndarray,
+    tableau: np.ndarray,
+    basis: np.ndarray,
+    x: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> None:
+    """Raise unless the final basis prices ``x`` optimal on the original
+    data.  The row duals ``y = cost[basis] @ B^-1`` come from the tableau's
+    logical block, and each nonbasic column's reduced cost on ``[a, I]``
+    must be at least ``-FEAS_TOL`` if the column can rise and at most
+    ``FEAS_TOL`` if it can fall: >= 0 at a lower bound, <= 0 at an upper
+    one, about 0 when free; a fixed column is exempt.  A NaN fails."""
+    n = a.shape[1]
+    y = cost[basis] @ tableau[:, n:]
+    reduced = np.concatenate([cost[:n] - y @ a, -y])
+    off = np.maximum(
+        np.where(x < upper, -reduced, -math.inf),
+        np.where(x > lower, reduced, -math.inf),
+    )
+    off[basis] = -math.inf
+    worst = off.argmax()
+    if not off[worst] <= FEAS_TOL:
+        raise RuntimeError(
+            f"simplex optimum fails its dual check: column {worst} could "
+            f"lower the cost at rate {off[worst]:.3g}"
+        )
+
+
 def _row_prices(
-    a: np.ndarray, rel: np.ndarray, cost: np.ndarray, pulled: np.ndarray
+    a: np.ndarray,
+    s_lower: np.ndarray,
+    s_upper: np.ndarray,
+    cost: np.ndarray,
+    pulled: np.ndarray,
 ) -> np.ndarray:
     """Row duals that hand each pulled column's cost to its rows in
     proportion to its coefficients, ``y = a[:, j] * cost[j] / |a[:, j]|^2``
     summed over the pulled columns, clipped to the sign each row's relation
-    allows (>= rows nonnegative, <= rows nonpositive, = rows free)."""
+    allows: >= rows (``s_lower`` = -inf) nonnegative, <= rows (``s_upper`` =
+    inf) nonpositive, = rows free."""
     cols = a[:, pulled]
     norms = np.einsum("ij,ij->j", cols, cols)
     used = norms > 0.0
     y = cols[:, used] @ (cost[pulled][used] / norms[used])
-    return np.select(
-        [rel == ">=", rel == "<="], [np.maximum(y, 0.0), np.minimum(y, 0.0)], y
+    return np.where(
+        s_lower < 0.0,
+        np.maximum(y, 0.0),
+        np.where(s_upper > 0.0, np.minimum(y, 0.0), y),
     )
 
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Dual phase on priced costs, then primal phase on the true costs."""
-    n, m = lp.num_vars, len(lp.constraints)
-    a = np.array([con.coeffs for con in lp.constraints]).reshape(m, n)
-    b = np.array([con.rhs for con in lp.constraints])
-    rel = np.array([con.relation for con in lp.constraints], dtype=object)
+    n, cons = lp.num_vars, lp.constraints
+    m = len(cons)
+    a = np.array([con.coeffs for con in cons]).reshape(m, n)
+    b = np.array([con.rhs for con in cons])
     # One logical column per row, a @ x + s = b, bounded by the relation.
-    s_lower = np.where(rel == ">=", -math.inf, 0.0)
-    s_upper = np.where(rel == "<=", math.inf, 0.0)
+    s_lower, s_upper = (
+        np.array([_LOGICAL_BOUNDS[con.relation] for con in cons]).reshape(m, 2).T
+    )
     # A pulled column's cost pulls it toward an infinite bound.  The dual
     # phase prices the columns at cost - y @ a, with y from the pulled
     # columns' rows, so that their cost bears on the start.
@@ -445,7 +535,10 @@ def solve(lp: LinearProgram) -> LpSolution:
     pulled = ((cost < 0.0) & (lp.upper == math.inf)) | (
         (cost > 0.0) & (lp.lower == -math.inf)
     )
-    price = cost - _row_prices(a, rel, cost, pulled) @ a if pulled.any() else cost
+    if pulled.any():
+        price = cost - _row_prices(a, s_lower, s_upper, cost, pulled) @ a
+    else:
+        price = cost
     # Each column starts at the bound its price prefers.  Where that bound
     # is infinite it starts at its finite bound, or at 0 if free, and the
     # dual phase prices it at 0, so the all-logical start is dual feasible.
@@ -459,11 +552,13 @@ def solve(lp: LinearProgram) -> LpSolution:
     )
     kept = np.isfinite(preferred)
     x0 = np.where(kept, preferred, start)
-    tableau = np.hstack([a, np.eye(m)])
+    basis = n + np.arange(m)
+    tableau = np.zeros((m, n + m))
+    tableau[:, :n] = a
+    tableau[np.arange(m), basis] = 1.0
     lower = np.concatenate([lp.lower, s_lower])
     upper = np.concatenate([lp.upper, s_upper])
     x = np.concatenate([x0, b - a @ x0])
-    basis = n + np.arange(m)
 
     shifted = np.zeros(n + m)
     shifted[:n] = np.where(kept, price, 0.0)
@@ -478,9 +573,10 @@ def solve(lp: LinearProgram) -> LpSolution:
     ray, primal_steps = _simplex(tableau, basis, x, lower, upper, full)
     steps = (dual_steps, primal_steps)
     if ray is not None:
-        _check_ray(lp, a, rel, ray[:n])
+        _check_ray(a, lower, upper, cost, ray[:n])
         return LpSolution(LpStatus.UNBOUNDED, None, None, sum(steps), steps)
-    _check_point(lp, a, b, rel, x[:n])
+    _check_point(a, b, lower, upper, x[:n])
+    _check_duals(a, full, tableau, basis, x, lower, upper)
     return LpSolution(
         LpStatus.OPTIMAL, x[:n].copy(), float(cost @ x[:n]), sum(steps), steps
     )

@@ -6,6 +6,8 @@ argument rather than from the solver.
 """
 
 import hashlib
+import importlib
+import math
 import os
 
 import numpy as np
@@ -37,8 +39,10 @@ from eqdesign import (
 )
 
 from conftest import (
+    build_lp,
     installable_policy,
     make_rng,
+    random_lp_case,
     random_skeleton,
     sigma_corr,
     sigma_ex,
@@ -582,6 +586,95 @@ class TestPinnedProgramBytes:
             assert self.digest(lp) == digest, (concept, kind)
 
 
+class TestPinnedSolves:
+    """SHA-256 of each solve's status, phase steps, objective and ``x``
+    bytes, recorded before the pivot loops were rewritten for fewer numpy
+    calls: every pivot, tie-break and rounding must stay as it was.  Being
+    bit-exact, they can also move with the numpy or BLAS build."""
+
+    DESIGNS = {
+        (Concept.CCE, CostKind.ONLINE, False): (
+            "974cceeb734231ac89d434638f3de415a3e777894b15dc6f8a1e675df43dbf70"
+        ),
+        (Concept.CCE, CostKind.OFFLINE, False): (
+            "e714cfac101af34f92d4c98eeef9e2e90c0a85cc0e544f0c3ed188b91e364c0f"
+        ),
+        (Concept.CCE, CostKind.SOCIAL_WELFARE, False): (
+            "c5e3f3aae7052b777559cdcec747b05ff7f0e6ef5c5c07ae906517d33f9c790c"
+        ),
+        (Concept.CCE, CostKind.EGALITARIAN, False): (
+            "abf32c0fa4e4160b3a0262ea684a54d9da6f2786ed2b346e149c6eeee7eaf5ad"
+        ),
+        (Concept.CCE, CostKind.OFFLINE, True): (
+            "62b9039d3fb24882d46cbbb35fbc15ac5ceae2268c7a9608cd9b428013cc7eba"
+        ),
+        (Concept.CE, CostKind.ONLINE, False): (
+            "ef13fce400c50b207bf292d225e47a7635d0b95e7568fb57bdd95605133a102f"
+        ),
+    }
+    OFFLINE_4_4_3X3 = (
+        "a2e8c365e66e4fdaaa0ffc26ac7d40698b2060c7f37365f38761d4b1a73411d6"
+    )
+    # Seeded program count -> digest of their digests in order.
+    RANDOM = {
+        200: "70713270e67628c86a89ba49eeffdc618f29f0d73931e139d430394663924a33",
+        10_000: "5c8dfb525b60f7182fb3e79e8a3c888489ab461976653da8e353d73241c3dc09",
+    }
+
+    @staticmethod
+    def digest(sol):
+        sha = hashlib.sha256(
+            f"{sol.status.value} {sol.phase_steps} {sol.objective!r}".encode()
+        )
+        if sol.x is not None:
+            sha.update(sol.x.tobytes())
+        return sha.hexdigest()
+
+    @staticmethod
+    def random_program(k):
+        """A ``random_lp_case`` program; every odd one lifts the upper bound
+        of each negative-cost column, so some of them are unbounded."""
+        case = random_lp_case(make_rng(f"pinned-solve-{k}"), 2 + k % 4)
+        lp = build_lp(*case)
+        if k % 2:
+            cost, lo = case[3], case[4]
+            for j in np.flatnonzero(cost < 0.0):
+                lp.set_bounds(j, lo[j], math.inf)
+        return lp
+
+    def check_random(self, count):
+        sha = hashlib.sha256()
+        statuses = set()
+        for k in range(count):
+            sol = solve(self.random_program(k))
+            statuses.add(sol.status)
+            sha.update(self.digest(sol).encode())
+        assert statuses == set(LpStatus)
+        assert sha.hexdigest() == self.RANDOM[count]
+
+    def test_3_3_3x3_and_4_4_3x3_designs_are_pinned_bitwise(self):
+        sk, pol = recipe_instance(3, 3, (3, 3))
+        slack = recipe_slack(pol, 2.0)
+        for (concept, kind, max_gap), digest in self.DESIGNS.items():
+            config = DesignConfig(slack=slack, bound=2.0, max_gap=max_gap)
+            lp, _ = build_mg_lp(sk, pol, concept, CostSpec(kind), config)
+            assert self.digest(solve(lp)) == digest, (concept, kind, max_gap)
+        sk, pol = recipe_instance(4, 4, (3, 3))
+        config = DesignConfig(slack=recipe_slack(pol, 2.0), bound=2.0)
+        lp, _ = build_mg_lp(sk, pol, Concept.CCE, CostSpec(CostKind.OFFLINE), config)
+        assert self.digest(solve(lp)) == self.OFFLINE_4_4_3X3
+
+    def test_random_programs_are_pinned_bitwise(self):
+        self.check_random(200)
+
+    @pytest.mark.skipif(
+        os.environ.get("EQDESIGN_SLOW") != "1",
+        reason="about 5 s; set EQDESIGN_SLOW=1 to run",
+    )
+    def test_large_random_battery_is_pinned_bitwise(self):
+        self.check_random(10_000)
+
+
 class TestAgainstHighs:
     """The in-package simplex against scipy's HiGHS on the seeded ladder
     programs of ROADMAP.md, far larger than the vertex-enumeration battery."""
@@ -678,6 +771,24 @@ class TestPricedStart:
                 ), (rung, concept)
                 assert egal.phase_steps[0] == social.phase_steps[0], (rung, concept)
                 assert egal.phase_steps[1] <= sk.num_players, (rung, concept)
+
+
+class TestOptimalDualsAreChecked:
+    """An egalitarian program's dual phase ends primal feasible on the
+    priced costs, one step short of the true optimum; returned as optimal,
+    that point would pass the primal check alone."""
+
+    def test_skipped_primal_phase_raises(self, monkeypatch):
+        sk, pol = recipe_instance(3, 3, (3, 3))
+        config = DesignConfig(slack=recipe_slack(pol, 2.0), bound=2.0)
+        lp, _ = build_mg_lp(
+            sk, pol, Concept.CCE, CostSpec(CostKind.EGALITARIAN), config
+        )
+        assert solve(lp).phase_steps[1] > 0
+        lp_module = importlib.import_module("eqdesign.lp")
+        monkeypatch.setattr(lp_module, "_simplex", lambda *args: (None, 0))
+        with pytest.raises(RuntimeError, match="dual check"):
+            solve(lp)
 
 
 class TestMgDesign:

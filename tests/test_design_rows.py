@@ -66,8 +66,8 @@ def reference_stage_rows(stage: JointMixedStrategy, concept: Concept) -> list:
 
 
 def reference_rows(policy: MarkovPolicy, concept: Concept, ops: np.ndarray):
-    """``_strict_rows`` stage by stage: ``(players, rows)`` in (stage, state,
-    player, constraint) order."""
+    """``_strict_rows`` stage by stage: ``(players, rows)`` arrays in (stage,
+    state, player, constraint) order."""
     num_a = int(np.prod(policy.action_counts))
     players, rows = [], []
     for h in range(policy.horizon):
@@ -76,7 +76,7 @@ def reference_rows(policy: MarkovPolicy, concept: Concept, ops: np.ndarray):
             for i, w in reference_stage_rows(policy.stage(h, s), concept):
                 players.append(i)
                 rows.append(w @ ops[at : at + num_a])
-    return players, rows
+    return np.array(players, dtype=int), np.reshape(rows, (len(rows), ops.shape[1]))
 
 
 def program_bytes(lp) -> dict:

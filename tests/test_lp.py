@@ -316,6 +316,42 @@ class TestOptimalIsChecked:
         self.corrupt_simplex(monkeypatch, 1e-9)
         assert solve(simple_program()).status == LpStatus.OPTIMAL
 
+    def test_nan_point_raises(self, monkeypatch):
+        # nan > FEAS_TOL is false: a check written that way passes a NaN.
+        self.corrupt_simplex(monkeypatch, math.nan)
+        with pytest.raises(RuntimeError, match="simplex point .* by nan"):
+            solve(simple_program())
+
+
+class TestOptimalDualsAreChecked:
+    """An optimal point must also be priced optimal by its final basis: the
+    row duals it implies must leave no nonbasic column able to lower the
+    cost by more than ``FEAS_TOL``."""
+
+    def test_nan_duals_raise(self, monkeypatch):
+        lp_module = importlib.import_module("eqdesign.lp")
+        simplex = lp_module._simplex
+
+        def nan_inverse(tableau, basis, *rest):
+            outcome, count = simplex(tableau, basis, *rest)
+            tableau[:, tableau.shape[1] - basis.size :] = math.nan
+            return outcome, count
+
+        monkeypatch.setattr(lp_module, "_simplex", nan_inverse)
+        with pytest.raises(RuntimeError, match="dual check"):
+            solve(simple_program())
+
+    def test_fixed_columns_are_exempt(self):
+        # x0 is fixed at 2 while its cost would pull it up: its reduced
+        # cost has the wrong sign for a column at a lower bound.
+        lp = LinearProgram(2)
+        lp.set_objective([-5.0, 1.0])
+        lp.set_bounds(np.arange(2), [2.0, 0.0], [2.0, 4.0])
+        lp.add_constraint([1.0, 1.0], ">=", 3.0)
+        sol = solve(lp)
+        assert sol.status == LpStatus.OPTIMAL
+        assert sol.x.tolist() == [2.0, 1.0]
+
 
 class TestInfeasibleIsCertified:
     """An infeasible verdict must come with a row of the basis inverse that
@@ -338,6 +374,20 @@ class TestInfeasibleIsCertified:
             row, count = dual(tableau, basis, x, *rest)
             if row is not None:
                 tableau[row] = 0.0
+            return row, count
+
+        monkeypatch.setattr(lp_module, "_dual_simplex", corrupted)
+        with pytest.raises(RuntimeError, match="certificate"):
+            solve(self.infeasible_program())
+
+    def test_nan_certificate_raises(self, monkeypatch):
+        lp_module = importlib.import_module("eqdesign.lp")
+        dual = lp_module._dual_simplex
+
+        def corrupted(tableau, basis, x, *rest):
+            row, count = dual(tableau, basis, x, *rest)
+            if row is not None:
+                tableau[row] = math.nan
             return row, count
 
         monkeypatch.setattr(lp_module, "_dual_simplex", corrupted)
@@ -494,6 +544,28 @@ class TestUnboundedIsCertified:
         with pytest.raises(RuntimeError, match="unbounded ray"):
             solve(unbounded_by_free_row_column())
 
+    @pytest.mark.parametrize(
+        "program",
+        [
+            # The ray moves the free column x0, which has a row.
+            unbounded_by_free_row_column,
+            # No row; x0 has a finite lower bound.
+            lambda: unbounded_without_rows(0.0),
+        ],
+    )
+    def test_nan_ray_raises(self, monkeypatch, program):
+        lp_module = importlib.import_module("eqdesign.lp")
+        simplex = lp_module._simplex
+
+        def nan_ray(*args):
+            ray, count = simplex(*args)
+            ray[np.flatnonzero(ray)[0]] = math.nan
+            return ray, count
+
+        monkeypatch.setattr(lp_module, "_simplex", nan_ray)
+        with pytest.raises(RuntimeError, match="unbounded ray leaves .* by nan"):
+            solve(program())
+
 
 class TestValidation:
     def test_rejects_empty_program(self):
@@ -516,6 +588,30 @@ class TestValidation:
         with pytest.raises(LpInputError):
             lp.set_bounds(0, 2.0, 1.0)
 
+    def test_rejects_boxes_with_no_finite_point(self):
+        # A box at +inf or at -inf is not empty by lower > upper, yet no
+        # point lies in it; the array path validates the same way.
+        lp = LinearProgram(2)
+        for lo, hi in ((math.inf, math.inf), (-math.inf, -math.inf)):
+            with pytest.raises(LpInputError, match="no finite point"):
+                lp.set_bounds(1, lo, hi)
+            with pytest.raises(LpInputError, match="variable 1 hold no finite"):
+                lp.set_bounds(np.arange(2), [0.0, lo], [1.0, hi])
+        # A rejected call changes no bound.
+        assert lp.lower.tolist() == [-math.inf] * 2
+        assert lp.upper.tolist() == [math.inf] * 2
+
+    def test_rejects_bad_bound_arrays(self):
+        lp = LinearProgram(3)
+        with pytest.raises(LpInputError, match="out of range"):
+            lp.set_bounds(np.array([0, 3]), 0.0, 1.0)
+        with pytest.raises(LpInputError, match="not an integer"):
+            lp.set_bounds(np.array([0.0, 1.0]), 0.0, 1.0)
+        with pytest.raises(LpInputError, match="do not fit"):
+            lp.set_bounds(np.arange(2), [0.0, 0.0, 0.0], 1.0)
+        with pytest.raises(LpInputError, match="no finite point"):
+            lp.set_bounds(np.arange(3), [0.0, 2.0, math.nan], 1.0)
+
     def test_rejects_bad_constraints(self):
         lp = LinearProgram(2)
         with pytest.raises(LpInputError):
@@ -524,6 +620,47 @@ class TestValidation:
             lp.add_constraint([1.0, 1.0], "<=", math.inf)
         with pytest.raises(LpInputError):
             lp.add_constraint([math.nan, 1.0], "<=", 1.0)
+
+
+class TestStackedCalls:
+    """A stack of rows or an index array of bounds gives the same program as
+    one call per row or per variable."""
+
+    def test_same_program_as_one_call_each(self):
+        rng = make_rng("lp-stacked")
+        coeffs = rng.normal(size=(5, 4))
+        # x = 0 lies in the box and meets every row.
+        rhs = -1.0 - rng.random(5)
+        lo, hi = -rng.random(4), rng.random(4)
+        cost = rng.normal(size=4)
+        one, stacked = LinearProgram(4), LinearProgram(4)
+        for j in range(4):
+            one.set_bounds(j, lo[j], hi[j])
+        for row, b in zip(coeffs, rhs):
+            one.add_constraint(row, ">=", b)
+        one.add_constraint(coeffs[0], "=", 0.0)
+        stacked.set_bounds(np.arange(4), lo, hi)
+        stacked.add_constraint(coeffs, ">=", rhs)
+        stacked.add_constraint(coeffs[:1], "=", 0.0)
+        for lp in (one, stacked):
+            lp.set_objective(cost)
+        assert stacked.dump() == one.dump()
+        for a, b in zip(stacked.constraints, one.constraints):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+            assert (a.relation, a.rhs) == (b.relation, b.rhs)
+        sol, ref = solve(stacked), solve(one)
+        assert sol.status == LpStatus.OPTIMAL and sol.iterations > 0
+        assert sol.x.tobytes() == ref.x.tobytes()
+
+    def test_rejects_bad_stacks(self):
+        lp = LinearProgram(2)
+        with pytest.raises(LpInputError, match="does not fit"):
+            lp.add_constraint(np.ones((3, 2)), "<=", [1.0, 2.0])
+        with pytest.raises(LpInputError, match="shape"):
+            lp.add_constraint(np.ones((3, 3)), "<=", 1.0)
+        with pytest.raises(LpInputError, match="rhs must be finite"):
+            lp.add_constraint(np.ones((2, 2)), "<=", [1.0, math.nan])
+        assert lp.constraints == []
 
 
 class TestDump:
