@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Four subcommands share one input convention: a game file, a target file
-(strategy or policy), and for ``verify`` a reward file.  One-shot games are
-routed through the one-stage embedding where a Markov object is needed.
+(strategy or policy), and for ``verify`` a reward file.  Every runner
+works on the Markov form of the game: a one-shot game is its one-stage
+embedding, which changes only how the report renders rewards (as the
+``utility`` of stage 0, state 0).  The canonical CE/CCE witness with its
+``gamma`` is the one construction a one-shot game has of its own.
 Every run prints a JSON report whose ``config`` lists the command and every
 option it ran with; exit status 0 means a positive verdict (installable,
 strict, optimal), 1 a negative one, 2 a usage or input error, and 3 a
@@ -17,14 +20,7 @@ import sys
 import click
 
 from . import __version__
-from .design import (
-    CostKind,
-    CostSpec,
-    DesignConfig,
-    build_mg_lp,
-    build_nfg_lp,
-    design,
-)
+from .design import CostKind, CostSpec, DesignConfig, build_mg_lp, design
 from .games import NormalFormGame, RewardFunction, nfg_as_markov
 from .installability import (
     Concept,
@@ -52,7 +48,6 @@ from .witness import (
     InfeasibleEpsilonError,
     StageCheckError,
     epsilon_markov_witness,
-    epsilon_witness,
     gamma_ce,
     gamma_cce,
     markov_witness,
@@ -131,49 +126,42 @@ def _run_check(game, target, concept) -> tuple[int, dict]:
 def _run_witness(
     game, target, concept, deviation_class, bound, epsilon, **_
 ) -> tuple[int, dict]:
-    """Check the concept rules, build the witness, and measure it with
-    :func:`check_strict` on the Markov form at the requested class and
-    epsilon.  A one-shot target gets the canonical witness scaled to the
-    bound, or the epsilon witness (the only one NE has)."""
+    """Check the concept rules, build the witness on the Markov form, and
+    measure it with :func:`check_strict` at the requested class and
+    epsilon.  The one witness only a one-shot game has is the canonical
+    CE/CCE witness, ``bound * witness_utility`` with its ``gamma``; every
+    other one is :func:`markov_witness` or :func:`epsilon_markov_witness`."""
     game, skeleton, policy = _load_inputs(game, target)
     cfg = EpsilonConfig(
         epsilon=epsilon or 0.0, bound=bound, deviation_class=deviation_class
     )
     require(concept, policy, deviation_class)
     one_shot = isinstance(game, NormalFormGame)
-    sigma = policy.stage(0, 0) if one_shot else None
     result = {"feasible": True}
     try:
-        if not one_shot:
-            reward = (
-                markov_witness(policy, skeleton, bound, concept)
-                if epsilon is None
-                else epsilon_markov_witness(policy, skeleton, concept, cfg)
-            )
-        elif epsilon is None and concept != Concept.NE:
+        if epsilon is not None:
+            reward = epsilon_markov_witness(policy, skeleton, concept, cfg)
+        elif one_shot and concept != Concept.NE:
+            sigma = policy.stage(0, 0)
             gamma = gamma_ce(sigma) if concept == Concept.CE else gamma_cce(sigma)
             result = {"installable": gamma.installable, "gamma": gamma.value}
             if not gamma.installable:
                 return 1, result
             utility = bound * witness_utility(sigma)
+            reward = RewardFunction(utility[:, None, None], bound)
         else:
-            utility = epsilon_witness(sigma, concept, cfg)
+            reward = markov_witness(policy, skeleton, bound, concept)
     except StageCheckError as exc:
-        return 1, {"feasible": False, "stage": list(exc.stage), "message": str(exc)}
-    except InfeasibleEpsilonError as exc:
-        return 1, {
-            "feasible": False,
-            "max_epsilon": exc.max_gap,
-            "message": str(exc),
-        }
-    if one_shot:
-        reward = RewardFunction(utility[:, None, None], bound)
+        result = {"feasible": False, "stage": list(exc.stage), "message": str(exc)}
+        if isinstance(exc.__cause__, InfeasibleEpsilonError):
+            result["max_epsilon"] = exc.__cause__.max_gap
+        return 1, result
     result["min_gap"] = check_strict(
         skeleton, reward, policy, concept,
         epsilon=cfg.epsilon, dev_class=deviation_class,
     ).min_gap
     if one_shot:
-        result["utility"] = utility_to_doc(utility)["utility"]
+        result["utility"] = utility_to_doc(reward.rewards[:, 0, 0])["utility"]
     else:
         result["reward"] = reward_to_doc(reward)
     return 0, result
@@ -182,21 +170,19 @@ def _run_witness(
 def _run_design(
     game, target, concept, slack, bound, cost, baseline, max_gap, lp_dump, out
 ) -> tuple[int, dict]:
+    """Design on the Markov form; ``--baseline`` reads the documents
+    ``verify`` reads, and ``--lp-dump`` writes the :func:`build_mg_lp`
+    program that :func:`design` solves."""
     game, skeleton, policy = _load_inputs(game, target)
     if baseline is not None:
         baseline = load_baseline(load_json(baseline), game, where=baseline)
     cost = CostSpec(kind=cost, baseline=baseline)
     config = DesignConfig(slack=slack, bound=bound, max_gap=max_gap)
-    one_shot = isinstance(game, NormalFormGame)
-    target = policy.stage(0, 0) if one_shot else policy
     if lp_dump is not None:
-        if one_shot:
-            lp, _ = build_nfg_lp(target, concept, cost, config, baseline=game.utility)
-        else:
-            lp, _ = build_mg_lp(skeleton, target, concept, cost, config)
+        lp, _ = build_mg_lp(skeleton, policy, concept, cost, config)
         with open(lp_dump, "w", encoding="utf-8") as handle:
             handle.write(lp.dump())
-    res = design(game, target, concept, cost, config)
+    res = design(skeleton, policy, concept, cost, config)
     result = {
         "status": res.status.value,
         "cost": res.cost.value,
@@ -209,8 +195,8 @@ def _run_design(
     if res.achieved_slack is not None:
         result["achieved_slack"] = res.achieved_slack
     result["min_gap"] = res.report.min_gap
-    if one_shot:
-        artifact = utility_to_doc(res.utility)
+    if isinstance(game, NormalFormGame):
+        artifact = utility_to_doc(res.reward.rewards[:, 0, 0])
         result["utility"] = artifact["utility"]
     else:
         artifact = reward_to_doc(res.reward)
@@ -223,6 +209,8 @@ def _run_design(
 def _run_verify(
     game, target, reward, concept, deviation_class, epsilon, **_
 ) -> tuple[int, dict]:
+    """Measure a reward document, or a one-shot ``utility`` document, with
+    :func:`check_strict` on the Markov form."""
     game, skeleton, policy = _load_inputs(game, target)
     doc = load_json(reward)
     if isinstance(game, NormalFormGame) and "utility" in doc:

@@ -40,7 +40,7 @@ from .games import (
 )
 from .installability import Concept, DeviationClass, require
 from .lp import LinearProgram, LpStatus, solve
-from .verify import GapReport, check_strict, nfg_oracle, policy_eval, visitation
+from .verify import GapReport, check_strict, policy_eval, visitation
 
 # Post-solve verification allows this much slip below the requested slack.
 GAP_SLIP = 1e-6
@@ -85,10 +85,12 @@ class DesignConfig:
 
 @dataclass(frozen=True)
 class DesignResult:
-    """Solve outcome.  ``reward`` is set only when status is optimal;
-    ``achieved_slack`` only in max-gap mode.  ``report`` holds the
-    verifier's post-solve measurement; ``iterations`` and ``phase_steps``
-    are the solver's steps, in total and as (dual, primal) phases."""
+    """Solve outcome.  ``reward`` is set only when status is optimal, and
+    ``utility``, its one stage shaped like the game's utility, only then on
+    a normal-form game; ``achieved_slack`` only in max-gap mode.
+    ``report`` holds the verifier's post-solve measurement; ``iterations``
+    and ``phase_steps`` are the solver's steps, in total and as (dual,
+    primal) phases."""
 
     status: LpStatus
     concept: Concept
@@ -343,8 +345,12 @@ def design(
     """Build, solve, extract, and verify one design program.
 
     Accepts a Markov game with a Markov policy or a normal-form game with a
-    joint strategy; the latter is designed as its one-stage embedding and
-    also cross-checked by the one-stage oracle.  Non-optimal statuses return
+    joint strategy.  The latter is designed as its one-stage embedding
+    (:func:`nfg_as_markov`, :func:`strategy_as_policy`), with
+    ``cost.baseline`` shaped like the game's utility, and its result also
+    carries the designed ``utility``.  Every optimal design is measured by
+    :func:`check_strict`, the one post-solve verifier; a design that misses
+    its margin is a :class:`RuntimeError`.  Non-optimal statuses return
     without tensors.
     """
     sigma = None
@@ -382,9 +388,6 @@ def design(
     utility = None
     if sigma is not None:
         utility = rewards.reshape((sigma.num_players,) + sigma.action_counts)
-        oracle = nfg_oracle(utility, sigma, concept)
-        if oracle.min_gap < required - GAP_SLIP:
-            raise RuntimeError("one-stage oracle disagrees with the design")
     return DesignResult(
         sol.status,
         concept,

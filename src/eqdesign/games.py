@@ -129,54 +129,6 @@ class JointMixedStrategy:
         return tuple(_conditionals(self.probs, i, 0) for i in range(self.num_players))
 
 
-@dataclass(frozen=True)
-class Conditional:
-    """Conditional opponent-profile distribution given one player's action.
-
-    ``prob`` is the player's marginal mass on the action; ``dist`` is the
-    normalized distribution over opponent profiles (axes of the other players,
-    in order), or all zeros when ``prob`` is 0.
-    """
-
-    player: int
-    action: int
-    prob: float
-    dist: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dist", _freeze(self.dist))
-
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.dist > 0.0)
-
-    def flat(self) -> np.ndarray:
-        return self.dist.reshape(-1)
-
-
-def conditional(sigma: JointMixedStrategy, player: int, action: int) -> Conditional:
-    """Marginal mass and conditional opponent distribution for (player, action).
-
-    Unsupported actions (zero marginal mass) get an all-zero ``dist``.
-    """
-    n = sigma.num_players
-    if not 0 <= player < n:
-        raise ShapeError(f"player {player} out of range for {n} players")
-    if not 0 <= action < sigma.action_counts[player]:
-        raise ShapeError(
-            f"action {action} out of range for player {player} "
-            f"with {sigma.action_counts[player]} actions"
-        )
-    slab = np.take(sigma.probs, action, axis=player)
-    p = float(slab.sum())
-    if p > 0.0:
-        dist = slab / p
-    else:
-        p = 0.0
-        dist = np.zeros_like(slab)
-    return Conditional(player=player, action=action, prob=p, dist=dist)
-
-
 def support(sigma: JointMixedStrategy, player: int) -> tuple[int, ...]:
     """Actions of ``player`` carrying strictly positive marginal mass."""
     if not 0 <= player < sigma.num_players:
@@ -225,8 +177,8 @@ def conditional_matrix(sigma: JointMixedStrategy, player: int) -> tuple[np.ndarr
 
     Returns ``(p, conds)`` where ``p[j]`` is the marginal mass on action j and
     ``conds[j]`` is the flattened conditional opponent distribution (all zeros
-    for unsupported j).  Row order of the flattened opponent profiles matches
-    ``Conditional.flat()``.
+    for unsupported j), over opponent profiles in row-major order of the
+    other players' axes.
     """
     n = sigma.num_players
     if not 0 <= player < n:

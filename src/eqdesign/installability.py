@@ -172,47 +172,27 @@ def stage_reports(
     return reports
 
 
-def check_sne(
-    sigma: JointMixedStrategy, atol: float = COND_ATOL
-) -> InstallabilityReport:
-    """Strict-Nash installability of a product strategy.
-
-    Installable iff every player puts all mass on a single action.  Raises
-    :class:`NotProductError` for correlated input.
-    """
-    return check(sigma, Concept.NE, atol)
-
-
-def check_sce(
-    sigma: JointMixedStrategy, atol: float = COND_ATOL
-) -> InstallabilityReport:
-    """Strict-correlated installability.
-
-    Fails exactly when some player has two supported actions whose
-    conditional opponent distributions coincide (L-inf within ``atol``);
-    the first such ``(player, j, k)`` is the certificate.
-    """
-    return check(sigma, Concept.CE, atol)
-
-
 def check_scce(
     sigma: JointMixedStrategy, atol: float = COND_ATOL
 ) -> InstallabilityReport:
-    """Strict-coarse-correlated installability.
-
-    Each player qualifies by having a single supported action, or some
-    supported action whose conditional differs from the lowest supported
-    anchor's.  A player whose supported conditionals all coincide defeats
-    installability; the certificate is the anchor and the next supported
-    action.  Runs in time linear in the joint profile count per player.
-    """
+    """Strict-coarse-correlated installability: ``check(sigma, Concept.CCE)``."""
     return check(sigma, Concept.CCE, atol)
 
 
 def check(
     sigma: JointMixedStrategy, concept: Concept, atol: float = COND_ATOL
 ) -> InstallabilityReport:
-    """One stage of :func:`stage_reports`; NE requires a product strategy."""
+    """Installability of one joint strategy: one stage of
+    :func:`stage_reports`.
+
+    NE: a product strategy (else :class:`NotProductError`) qualifies iff
+    every player puts all mass on a single action.  CE: fails exactly when
+    some player has two supported actions whose conditionals coincide
+    (L-inf within ``atol``).  CCE: each player qualifies by having a single
+    supported action, or some supported action whose conditional differs
+    from the lowest supported anchor's; a player whose supported
+    conditionals all coincide defeats installability.
+    """
     require(concept, sigma, atol=atol)
     return stage_reports(sigma.conditional_table, concept, atol)[0]
 

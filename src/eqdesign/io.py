@@ -228,22 +228,26 @@ def load_utility(
 def load_baseline(doc: dict, game: Game, where: str = "baseline") -> np.ndarray:
     """Parse a reference reward tensor for the modification costs.
 
-    Accepts a reward document for Markov games (``bound`` not required) or
-    either a utility or reward document for one-shot games.
+    Reads the documents ``verify`` reads as its reward, with ``bound`` not
+    required: ``rewards`` shaped ``[player][stage][state][joint action]``
+    or, for a one-shot game, a ``utility`` document.  Returns the rewards of
+    the game, or of its one-stage embedding for a one-shot game.
     """
     counts = game.action_counts
     num_a = int(np.prod(counts))
     if isinstance(game, NormalFormGame):
-        field = "utility" if "utility" in doc else "rewards"
-        arr = _as_array(
-            _require(doc, field, where),
-            (game.num_players, num_a),
-            f"{where}.{field}",
-        )
-        return arr.reshape((game.num_players,) + counts)
-    shape = (game.num_players, game.horizon, game.num_states, num_a)
-    arr = _as_array(_require(doc, "rewards", where), shape, f"{where}.rewards")
-    return arr.reshape(shape[:3] + counts)
+        lead = (game.num_players, 1, 1)
+        if "utility" in doc:
+            arr = _as_array(
+                doc["utility"], (game.num_players, num_a), f"{where}.utility"
+            )
+            return arr.reshape(lead + counts)
+    else:
+        lead = (game.num_players, game.horizon, game.num_states)
+    arr = _as_array(
+        _require(doc, "rewards", where), lead + (num_a,), f"{where}.rewards"
+    )
+    return arr.reshape(lead + counts)
 
 
 def reward_to_doc(reward: RewardFunction) -> dict:

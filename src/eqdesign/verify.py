@@ -3,9 +3,11 @@
 Everything here is plain backward/forward induction over the dense tensors,
 one stage at a time with every state at once: on-path values, visitation,
 single-deviator best responses, and the per-constraint strictness gaps of
-each concept, as arrays.  A one-stage re-implementation (:func:`nfg_oracle`)
-provides a second, independent route for normal-form instances so the two
-can be cross-checked bit-tightly; it shares only the precondition check,
+each concept, as arrays.  :func:`check_strict` is the one verifier the
+package runs, on Markov games and one-stage embeddings alike.  A one-stage
+re-implementation (:func:`nfg_oracle`) is kept as an independent reference
+for normal-form instances, against which the tests and the benchmark check
+:func:`check_strict` bit-tightly; it shares only the precondition check,
 :func:`~eqdesign.installability.require`, with the rest of the module.
 
 Deviation semantics: margins quantify over deviations that actually change
@@ -272,6 +274,8 @@ def nfg_oracle(
 
     Independent of the backward-induction machinery; keys use stage 0 and
     state 0 so reports line up with the one-stage embedding of the game.
+    Nothing in the package calls it: it is the reference that
+    :func:`check_strict` is compared against.
     """
     u = np.asarray(utility, dtype=float)
     n = sigma.num_players

@@ -6,7 +6,9 @@ strictness margins have an exact cosine form, which also yields the maximum
 margin ``gamma`` attainable per concept and the epsilon-strict scalings.
 Markov targets get a backward-induction variant whose rewards cancel the
 continuation value so that every stage inherits the normal-form margins; all
-stages' utilities come at once from the policy's conditional table.
+stages' utilities come at once from the policy's conditional table.  The
+epsilon-strict witness exists only in that form: a one-shot target takes it
+on its one-stage embedding.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from .games import (
 from .installability import (
     Concept,
     DeviationClass,
+    check,
     check_markov,
-    check_sce,
-    check_scce,
     require,
     stage_reports,
 )
@@ -37,7 +38,8 @@ from .installability import (
 
 class InfeasibleEpsilonError(ValueError):
     """Requested strictness exceeds what the target and bound allow; carries
-    the max, which is 0 for a target that admits no margin at all."""
+    the max, which is 0 for a target that admits no margin at all.  It is
+    the ``__cause__`` of the :class:`StageCheckError` naming the stage."""
 
     def __init__(self, message: str, max_gap: float):
         super().__init__(message)
@@ -132,7 +134,7 @@ def gamma_ce(sigma: JointMixedStrategy) -> GammaResult:
     ``||cond_j||_2 (1 - cos(cond_j, cond_k))``.  Returns a zero value with a
     cleared flag when the target is not installable.
     """
-    if not check_sce(sigma).installable:
+    if not check(sigma, Concept.CE).installable:
         return GammaResult(0.0, False)
     return GammaResult(float(_gamma_values(sigma.conditional_table, Concept.CE)), True)
 
@@ -144,101 +146,9 @@ def gamma_cce(sigma: JointMixedStrategy) -> GammaResult:
     ``sum_j p_ij ||cond_j||_2 (1 - cos(cond_j, cond_m))``.  A player whose
     whole mass sits on one action contributes no constraint for that action.
     """
-    if not check_scce(sigma).installable:
+    if not check(sigma, Concept.CCE).installable:
         return GammaResult(0.0, False)
     return GammaResult(float(_gamma_values(sigma.conditional_table, Concept.CCE)), True)
-
-
-def _epsilon_fields(probs: np.ndarray, table, concept: Concept, config: EpsilonConfig):
-    """:func:`epsilon_witness` for every stage of ``probs`` and its
-    conditional table: ``(fields, None)``, shaped ``(num_players, *leading
-    axes, *counts)``, or ``(None, (k, exc))`` for the first stage (flat index
-    ``k``, row-major) that cannot carry the margin, with its
-    :class:`InfeasibleEpsilonError`.  The caller has passed
-    :func:`~eqdesign.installability.require`; the witness's narrower class
-    rules (NE excludes unrestricted deviations, CE needs never-recommended
-    ones) raise here at once."""
-    eps, bound, dev = config.epsilon, config.bound, config.deviation_class
-    lead, counts = probs.shape[: -len(table)], probs.shape[-len(table) :]
-    if concept == Concept.NE and dev == DeviationClass.UNRESTRICTED:
-        raise ValueError(
-            "strict Nash has no finite margin against unrestricted "
-            "deviations; use the never-target class"
-        )
-    if concept == Concept.CE and dev != DeviationClass.NEVER_RECOMMENDED:
-        raise ValueError(
-            "correlated epsilon-strictness is guaranteed only for the "
-            "never-recommended deviation class"
-        )
-    if concept == Concept.NE:
-        # A stage is pure iff its joint support is a single profile.
-        cells = np.count_nonzero(probs.reshape(-1, int(np.prod(counts))), axis=1)
-        mixed = np.flatnonzero(cells != 1)
-        max_gap = 2.0 * bound
-        if mixed.size and (mixed[0] == 0 or eps < max_gap):
-            message = "strict Nash scaling requires a pure target"
-            return None, (int(mixed[0]), InfeasibleEpsilonError(message, max_gap=0.0))
-        if eps >= max_gap:
-            return None, (0, InfeasibleEpsilonError(
-                f"epsilon {eps} not achievable: margin must stay below "
-                f"{max_gap}",
-                max_gap=max_gap,
-            ))
-        return np.repeat(np.where(probs > 0, bound, -bound)[None], len(counts), 0), None
-
-    gammas = _gamma_values(table, concept).reshape(-1).tolist()
-    alphas = []
-    for k, (rep, gamma) in enumerate(zip(stage_reports(table, concept), gammas)):
-        if not rep.installable:
-            message = f"target is not {concept.value}-installable"
-            return None, (k, InfeasibleEpsilonError(message, max_gap=0.0))
-        # A single-support player with spare actions would let a deviator
-        # replicate play exactly, so no positive margin covers unrestricted
-        # deviations.  Players with one action have no deviations and are
-        # exempt.
-        for i, entry in enumerate(rep.evidence):
-            if entry[0] == "single" and counts[i] > 1:
-                return None, (k, InfeasibleEpsilonError(
-                    "coarse epsilon-strictness needs two supported "
-                    "actions with differing conditionals for every "
-                    f"player; player {i} has a single supported action",
-                    max_gap=0.0,
-                ))
-        max_gap = bound * gamma
-        if eps > max_gap:
-            return None, (k, InfeasibleEpsilonError(
-                f"epsilon {eps} exceeds the achievable margin {max_gap}",
-                max_gap=max_gap,
-            ))
-        # eps / gamma can round above the bound when eps is its largest value.
-        alphas.append(min(eps / gamma, bound) if math.isfinite(gamma) else 0.0)
-    scale = np.reshape(alphas, lead + (1,) * len(counts))
-    return scale * _witness_field(table, counts), None
-
-
-def epsilon_witness(
-    sigma: JointMixedStrategy, concept: Concept, config: EpsilonConfig
-) -> np.ndarray:
-    """Utility tensor achieving strictness margin >= epsilon within the bound.
-
-    NE: pure targets only, paid ``bound`` on the target profile and
-    ``-bound`` elsewhere; requires ``epsilon < 2 * bound`` and a deviation
-    class that rules out replaying the target.  CE (never-recommended class)
-    and CCE: the witness utility scaled by ``epsilon / gamma``; requires
-    ``epsilon <= bound * gamma``.  CCE additionally demands every player hold
-    two supported actions with differing conditionals, since its guarantee
-    covers unrestricted deviations.  A target that cannot carry the margin
-    raises :class:`InfeasibleEpsilonError` (``max_gap`` 0 when it carries
-    none); a correlated NE target or a deviation class the concept does not
-    cover is an input error.
-    """
-    require(concept, sigma, config.deviation_class)
-    fields, error = _epsilon_fields(
-        sigma.probs, sigma.conditional_table, concept, config
-    )
-    if error is not None:
-        raise error[1]
-    return fields
 
 
 def _cancel_continuation(
@@ -301,25 +211,93 @@ def epsilon_markov_witness(
 ) -> RewardFunction:
     """Per-stage epsilon-strict rewards for a Markov policy.
 
-    Splits the bound evenly across the horizon, requires every stage to
-    support the margin at bound ``B / H``, and subtracts continuation values
-    exactly as :func:`markov_witness`, so each stage's measured margin is the
-    normal-form one.  The first failing stage in row-major order is named,
-    with the error :func:`epsilon_witness` gives for it; its input errors
-    are raised as they are.
+    Splits the bound evenly across the horizon, so each stage gets
+    ``b = B / H``, and subtracts continuation values exactly as
+    :func:`markov_witness`, so each stage's measured margin is that of its
+    stage utility:
+
+    - NE: pure stages only, paid ``b`` on the target profile and ``-b``
+      elsewhere; requires ``epsilon < 2 * b`` and a deviation class that
+      rules out replaying the target.
+    - CE (never-recommended class) and CCE: the witness utility scaled by
+      ``epsilon / gamma``, capped at ``b``; requires ``epsilon <= b * gamma``.
+      CCE also demands that every player with spare actions hold two
+      supported actions with differing conditionals, since its guarantee
+      covers unrestricted deviations.
+
+    A one-shot target is its one-stage embedding (:func:`nfg_as_markov`,
+    :func:`strategy_as_policy`), where ``b = B``.  The first stage in
+    row-major order that cannot carry the margin raises
+    :class:`StageCheckError`, whose ``__cause__`` is an
+    :class:`InfeasibleEpsilonError` with that stage's largest margin (0 when
+    it carries none).  A correlated NE stage, or a deviation class the
+    concept does not cover, is an input error.
     """
     policy.check_fits(skeleton)
-    require(concept, policy, config.deviation_class)
-    stage_cfg = EpsilonConfig(
-        epsilon=config.epsilon,
-        bound=config.bound / skeleton.horizon,
-        deviation_class=config.deviation_class,
-    )
-    fields, error = _epsilon_fields(
-        policy.stages, policy.conditional_table, concept, stage_cfg
-    )
-    if error is not None:
-        k, exc = error
+    dev = config.deviation_class
+    require(concept, policy, dev)
+    if concept == Concept.NE and dev == DeviationClass.UNRESTRICTED:
+        raise ValueError(
+            "strict Nash has no finite margin against unrestricted "
+            "deviations; use the never-target class"
+        )
+    if concept == Concept.CE and dev != DeviationClass.NEVER_RECOMMENDED:
+        raise ValueError(
+            "correlated epsilon-strictness is guaranteed only for the "
+            "never-recommended deviation class"
+        )
+    eps, bound = config.epsilon, config.bound / skeleton.horizon
+    probs, table = policy.stages, policy.conditional_table
+    counts = policy.action_counts
+
+    def fail(k: int, message: str, max_gap: float) -> StageCheckError:
+        """The error naming flat stage ``k``, caused by its infeasibility."""
         h, s = divmod(k, skeleton.num_states)
-        raise StageCheckError(f"stage (h={h}, s={s}): {exc}", stage=(h, s)) from exc
+        err = StageCheckError(f"stage (h={h}, s={s}): {message}", stage=(h, s))
+        err.__cause__ = InfeasibleEpsilonError(message, max_gap=max_gap)
+        return err
+
+    if concept == Concept.NE:
+        # A stage is pure iff its joint support is a single profile.
+        cells = np.count_nonzero(probs.reshape(-1, int(np.prod(counts))), axis=1)
+        mixed = np.flatnonzero(cells != 1)
+        max_gap = 2.0 * bound
+        if mixed.size and (mixed[0] == 0 or eps < max_gap):
+            message = "strict Nash scaling requires a pure target"
+            raise fail(int(mixed[0]), message, 0.0)
+        if eps >= max_gap:
+            raise fail(
+                0,
+                f"epsilon {eps} not achievable: margin must stay below {max_gap}",
+                max_gap,
+            )
+        fields = np.repeat(np.where(probs > 0, bound, -bound)[None], len(counts), 0)
+        return _cancel_continuation(policy, skeleton, fields, config.bound)
+
+    gammas = _gamma_values(table, concept).reshape(-1).tolist()
+    alphas = []
+    for k, (rep, gamma) in enumerate(zip(stage_reports(table, concept), gammas)):
+        if not rep.installable:
+            raise fail(k, f"target is not {concept.value}-installable", 0.0)
+        # A single-support player with spare actions would let a deviator
+        # replicate play exactly, so no positive margin covers unrestricted
+        # deviations.  Players with one action have no deviations and are
+        # exempt.
+        for i, entry in enumerate(rep.evidence):
+            if entry[0] == "single" and counts[i] > 1:
+                raise fail(
+                    k,
+                    "coarse epsilon-strictness needs two supported "
+                    "actions with differing conditionals for every "
+                    f"player; player {i} has a single supported action",
+                    0.0,
+                )
+        max_gap = bound * gamma
+        if eps > max_gap:
+            message = f"epsilon {eps} exceeds the achievable margin {max_gap}"
+            raise fail(k, message, max_gap)
+        # eps / gamma can round above the bound when eps is its largest value.
+        alphas.append(min(eps / gamma, bound) if math.isfinite(gamma) else 0.0)
+    scale = np.reshape(alphas, probs.shape[:2] + (1,) * len(counts))
+    fields = scale * _witness_field(table, counts)
     return _cancel_continuation(policy, skeleton, fields, config.bound)

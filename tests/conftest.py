@@ -1,4 +1,6 @@
-"""Shared fixtures: canonical strategies, the strategy grid, random games.
+"""Shared fixtures: canonical strategies, the strategy grid, random games,
+the one-stage embedding of a joint strategy, and the scalar conditional
+that ``conditional_matrix`` is checked against.
 
 Every random object derives from a fixed seed plus a crc32 tag so tests stay
 deterministic and order-independent.  Grid entries are screened so that any
@@ -10,19 +12,29 @@ tolerance races.
 import itertools
 import math
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from eqdesign import (
+    Concept,
+    DeviationClass,
+    EpsilonConfig,
+    InfeasibleEpsilonError,
     JointMixedStrategy,
     MarkovGameSkeleton,
     MarkovPolicy,
     NormalFormGame,
     RewardFunction,
+    check,
     check_scce,
+    epsilon_markov_witness,
     gamma_cce,
     gamma_ce,
+    nfg_as_markov,
+    strategy_as_policy,
+    witness_utility,
 )
 
 SEED = 20260822
@@ -63,6 +75,104 @@ def zero_game(counts: tuple[int, ...], n: int = 2) -> NormalFormGame:
         tuple(f"a{k}" for k in range(c)) for c in counts
     )
     return NormalFormGame(action_sets=sets, utility=np.zeros((n,) + counts))
+
+
+def embed(sigma: JointMixedStrategy) -> tuple[MarkovGameSkeleton, MarkovPolicy]:
+    """The one-stage embedding of a joint strategy, on an all-zero game."""
+    game = zero_game(sigma.action_counts, sigma.num_players)
+    return nfg_as_markov(game), strategy_as_policy(sigma)
+
+
+def epsilon_utility(sigma: JointMixedStrategy, concept, config: EpsilonConfig):
+    """The epsilon witness of a joint strategy as a utility tensor: stage
+    (0, 0) of ``epsilon_markov_witness`` on its one-stage embedding.  A
+    target that cannot carry the margin raises ``StageCheckError`` with the
+    ``InfeasibleEpsilonError`` as its ``__cause__``."""
+    skeleton, policy = embed(sigma)
+    return epsilon_markov_witness(policy, skeleton, concept, config).rewards[:, 0, 0]
+
+
+def epsilon_stage_reference(sigma, concept, bound, config):
+    """One stage's epsilon witness at stage bound ``bound``, written from
+    its definition with the one-shot API: NE pays +-bound on a pure target;
+    CE and CCE scale the unit witness by epsilon / gamma, capped at the
+    bound.  A target that cannot carry the margin raises
+    ``InfeasibleEpsilonError`` with the largest margin it carries."""
+    eps, dev = config.epsilon, config.deviation_class
+    if concept == Concept.NE and dev == DeviationClass.UNRESTRICTED:
+        raise ValueError(
+            "strict Nash has no finite margin against unrestricted "
+            "deviations; use the never-target class"
+        )
+    if concept == Concept.CE and dev != DeviationClass.NEVER_RECOMMENDED:
+        raise ValueError(
+            "correlated epsilon-strictness is guaranteed only for the "
+            "never-recommended deviation class"
+        )
+    counts = sigma.action_counts
+    if concept == Concept.NE:
+        if np.count_nonzero(sigma.probs) != 1:
+            raise InfeasibleEpsilonError(
+                "strict Nash scaling requires a pure target", 0.0
+            )
+        if eps >= 2.0 * bound:
+            raise InfeasibleEpsilonError(
+                f"epsilon {eps} not achievable: margin must stay below "
+                f"{2.0 * bound}",
+                2.0 * bound,
+            )
+        pay = np.where(sigma.probs > 0, bound, -bound)
+        return np.repeat(pay[None], len(counts), 0)
+    rep = check(sigma, concept)
+    if not rep.installable:
+        raise InfeasibleEpsilonError(
+            f"target is not {concept.value}-installable", 0.0
+        )
+    for i, entry in enumerate(rep.evidence):
+        if entry[0] == "single" and counts[i] > 1:
+            raise InfeasibleEpsilonError(
+                "coarse epsilon-strictness needs two supported actions with "
+                "differing conditionals for every player; player "
+                f"{i} has a single supported action",
+                0.0,
+            )
+    gamma = (gamma_ce if concept == Concept.CE else gamma_cce)(sigma).value
+    if eps > bound * gamma:
+        raise InfeasibleEpsilonError(
+            f"epsilon {eps} exceeds the achievable margin {bound * gamma}",
+            bound * gamma,
+        )
+    alpha = min(eps / gamma, bound) if np.isfinite(gamma) else 0.0
+    return alpha * witness_utility(sigma)
+
+
+@dataclass(frozen=True)
+class Conditional:
+    """Conditional opponent-profile distribution given one player's action:
+    ``prob`` is the player's marginal mass on it, ``dist`` the normalized
+    distribution over opponent profiles (axes of the other players, in
+    order), all zeros when ``prob`` is 0."""
+
+    player: int
+    action: int
+    prob: float
+    dist: np.ndarray
+
+    @property
+    def is_zero(self) -> bool:
+        return not np.any(self.dist > 0.0)
+
+    def flat(self) -> np.ndarray:
+        return self.dist.reshape(-1)
+
+
+def conditional(sigma: JointMixedStrategy, player: int, action: int) -> Conditional:
+    """Scalar reference for one row of ``conditional_matrix``."""
+    slab = np.take(sigma.probs, action, axis=player)
+    p = float(slab.sum())
+    if p > 0.0:
+        return Conditional(player, action, p, slab / p)
+    return Conditional(player, action, 0.0, np.zeros_like(slab))
 
 
 def _margin_ok(sigma: JointMixedStrategy) -> bool:

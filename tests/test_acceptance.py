@@ -21,19 +21,17 @@ from eqdesign import (
     DesignConfig,
     DeviationClass,
     EpsilonConfig,
-    InfeasibleEpsilonError,
     JointMixedStrategy,
     LinearProgram,
     LpStatus,
     RewardFunction,
+    StageCheckError,
     best_response,
     build_nfg_lp,
     check,
-    check_sce,
     check_scce,
     check_strict,
     design,
-    epsilon_witness,
     gamma_cce,
     gamma_ce,
     is_product,
@@ -48,6 +46,7 @@ from eqdesign import (
 from eqdesign.games import MarkovGameSkeleton, MarkovPolicy
 
 from conftest import (
+    epsilon_utility,
     installable_policy,
     installable_stage,
     make_rng,
@@ -162,7 +161,10 @@ def _epsilon_ready(rng, shape):
             shape
         )
         sigma = JointMixedStrategy(probs)
-        if not (check_sce(sigma).installable and check_scce(sigma).installable):
+        if not (
+            check(sigma, Concept.CE).installable
+            and check_scce(sigma).installable
+        ):
             continue
         if gamma_ce(sigma).value >= 1e-3 and gamma_cce(sigma).value >= 1e-3:
             return sigma
@@ -182,7 +184,7 @@ def test_criterion_3_epsilon_scaling():
             ):
                 gamma = gfun(sigma).value
                 eps = float(rng.uniform(0.0, bound * gamma))
-                u = epsilon_witness(
+                u = epsilon_utility(
                     sigma, concept, EpsilonConfig(eps, bound, dev)
                 )
                 assert np.max(np.abs(u)) <= bound + 1e-12
@@ -191,8 +193,8 @@ def test_criterion_3_epsilon_scaling():
                 # The construction scales the unit witness by eps / gamma,
                 # so the margin lands on eps exactly up to roundoff.
                 assert measured == pytest.approx(eps, abs=1e-9 * max(1.0, bound))
-                with pytest.raises(InfeasibleEpsilonError):
-                    epsilon_witness(
+                with pytest.raises(StageCheckError):
+                    epsilon_utility(
                         sigma,
                         concept,
                         EpsilonConfig(bound * gamma * 1.01 + 1e-9, bound, dev),
@@ -206,7 +208,7 @@ def test_criterion_3_epsilon_scaling():
             pure[profile] = 1.0
             target = JointMixedStrategy(pure)
             eps = float(rng.uniform(0.0, 2.0 * bound * 0.999))
-            u = epsilon_witness(
+            u = epsilon_utility(
                 target,
                 Concept.NE,
                 EpsilonConfig(eps, bound, DeviationClass.NEVER_TARGET),
@@ -214,8 +216,8 @@ def test_criterion_3_epsilon_scaling():
             report = nfg_oracle(u, target, Concept.NE)
             assert report.min_gap == 2.0 * bound
             assert np.max(np.abs(u)) == bound
-            with pytest.raises(InfeasibleEpsilonError):
-                epsilon_witness(
+            with pytest.raises(StageCheckError):
+                epsilon_utility(
                     target,
                     Concept.NE,
                     EpsilonConfig(

@@ -28,7 +28,7 @@ from eqdesign import (
     ShapeError,
     build_mg_lp,
     build_nfg_lp,
-    check_sce,
+    check,
     design,
     evaluate_cost,
     gamma_cce,
@@ -828,7 +828,7 @@ class TestMgDesign:
                     stage = JointMixedStrategy(
                         probs.reshape(sk.action_counts)
                     )
-                    if check_sce(stage).installable:
+                    if check(stage, Concept.CE).installable:
                         stages[h, s] = stage.probs
                         break
         pol = MarkovPolicy(stages=stages)

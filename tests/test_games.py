@@ -13,14 +13,13 @@ from eqdesign import (
     ShapeError,
     ValueTables,
     clean_distribution,
-    conditional,
     conditional_matrix,
     is_product,
     nfg_as_markov,
     strategy_as_policy,
     support,
 )
-from conftest import random_sigma, sigma_corr, sigma_ex
+from conftest import conditional, random_sigma, sigma_corr, sigma_ex
 
 
 def joint_strategies(max_side=3):

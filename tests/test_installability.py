@@ -10,9 +10,7 @@ from eqdesign import (
     NotProductError,
     check,
     check_markov,
-    check_sce,
     check_scce,
-    check_sne,
 )
 from conftest import make_rng, sigma_corr, sigma_ex
 
@@ -34,19 +32,19 @@ class TestNash:
     def test_point_mass_installable(self):
         probs = np.zeros((2, 2))
         probs[1, 0] = 1.0
-        rep = check_sne(JointMixedStrategy(probs))
+        rep = check(JointMixedStrategy(probs), Concept.NE)
         assert rep.installable
         assert rep.certificate is None
 
     def test_mixed_product_not_installable(self):
         sigma = JointMixedStrategy(np.outer([0.5, 0.5], [1.0, 0.0]))
-        rep = check_sne(sigma)
+        rep = check(sigma, Concept.NE)
         assert not rep.installable
         assert rep.certificate == (0,)
 
     def test_correlated_raises(self):
         with pytest.raises(NotProductError):
-            check_sne(sigma_corr())
+            check(sigma_corr(), Concept.NE)
 
     @settings(max_examples=60, deadline=None)
     @given(product_strategies())
@@ -55,41 +53,41 @@ class TestNash:
             np.count_nonzero(sigma.marginal(i) > 0) == 1
             for i in range(sigma.num_players)
         )
-        assert check_sne(sigma).installable == expected
+        assert check(sigma, Concept.NE).installable == expected
 
 
 class TestCorrelated:
     def test_corr_installable(self):
-        rep = check_sce(sigma_corr())
+        rep = check(sigma_corr(), Concept.CE)
         assert rep.installable
 
     def test_uniform_certificate(self):
-        rep = check_sce(JointMixedStrategy(np.full((2, 2), 0.25)))
+        rep = check(JointMixedStrategy(np.full((2, 2), 0.25)), Concept.CE)
         assert not rep.installable
         assert rep.certificate == (0, 0, 1)
 
     def test_ex_not_ce_installable(self):
         # first two recommendations of the row player share one conditional
-        rep = check_sce(sigma_ex())
+        rep = check(sigma_ex(), Concept.CE)
         assert not rep.installable
         assert rep.certificate == (0, 0, 1)
 
     def test_certificate_is_first_in_scan_order(self):
         probs = np.zeros((3, 3))
         probs[0, 0] = probs[1, 0] = probs[2, 0] = 1 / 3
-        rep = check_sce(JointMixedStrategy(probs))
+        rep = check(JointMixedStrategy(probs), Concept.CE)
         assert rep.certificate == (0, 0, 1)
 
     def test_single_support_vacuous(self):
         probs = np.zeros((2, 2))
         probs[0, 1] = 1.0
-        assert check_sce(JointMixedStrategy(probs)).installable
+        assert check(JointMixedStrategy(probs), Concept.CE).installable
 
     def test_tolerance_configurable(self):
         probs = np.array([[0.25, 0.25], [0.25 + 1e-5, 0.25 - 1e-5]])
         sigma = JointMixedStrategy(probs)
-        assert check_sce(sigma).installable
-        assert not check_sce(sigma, atol=1e-3).installable
+        assert check(sigma, Concept.CE).installable
+        assert not check(sigma, Concept.CE, atol=1e-3).installable
 
 
 class TestCoarse:
@@ -134,7 +132,7 @@ class TestRelations:
         probs = np.zeros(int(np.prod(shape)))
         probs[cells] = rng.dirichlet(np.full(size, 0.7))
         sigma = JointMixedStrategy(probs.reshape(shape))
-        if check_sce(sigma).installable:
+        if check(sigma, Concept.CE).installable:
             assert check_scce(sigma).installable
 
     def test_dispatch(self):

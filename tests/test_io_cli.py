@@ -267,13 +267,19 @@ class TestPolicyAndRewardLoading:
         assert pol.product is True
 
     def test_baseline_accepts_utility_or_rewards(self):
+        # The documents verify reads as its reward, bound optional, as the
+        # rewards of the game's one-stage embedding.
         game = load_game(NFG_DOC)
+        embedded = game.utility.reshape((2, 1, 1, 2, 2))
         upl = load_baseline(utility_to_doc(game.utility), game)
-        assert np.allclose(upl, game.utility, atol=0)
-        rpl = load_baseline(
-            {"rewards": utility_to_doc(game.utility)["utility"]}, game
-        )
-        assert np.allclose(rpl, game.utility, atol=0)
+        assert np.array_equal(upl, embedded)
+        flat = game.utility.reshape(2, 1, 1, 4).tolist()
+        rpl = load_baseline({"rewards": flat}, game)
+        assert np.array_equal(rpl, embedded)
+        # The flat [player][joint action] rewards form is not a reward
+        # document of the embedding.
+        with pytest.raises(InputFormatError, match="expected \\(2, 1, 1, 4\\)"):
+            load_baseline({"rewards": utility_to_doc(game.utility)["utility"]}, game)
         rng = make_rng("io-baseline")
         sk = random_skeleton(rng)
         num_a = int(np.prod(sk.action_counts))
@@ -434,12 +440,37 @@ class TestCliWitness:
         assert report["result"]["max_epsilon"] == pytest.approx(1.0, abs=1e-9)
 
     def test_nash_witness_on_pure_target(self, files):
+        # Without --epsilon the Markov witness: bound / 2 on the target
+        # profile, margin B / 2; --epsilon 0 pays +-B, margin 2B.
         game = files("game.json", NFG_DOC)
-        target = files("target.json", {"probs": [1.0, 0.0, 0.0, 0.0]})
-        result = invoke(["witness", game, target, "--concept", "ne"])
-        assert result.exit_code == 0, result.output
-        report = json.loads(result.output)
-        assert report["result"]["min_gap"] == pytest.approx(2.0, abs=1e-9)
+        target = files("target.json", PURE_TARGET)
+        for extra, utility, gap in (
+            ([], [[0.5, 0.0, 0.0, 0.0]] * 2, 0.5),
+            (["--epsilon", "0"], [[1.0, -1.0, -1.0, -1.0]] * 2, 2.0),
+        ):
+            result = invoke(["witness", game, target, "--concept", "ne"] + extra)
+            assert result.exit_code == 0, result.output
+            report = json.loads(result.output)["result"]
+            assert report["utility"] == utility
+            assert report["min_gap"] == gap
+
+    def test_failure_reports_name_the_stage(self, files):
+        # One-shot and one-stage Markov epsilon failures give one report.
+        reports = []
+        for markov in (False, True):
+            game_doc_, target_doc = NFG_DOC, CORR_TARGET
+            if markov:
+                game_doc_, target_doc = one_stage(NFG_DOC, CORR_TARGET)
+            game = files("game.json", game_doc_)
+            target = files("target.json", target_doc)
+            result = invoke(
+                ["witness", game, target, "--concept", "ce", "--epsilon", "2"]
+            )
+            assert result.exit_code == 1, result.output
+            reports.append(json.loads(result.output)["result"])
+        assert reports[0] == reports[1]
+        assert reports[0]["stage"] == [0, 0]
+        assert reports[0]["max_epsilon"] == pytest.approx(1.0, abs=1e-12)
 
     def test_markov_witness_reward_document(self, files):
         rng = make_rng("cli-witness-mg")
@@ -547,6 +578,30 @@ class TestCliDesign:
             text = handle.read()
         assert text.startswith("minimize")
         assert "subject to" in text
+
+    def test_baseline_reads_the_documented_reward_document(self, files):
+        # The README's {"rewards": [player][stage][state][joint action]}
+        # document, which verify accepts for the same one-shot game, and
+        # the utility document design --out writes give one design.
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", CORR_TARGET)
+        utility = [[0.5, 0.0, 0.0, 0.5], [0.25, 0.0, 0.0, 0.25]]
+        docs = (
+            {"rewards": [[[row]] for row in utility], "bound": 1.0},
+            {"utility": utility},
+        )
+        results = []
+        for doc in docs:
+            base = files("base.json", doc)
+            verified = invoke(["verify", game, target, base, "--concept", "ce"])
+            assert verified.exit_code in (0, 1), verified.output
+            result = invoke(
+                ["design", game, target, "--concept", "ce", "--slack", "0.2",
+                 "--baseline", base]
+            )
+            assert result.exit_code == 0, result.output
+            results.append(json.loads(result.output)["result"])
+        assert results[0] == results[1]
 
     def test_lp_dump_uses_baseline(self, files, tmp_path):
         # --baseline replaces the game's utility as the one to modify, in the
@@ -726,10 +781,10 @@ class TestCliEnvelope:
         assert load_json(out) == json.loads(result.output)
 
 
-# witness on a one-shot game and on its one-stage Markov document: a target
-# the concept cannot install (or carry the margin on) is a negative verdict,
-# exit 1 with a report; a deviation class the concept does not cover, or a
-# correlated Nash target, is an input error, exit 2.
+# witness on a one-shot game and on its one-stage Markov document exits the
+# same way: a target the concept cannot install (or carry the margin on) is
+# a negative verdict, exit 1 with a report; a deviation class the concept
+# does not cover, or a correlated Nash target, is an input error, exit 2.
 WITNESS_PARITY_CASES = [
     (UNIFORM_TARGET, ["--concept", "cce", "--epsilon", "0.1"], 1),
     (UNIFORM_TARGET, ["--concept", "ce", "--epsilon", "0.1"], 1),
@@ -749,6 +804,9 @@ WITNESS_PARITY_CASES = [
         2,
     ),
     (CORR_TARGET, ["--concept", "ne"], 2),
+    # Without --epsilon a Nash witness is the Markov one, which measures
+    # unrestricted deviations too.
+    (PURE_TARGET, ["--concept", "ne", "--deviation-class", "unrestricted"], 0),
     (CORR_TARGET, ["--concept", "ne", "--epsilon", "0.5"], 2),
     # A deviation class the concept cannot measure is an input error on
     # either kind of game, canonical or epsilon witness alike.
@@ -785,6 +843,8 @@ class TestCliWitnessParity:
         if code == 2:
             assert result.stdout == ""
             assert "error:" in result.stderr
+        elif code == 0:
+            assert json.loads(result.stdout)["result"]["min_gap"] > 0.0
         else:
             report = json.loads(result.stdout)["result"]
             assert False in (report.get("feasible"), report.get("installable"))

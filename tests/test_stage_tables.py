@@ -26,9 +26,7 @@ from eqdesign import (
     check,
     check_markov,
     check_strict,
-    conditional,
     epsilon_markov_witness,
-    epsilon_witness,
     gamma_ce,
     gamma_cce,
     is_product,
@@ -39,6 +37,8 @@ from eqdesign import (
 )
 from eqdesign.games import genuine_deviations
 from conftest import (
+    conditional,
+    epsilon_stage_reference,
     installable_policy,
     make_rng,
     random_policy,
@@ -203,11 +203,7 @@ def ref_epsilon_markov_witness(policy, skeleton, concept, config):
     """Stages that cannot carry the margin are named; input errors (a
     correlated Nash target, checked first, or a deviation class the concept
     does not cover) are raised as they are."""
-    stage_cfg = EpsilonConfig(
-        epsilon=config.epsilon,
-        bound=config.bound / skeleton.horizon,
-        deviation_class=config.deviation_class,
-    )
+    bound = config.bound / skeleton.horizon
     stages = list(np.ndindex(skeleton.horizon, skeleton.num_states))
     for h, s in stages:
         if concept == Concept.NE and not is_product(policy.stage(h, s)):
@@ -215,11 +211,13 @@ def ref_epsilon_markov_witness(policy, skeleton, concept, config):
     stage_u = {}
     for h, s in stages:
         try:
-            stage_u[(h, s)] = epsilon_witness(
-                policy.stage(h, s), concept, stage_cfg
+            stage_u[(h, s)] = epsilon_stage_reference(
+                policy.stage(h, s), concept, bound, config
             )
         except InfeasibleEpsilonError as exc:
-            raise StageCheckError(f"stage (h={h}, s={s}): {exc}", stage=(h, s))
+            raise StageCheckError(
+                f"stage (h={h}, s={s}): {exc}", stage=(h, s)
+            ) from exc
     return ref_cancel(policy, skeleton, stage_u, config.bound)
 
 
@@ -344,6 +342,9 @@ class TestAllStagesMatchPerStage:
                         epsilon_markov_witness(pol, sk, concept, cfg)
                     assert err.value.stage == exc.stage
                     assert str(err.value) == str(exc)
+                    cause = err.value.__cause__
+                    assert isinstance(cause, InfeasibleEpsilonError)
+                    assert cause.max_gap == exc.__cause__.max_gap
                     continue
                 except ValueError as exc:
                     with pytest.raises(ValueError) as err:

@@ -19,25 +19,23 @@ from eqdesign import (
     build_mg_lp,
     check_strict,
     epsilon_markov_witness,
-    epsilon_witness,
     gamma_cce,
     gamma_ce,
     markov_witness,
-    nfg_as_markov,
     nfg_oracle,
     policy_eval,
-    strategy_as_policy,
     visitation,
     witness_utility,
 )
 from conftest import (
+    embed,
+    epsilon_utility,
     installable_policy,
     make_rng,
     random_sigma,
     random_skeleton,
     sigma_corr,
     sigma_ex,
-    zero_game,
 )
 
 
@@ -100,6 +98,9 @@ class TestGamma:
 
 
 class TestEpsilonWitness:
+    """The epsilon witness of a joint strategy: ``epsilon_markov_witness``
+    on its one-stage embedding."""
+
     def test_ce_scaling_hits_requested_margin(self):
         sigma = sigma_corr()
         cfg = EpsilonConfig(
@@ -107,7 +108,7 @@ class TestEpsilonWitness:
             bound=1.0,
             deviation_class=DeviationClass.NEVER_RECOMMENDED,
         )
-        u = epsilon_witness(sigma, Concept.CE, cfg)
+        u = epsilon_utility(sigma, Concept.CE, cfg)
         rep = nfg_oracle(u, sigma, Concept.CE)
         assert rep.min_gap == pytest.approx(0.25, abs=1e-12)
 
@@ -116,9 +117,11 @@ class TestEpsilonWitness:
         cfg = EpsilonConfig(
             epsilon=0.51, bound=1.0, deviation_class=DeviationClass.UNRESTRICTED
         )
-        with pytest.raises(InfeasibleEpsilonError) as err:
-            epsilon_witness(sigma, Concept.CCE, cfg)
-        assert err.value.max_gap == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(StageCheckError) as err:
+            epsilon_utility(sigma, Concept.CCE, cfg)
+        assert err.value.stage == (0, 0)
+        assert isinstance(err.value.__cause__, InfeasibleEpsilonError)
+        assert err.value.__cause__.max_gap == pytest.approx(0.5, abs=1e-12)
 
     def test_nash_pays_double_bound(self):
         probs = np.zeros((2, 3))
@@ -127,7 +130,7 @@ class TestEpsilonWitness:
         cfg = EpsilonConfig(
             epsilon=1.0, bound=2.0, deviation_class=DeviationClass.NEVER_TARGET
         )
-        u = epsilon_witness(sigma, Concept.NE, cfg)
+        u = epsilon_utility(sigma, Concept.NE, cfg)
         assert u[0, 1, 2] == 2.0
         assert u.min() == -2.0
         rep = nfg_oracle(u, sigma, Concept.NE)
@@ -140,22 +143,22 @@ class TestEpsilonWitness:
             epsilon=0.5, bound=1.0, deviation_class=DeviationClass.UNRESTRICTED
         )
         with pytest.raises(ValueError):
-            epsilon_witness(JointMixedStrategy(probs), Concept.NE, cfg)
+            epsilon_utility(JointMixedStrategy(probs), Concept.NE, cfg)
 
     def test_nash_rejects_mixed_target(self):
         sigma = JointMixedStrategy(np.outer([0.5, 0.5], [1.0, 0.0]))
         cfg = EpsilonConfig(
             epsilon=0.5, bound=1.0, deviation_class=DeviationClass.NEVER_TARGET
         )
-        with pytest.raises(ValueError):
-            epsilon_witness(sigma, Concept.NE, cfg)
+        with pytest.raises(StageCheckError):
+            epsilon_utility(sigma, Concept.NE, cfg)
 
     def test_ce_demands_never_recommended_class(self):
         cfg = EpsilonConfig(
             epsilon=0.1, bound=1.0, deviation_class=DeviationClass.UNRESTRICTED
         )
         with pytest.raises(ValueError):
-            epsilon_witness(sigma_corr(), Concept.CE, cfg)
+            epsilon_utility(sigma_corr(), Concept.CE, cfg)
 
     def test_coarse_rejects_single_support_player_with_spare_actions(self):
         probs = np.zeros((2, 2))
@@ -163,16 +166,16 @@ class TestEpsilonWitness:
         cfg = EpsilonConfig(
             epsilon=0.1, bound=1.0, deviation_class=DeviationClass.UNRESTRICTED
         )
-        with pytest.raises(ValueError):
-            epsilon_witness(JointMixedStrategy(probs), Concept.CCE, cfg)
+        with pytest.raises(StageCheckError):
+            epsilon_utility(JointMixedStrategy(probs), Concept.CCE, cfg)
 
     def test_not_installable_rejected(self):
         cfg = EpsilonConfig(
             epsilon=0.1, bound=1.0, deviation_class=DeviationClass.UNRESTRICTED
         )
         uniform = JointMixedStrategy(np.full((2, 2), 0.25))
-        with pytest.raises(ValueError):
-            epsilon_witness(uniform, Concept.CCE, cfg)
+        with pytest.raises(StageCheckError):
+            epsilon_utility(uniform, Concept.CCE, cfg)
 
     def test_largest_epsilon_stays_within_the_bound(self):
         # At epsilon = bound * gamma the scale eps / gamma can round above
@@ -202,14 +205,15 @@ class TestEpsilonWitness:
                 eps = bound * g.value
                 cfg = EpsilonConfig(eps, bound, dev)
                 try:
-                    u = epsilon_witness(sigma, concept, cfg)
-                except InfeasibleEpsilonError:
+                    u = epsilon_utility(sigma, concept, cfg)
+                except StageCheckError:
                     continue
                 assert np.abs(u).max() <= bound, (k, concept)
+                skeleton, policy = embed(sigma)
                 rep = check_strict(
-                    nfg_as_markov(zero_game(counts, len(counts))),
+                    skeleton,
                     RewardFunction(u[:, None, None], bound),
-                    strategy_as_policy(sigma),
+                    policy,
                     concept,
                     dev_class=dev,
                 )
@@ -325,7 +329,7 @@ def test_coarse_witnesses_reject_never_recommended():
     )
     sigma = sigma_corr()
     with pytest.raises(ValueError, match="CE concept only"):
-        epsilon_witness(sigma, Concept.CCE, cfg)
+        epsilon_utility(sigma, Concept.CCE, cfg)
     rng = make_rng("emw-nr")
     skeleton = random_skeleton(rng, max_states=2, max_horizon=2, max_actions=2)
     policy = installable_policy(rng, skeleton, allow_pure=False)
