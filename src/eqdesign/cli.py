@@ -171,11 +171,14 @@ def _run_design(
     game, target, concept, slack, bound, cost, baseline, max_gap, lp_dump, out
 ) -> tuple[int, dict]:
     """Design on the Markov form; ``--baseline`` reads the documents
-    ``verify`` reads, and ``--lp-dump`` writes the :func:`build_mg_lp`
-    program that :func:`design` solves."""
+    ``verify`` reads (a one-shot game's is placed in its one-stage
+    embedding), and ``--lp-dump`` writes the :func:`build_mg_lp` program
+    that :func:`design` solves."""
     game, skeleton, policy = _load_inputs(game, target)
     if baseline is not None:
         baseline = load_baseline(load_json(baseline), game, where=baseline)
+        if isinstance(game, NormalFormGame):
+            baseline = baseline[:, None, None]
     cost = CostSpec(kind=cost, baseline=baseline)
     config = DesignConfig(slack=slack, bound=bound, max_gap=max_gap)
     if lp_dump is not None:

@@ -230,24 +230,26 @@ def load_baseline(doc: dict, game: Game, where: str = "baseline") -> np.ndarray:
 
     Reads the documents ``verify`` reads as its reward, with ``bound`` not
     required: ``rewards`` shaped ``[player][stage][state][joint action]``
-    or, for a one-shot game, a ``utility`` document.  Returns the rewards of
-    the game, or of its one-stage embedding for a one-shot game.
+    or, for a one-shot game, a ``utility`` document.  Returns the tensor in
+    the game's own shape, the one :func:`design` takes as
+    ``CostSpec.baseline``: ``(n, *counts)`` for a one-shot game, whose
+    ``rewards`` have one stage and one state, else ``(n, H, S, *counts)``.
     """
     counts = game.action_counts
     num_a = int(np.prod(counts))
     if isinstance(game, NormalFormGame):
-        lead = (game.num_players, 1, 1)
+        n = game.num_players
         if "utility" in doc:
+            arr = _as_array(doc["utility"], (n, num_a), f"{where}.utility")
+        else:
             arr = _as_array(
-                doc["utility"], (game.num_players, num_a), f"{where}.utility"
+                _require(doc, "rewards", where), (n, 1, 1, num_a),
+                f"{where}.rewards",
             )
-            return arr.reshape(lead + counts)
-    else:
-        lead = (game.num_players, game.horizon, game.num_states)
-    arr = _as_array(
-        _require(doc, "rewards", where), lead + (num_a,), f"{where}.rewards"
-    )
-    return arr.reshape(lead + counts)
+        return arr.reshape((n,) + counts)
+    shape = (game.num_players, game.horizon, game.num_states, num_a)
+    arr = _as_array(_require(doc, "rewards", where), shape, f"{where}.rewards")
+    return arr.reshape(shape[:3] + counts)
 
 
 def reward_to_doc(reward: RewardFunction) -> dict:

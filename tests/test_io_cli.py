@@ -14,10 +14,15 @@ import pytest
 from click.testing import CliRunner
 
 from eqdesign import (
+    Concept,
+    CostKind,
+    CostSpec,
+    DesignConfig,
     JointMixedStrategy,
     MarkovGameSkeleton,
     NormalFormGame,
     RewardFunction,
+    design,
     nfg_as_markov,
 )
 from eqdesign.cli import main
@@ -267,19 +272,25 @@ class TestPolicyAndRewardLoading:
         assert pol.product is True
 
     def test_baseline_accepts_utility_or_rewards(self):
-        # The documents verify reads as its reward, bound optional, as the
-        # rewards of the game's one-stage embedding.
+        # The documents verify reads as its reward, bound optional, in the
+        # game's own shape (the one design() takes as CostSpec.baseline).
         game = load_game(NFG_DOC)
-        embedded = game.utility.reshape((2, 1, 1, 2, 2))
         upl = load_baseline(utility_to_doc(game.utility), game)
-        assert np.array_equal(upl, embedded)
+        assert np.allclose(upl, game.utility, atol=0)
         flat = game.utility.reshape(2, 1, 1, 4).tolist()
         rpl = load_baseline({"rewards": flat}, game)
-        assert np.array_equal(rpl, embedded)
+        assert np.allclose(rpl, game.utility, atol=0)
         # The flat [player][joint action] rewards form is not a reward
         # document of the embedding.
         with pytest.raises(InputFormatError, match="expected \\(2, 1, 1, 4\\)"):
             load_baseline({"rewards": utility_to_doc(game.utility)["utility"]}, game)
+        # design() takes the loaded one-shot baseline as it is.
+        sigma = load_strategy(CORR_TARGET, game.action_counts)
+        res = design(
+            game, sigma, Concept.CE, CostSpec(CostKind.OFFLINE, rpl),
+            DesignConfig(slack=0.1, bound=1.0),
+        )
+        assert res.status.value == "optimal"
         rng = make_rng("io-baseline")
         sk = random_skeleton(rng)
         num_a = int(np.prod(sk.action_counts))
