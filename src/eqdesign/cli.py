@@ -15,6 +15,7 @@ which is no verdict at all.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import click
@@ -37,7 +38,6 @@ from .io import (
     load_json,
     load_policy,
     load_reward,
-    load_utility,
     reward_to_doc,
     utility_to_doc,
 )
@@ -171,15 +171,14 @@ def _run_design(
     game, target, concept, slack, bound, cost, baseline, max_gap, lp_dump, out
 ) -> tuple[int, dict]:
     """Design on the Markov form; ``--baseline`` reads the documents
-    ``verify`` reads (a one-shot game's is placed in its one-stage
-    embedding), and ``--lp-dump`` writes the :func:`build_mg_lp` program
-    that :func:`design` solves."""
+    ``verify`` reads and replaces the game's baseline reward with it, and
+    ``--lp-dump`` writes the :func:`build_mg_lp` program that
+    :func:`design` solves."""
     game, skeleton, policy = _load_inputs(game, target)
     if baseline is not None:
         baseline = load_baseline(load_json(baseline), game, where=baseline)
-        if isinstance(game, NormalFormGame):
-            baseline = baseline[:, None, None]
-    cost = CostSpec(kind=cost, baseline=baseline)
+        skeleton = dataclasses.replace(skeleton, baseline_reward=baseline)
+    cost = CostSpec(kind=cost)
     config = DesignConfig(slack=slack, bound=bound, max_gap=max_gap)
     if lp_dump is not None:
         lp, _ = build_mg_lp(skeleton, policy, concept, cost, config)
@@ -215,11 +214,7 @@ def _run_verify(
     """Measure a reward document, or a one-shot ``utility`` document, with
     :func:`check_strict` on the Markov form."""
     game, skeleton, policy = _load_inputs(game, target)
-    doc = load_json(reward)
-    if isinstance(game, NormalFormGame) and "utility" in doc:
-        loaded = load_utility(doc, game, where=reward)
-    else:
-        loaded = load_reward(doc, skeleton, where=reward)
+    loaded = load_reward(load_json(reward), game, where=reward)
     report = check_strict(
         skeleton, loaded, policy, concept,
         epsilon=epsilon, dev_class=deviation_class,

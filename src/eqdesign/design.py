@@ -55,11 +55,10 @@ class CostKind(str, Enum):
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Objective choice; ``baseline`` overrides the game's baseline reward
-    for the modification costs (defaults to it, or to all zeros)."""
+    """Objective choice.  The modification costs measure the distance from
+    the game's ``baseline_reward``, or from all zeros when it has none."""
 
     kind: CostKind
-    baseline: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -163,22 +162,6 @@ def _value_operator(
     return ops.reshape(size, size), v_next
 
 
-def _resolve_baseline(
-    cost: CostSpec, skeleton: MarkovGameSkeleton, shape: tuple[int, ...]
-) -> np.ndarray:
-    if cost.baseline is not None:
-        base = np.asarray(cost.baseline, dtype=float)
-    elif skeleton.baseline_reward is not None:
-        base = skeleton.baseline_reward
-    else:
-        base = np.zeros(shape)
-    if base.shape != shape:
-        raise ShapeError(f"baseline shape {base.shape}, expected {shape}")
-    if not np.all(np.isfinite(base)):
-        raise ShapeError("baseline has non-finite entries")
-    return base
-
-
 def build_mg_lp(
     skeleton: MarkovGameSkeleton,
     policy: MarkovPolicy,
@@ -191,7 +174,8 @@ def build_mg_lp(
     Returns the program and a layout dict.  The rewards, flattened from
     ``layout["shape"]``, are the first columns, except under an L1 cost,
     where the first two blocks are ``d+`` and ``d-`` and the reward is
-    ``layout["baseline"] + d+ - d-`` (the baseline is None otherwise).
+    ``layout["baseline"] + d+ - d-``, with the game's baseline reward
+    flattened there (None under the other costs).
     ``layout["slack_col"]`` is the margin column in max-gap mode.
     """
     policy.check_fits(skeleton)
@@ -209,7 +193,8 @@ def build_mg_lp(
     if l1:
         # r = base + d+ - d-, with d+ the first block and d- the second; the
         # bounds keep r in the box whatever the baseline.
-        base = _resolve_baseline(cost, skeleton, shape).reshape(-1)
+        base = skeleton.baseline_reward
+        base = (np.zeros(shape) if base is None else base).reshape(-1)
         lower = np.concatenate(
             [np.maximum(0.0, -bound - base), np.maximum(0.0, base - bound)]
         )
@@ -296,10 +281,8 @@ def build_nfg_lp(
     baseline: Optional[np.ndarray] = None,
 ) -> tuple[LinearProgram, dict]:
     """The one-stage design program: :func:`build_mg_lp` on the embedding of
-    ``sigma``, with ``cost.baseline``, else ``baseline``, else zeros, as the
-    utility to modify."""
-    if cost.baseline is not None:
-        baseline = cost.baseline
+    ``sigma``, with ``baseline`` (shaped like a game's utility), else zeros,
+    as the utility to modify."""
     game = NormalFormGame(
         tuple(tuple(range(c)) for c in sigma.action_counts),
         np.zeros((sigma.num_players,) + sigma.action_counts)
@@ -307,11 +290,7 @@ def build_nfg_lp(
         else baseline,
     )
     return build_mg_lp(
-        nfg_as_markov(game),
-        strategy_as_policy(sigma),
-        concept,
-        CostSpec(cost.kind),
-        config,
+        nfg_as_markov(game), strategy_as_policy(sigma), concept, cost, config
     )
 
 
@@ -346,12 +325,13 @@ def design(
 
     Accepts a Markov game with a Markov policy or a normal-form game with a
     joint strategy.  The latter is designed as its one-stage embedding
-    (:func:`nfg_as_markov`, :func:`strategy_as_policy`), with
-    ``cost.baseline`` shaped like the game's utility, and its result also
-    carries the designed ``utility``.  Every optimal design is measured by
-    :func:`check_strict`, the one post-solve verifier; a design that misses
-    its margin is a :class:`RuntimeError`.  Non-optimal statuses return
-    without tensors.
+    (:func:`nfg_as_markov`, :func:`strategy_as_policy`), whose baseline
+    reward is the game's utility, and its result also carries the designed
+    ``utility``.  The modification costs run from the game's baseline; to
+    design from another, pass a game carrying it.  Every optimal design is
+    measured by :func:`check_strict`, the one post-solve verifier; a design
+    that misses its margin is a :class:`RuntimeError`.  Non-optimal statuses
+    return without tensors.
     """
     sigma = None
     if isinstance(game, NormalFormGame):
@@ -359,9 +339,7 @@ def design(
             raise ShapeError("normal-form design expects a joint strategy")
         if target.action_counts != game.action_counts:
             raise ShapeError("strategy shape does not match the game")
-        if cost.baseline is not None:
-            game = NormalFormGame(game.action_sets, cost.baseline)
-        sigma, cost = target, CostSpec(cost.kind)
+        sigma = target
         game, target = nfg_as_markov(game), strategy_as_policy(sigma)
     elif not isinstance(target, MarkovPolicy):
         raise ShapeError("Markov design expects a Markov policy")
@@ -408,11 +386,12 @@ def evaluate_cost(
     cost: CostSpec,
     reward: RewardFunction,
 ) -> float:
-    """Recompute a design's cost directly from tensors (no LP involved)."""
-    shape = reward.rewards.shape
+    """Recompute a design's cost directly from tensors (no LP involved);
+    the modification costs run from the game's baseline reward, as in
+    :func:`design`."""
     if cost.kind in (CostKind.ONLINE, CostKind.OFFLINE):
-        base = _resolve_baseline(cost, skeleton, shape)
-        diff = np.abs(reward.rewards - base)
+        base = skeleton.baseline_reward
+        diff = np.abs(reward.rewards - (0.0 if base is None else base))
         if cost.kind == CostKind.OFFLINE:
             return float(diff.sum())
         mu = visitation(skeleton, policy)

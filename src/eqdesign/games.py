@@ -197,9 +197,10 @@ def _factor_gap(probs: np.ndarray, lead: int) -> np.ndarray:
     return np.abs(probs - outer).max(axis=axes)
 
 
-def is_product(sigma: JointMixedStrategy, atol: float = COND_ATOL) -> bool:
-    """Whether the joint strategy factorizes into independent marginals."""
-    return bool(_factor_gap(sigma.probs, 0) <= atol)
+def is_product(sigma: JointMixedStrategy) -> bool:
+    """Whether the joint strategy factorizes into independent marginals
+    (within ``COND_ATOL``)."""
+    return bool(_factor_gap(sigma.probs, 0) <= COND_ATOL)
 
 
 @dataclass(frozen=True)
@@ -376,10 +377,10 @@ class MarkovPolicy:
                 f"{expected}"
             )
 
-    def first_correlated(self, atol: float = COND_ATOL) -> Optional[tuple[int, int]]:
+    def first_correlated(self) -> Optional[tuple[int, int]]:
         """The first ``(h, s)`` whose stage does not factorize into its
-        marginals within ``atol``, in row-major order; None if all do."""
-        bad = np.argwhere(_factor_gap(self.stages, 2) > atol)
+        marginals within ``COND_ATOL``, in row-major order; None if all do."""
+        bad = np.argwhere(_factor_gap(self.stages, 2) > COND_ATOL)
         return (int(bad[0, 0]), int(bad[0, 1])) if bad.size else None
 
 

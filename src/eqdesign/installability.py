@@ -92,7 +92,6 @@ def require(
     concept: Concept,
     target: Union[JointMixedStrategy, MarkovPolicy],
     dev_class: Optional[DeviationClass] = None,
-    atol: float = COND_ATOL,
 ) -> None:
     """Raise unless ``concept`` is known, applies to ``target``, and can
     measure ``dev_class``, checked in that order.  A Nash target's first
@@ -103,9 +102,9 @@ def require(
         raise ValueError(f"unknown concept {concept!r}")
     if concept == Concept.NE:
         if isinstance(target, MarkovPolicy):
-            bad = target.first_correlated(atol)
+            bad = target.first_correlated()
         else:
-            bad = None if is_product(target, atol) else (0, 0)
+            bad = None if is_product(target) else (0, 0)
         if bad is not None:
             raise NotProductError(
                 f"stage (h={bad[0]}, s={bad[1]}) is not a product strategy"
@@ -121,9 +120,7 @@ def require(
         )
 
 
-def stage_reports(
-    table, concept: Concept, atol: float = COND_ATOL
-) -> list[InstallabilityReport]:
+def stage_reports(table, concept: Concept) -> list[InstallabilityReport]:
     """Verdicts for every stage of a ``conditional_table`` (of a
     :class:`MarkovPolicy`, axes ``(h, s)``, or of a :class:`JointMixedStrategy`,
     none) at once, in row-major order of its leading axes.  The caller has
@@ -138,9 +135,10 @@ def stage_reports(
             failing.append(~single)
             certs.append(())
         elif concept == Concept.CE:
-            # Pairwise L-inf table; a hit is a supported pair j < k within atol.
+            # Pairwise L-inf table; a hit is a supported pair j < k within
+            # COND_ATOL.
             diffs = np.abs(conds[:, :, None] - conds[:, None]).max(axis=3)
-            hits = (diffs <= atol) & sup[:, :, None] & sup[:, None, :]
+            hits = (diffs <= COND_ATOL) & sup[:, :, None] & sup[:, None, :]
             hits &= np.arange(count)[:, None] < np.arange(count)
             hits = hits.reshape(len(sup), -1)
             failing.append(hits.any(axis=1))
@@ -149,7 +147,7 @@ def stage_reports(
             # Each supported conditional against the lowest supported anchor's.
             anchor = sup.argmax(axis=1)
             ref = conds[np.arange(len(sup)), anchor][:, None]
-            differs = sup & (np.abs(conds - ref).max(axis=2) > atol)
+            differs = sup & (np.abs(conds - ref).max(axis=2) > COND_ATOL)
             after = sup & (np.arange(count) > anchor[:, None])
             failing.append(~single & ~differs.any(axis=1))
             certs.append((anchor, after.argmax(axis=1)))
@@ -172,42 +170,36 @@ def stage_reports(
     return reports
 
 
-def check_scce(
-    sigma: JointMixedStrategy, atol: float = COND_ATOL
-) -> InstallabilityReport:
+def check_scce(sigma: JointMixedStrategy) -> InstallabilityReport:
     """Strict-coarse-correlated installability: ``check(sigma, Concept.CCE)``."""
-    return check(sigma, Concept.CCE, atol)
+    return check(sigma, Concept.CCE)
 
 
-def check(
-    sigma: JointMixedStrategy, concept: Concept, atol: float = COND_ATOL
-) -> InstallabilityReport:
+def check(sigma: JointMixedStrategy, concept: Concept) -> InstallabilityReport:
     """Installability of one joint strategy: one stage of
     :func:`stage_reports`.
 
     NE: a product strategy (else :class:`NotProductError`) qualifies iff
     every player puts all mass on a single action.  CE: fails exactly when
     some player has two supported actions whose conditionals coincide
-    (L-inf within ``atol``).  CCE: each player qualifies by having a single
-    supported action, or some supported action whose conditional differs
-    from the lowest supported anchor's; a player whose supported
+    (L-inf within ``COND_ATOL``).  CCE: each player qualifies by having a
+    single supported action, or some supported action whose conditional
+    differs from the lowest supported anchor's; a player whose supported
     conditionals all coincide defeats installability.
     """
-    require(concept, sigma, atol=atol)
-    return stage_reports(sigma.conditional_table, concept, atol)[0]
+    require(concept, sigma)
+    return stage_reports(sigma.conditional_table, concept)[0]
 
 
-def check_markov(
-    policy: MarkovPolicy, concept: Concept, atol: float = COND_ATOL
-) -> MarkovInstallability:
+def check_markov(policy: MarkovPolicy, concept: Concept) -> MarkovInstallability:
     """Stage-wise installability of a Markov policy.
 
     Every (stage, state) pair is checked at once from the policy's
     conditional table, so the report is complete; each stage's report equals
     :func:`check` on that stage.  For ``NE`` every stage must factorize.
     """
-    require(concept, policy, atol=atol)
-    reports = stage_reports(policy.conditional_table, concept, atol)
+    require(concept, policy)
+    reports = stage_reports(policy.conditional_table, concept)
     return MarkovInstallability(
         concept=concept,
         installable=all(rep.installable for rep in reports),

@@ -187,69 +187,46 @@ def load_policy(
         raise InputFormatError(f"{where}: {exc}") from None
 
 
-def load_reward(
-    doc: dict, skeleton: MarkovGameSkeleton, where: str = "reward"
-) -> RewardFunction:
-    """Parse ``{"rewards": [i][h][s][a], "bound": B}``."""
-    counts = skeleton.action_counts
-    num_a = int(np.prod(counts))
-    shape = (skeleton.num_players, skeleton.horizon, skeleton.num_states, num_a)
-    rewards = _as_array(
-        _require(doc, "rewards", where), shape, f"{where}.rewards"
-    )
-    bound = _as_number(_require(doc, "bound", where), f"{where}.bound")
-    try:
-        return RewardFunction(rewards=rewards.reshape(shape[:3] + counts), bound=bound)
-    except (ShapeError, DistributionError) as exc:
-        raise InputFormatError(f"{where}: {exc}") from None
-
-
-def load_utility(
-    doc: dict, game: NormalFormGame, where: str = "reward"
-) -> RewardFunction:
-    """Parse a one-shot ``{"utility": [i][a], "bound": B}`` document as the
-    rewards of the game's one-stage embedding; ``bound`` defaults to
-    ``max(max |utility|, 1)``."""
+def _reward_tensor(doc: dict, game: Game, where: str) -> tuple[np.ndarray, str]:
+    """The ``rewards`` of a reward document, ``[i][h][s][a]``, or for a
+    one-shot game also the ``utility`` of a utility document, ``[i][a]``, in
+    the Markov form's shape ``(n, H, S, *counts)``, where a one-shot game
+    has one stage and one state.  Returns the tensor and the field read."""
     counts = game.action_counts
-    shape = (game.num_players, int(np.prod(counts)))
-    utility = _as_array(_require(doc, "utility", where), shape, f"{where}.utility")
-    if "bound" in doc:
-        bound = _as_number(doc["bound"], f"{where}.bound")
+    n, num_a = len(counts), int(np.prod(counts))
+    if isinstance(game, NormalFormGame):
+        if "utility" in doc:
+            arr = _as_array(doc["utility"], (n, num_a), f"{where}.utility")
+            return arr.reshape((n, 1, 1) + counts), "utility"
+        lead = (n, 1, 1)
     else:
-        bound = max(float(np.abs(utility).max()), 1.0)
+        lead = (n, game.horizon, game.num_states)
+    rewards = _require(doc, "rewards", where)
+    arr = _as_array(rewards, lead + (num_a,), f"{where}.rewards")
+    return arr.reshape(lead + counts), "rewards"
+
+
+def load_reward(doc: dict, game: Game, where: str = "reward") -> RewardFunction:
+    """Parse ``{"rewards": [i][h][s][a], "bound": B}``, or for a one-shot
+    game a ``{"utility": [i][a]}`` document, whose ``bound`` defaults to
+    ``max(max |utility|, 1)``, as the rewards of the game's Markov form."""
+    rewards, field = _reward_tensor(doc, game, where)
+    if field == "utility" and "bound" not in doc:
+        bound = max(float(np.abs(rewards).max()), 1.0)
+    else:
+        bound = _as_number(_require(doc, "bound", where), f"{where}.bound")
     try:
-        return RewardFunction(
-            rewards=utility.reshape((shape[0], 1, 1) + counts), bound=bound
-        )
+        return RewardFunction(rewards=rewards, bound=bound)
     except (ShapeError, DistributionError) as exc:
         raise InputFormatError(f"{where}: {exc}") from None
 
 
 def load_baseline(doc: dict, game: Game, where: str = "baseline") -> np.ndarray:
-    """Parse a reference reward tensor for the modification costs.
-
-    Reads the documents ``verify`` reads as its reward, with ``bound`` not
-    required: ``rewards`` shaped ``[player][stage][state][joint action]``
-    or, for a one-shot game, a ``utility`` document.  Returns the tensor in
-    the game's own shape, the one :func:`design` takes as
-    ``CostSpec.baseline``: ``(n, *counts)`` for a one-shot game, whose
-    ``rewards`` have one stage and one state, else ``(n, H, S, *counts)``.
-    """
-    counts = game.action_counts
-    num_a = int(np.prod(counts))
-    if isinstance(game, NormalFormGame):
-        n = game.num_players
-        if "utility" in doc:
-            arr = _as_array(doc["utility"], (n, num_a), f"{where}.utility")
-        else:
-            arr = _as_array(
-                _require(doc, "rewards", where), (n, 1, 1, num_a),
-                f"{where}.rewards",
-            )
-        return arr.reshape((n,) + counts)
-    shape = (game.num_players, game.horizon, game.num_states, num_a)
-    arr = _as_array(_require(doc, "rewards", where), shape, f"{where}.rewards")
-    return arr.reshape(shape[:3] + counts)
+    """Parse a reference reward for the modification costs: the documents
+    :func:`load_reward` reads, with ``bound`` not required.  Returns the
+    tensor in the Markov form's shape, the one a skeleton carries as its
+    ``baseline_reward``: ``(n, 1, 1, *counts)`` for a one-shot game."""
+    return _reward_tensor(doc, game, where)[0]
 
 
 def reward_to_doc(reward: RewardFunction) -> dict:

@@ -211,10 +211,11 @@ def epsilon_markov_witness(
 ) -> RewardFunction:
     """Per-stage epsilon-strict rewards for a Markov policy.
 
-    Splits the bound evenly across the horizon, so each stage gets
-    ``b = B / H``, and subtracts continuation values exactly as
-    :func:`markov_witness`, so each stage's measured margin is that of its
-    stage utility:
+    Each stage utility is bounded by ``b = B / min(H, 2)``, and continuation
+    values are subtracted exactly as in :func:`markov_witness`, so each
+    stage's measured margin is that of its stage utility.  A reward is its
+    stage utility minus the next stage's on-path value, both within ``b``,
+    so it stays within ``B``:
 
     - NE: pure stages only, paid ``b`` on the target profile and ``-b``
       elsewhere; requires ``epsilon < 2 * b`` and a deviation class that
@@ -246,7 +247,7 @@ def epsilon_markov_witness(
             "correlated epsilon-strictness is guaranteed only for the "
             "never-recommended deviation class"
         )
-    eps, bound = config.epsilon, config.bound / skeleton.horizon
+    eps, bound = config.epsilon, config.bound / min(skeleton.horizon, 2)
     probs, table = policy.stages, policy.conditional_table
     counts = policy.action_counts
 
@@ -296,8 +297,10 @@ def epsilon_markov_witness(
         if eps > max_gap:
             message = f"epsilon {eps} exceeds the achievable margin {max_gap}"
             raise fail(k, message, max_gap)
-        # eps / gamma can round above the bound when eps is its largest value.
-        alphas.append(min(eps / gamma, bound) if math.isfinite(gamma) else 0.0)
+        # eps / gamma can round above the bound when eps is its largest
+        # value, and a stage whose gamma is 0 can only be asked for eps 0.
+        scaled = eps > 0.0 and math.isfinite(gamma)
+        alphas.append(min(eps / gamma, bound) if scaled else 0.0)
     scale = np.reshape(alphas, probs.shape[:2] + (1,) * len(counts))
     fields = scale * _witness_field(table, counts)
     return _cancel_continuation(policy, skeleton, fields, config.bound)

@@ -268,6 +268,14 @@ def random_skeleton(
     )
 
 
+def three_stage_skeleton(rng: np.random.Generator) -> MarkovGameSkeleton:
+    """A small random game, redrawn until its horizon is 3."""
+    while True:
+        skeleton = random_skeleton(rng, max_states=2, max_horizon=3, max_actions=2)
+        if skeleton.horizon == 3:
+            return skeleton
+
+
 def installable_stage(
     rng: np.random.Generator, counts: tuple[int, ...], allow_pure: bool = True
 ) -> np.ndarray:

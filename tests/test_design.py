@@ -5,6 +5,7 @@ their margins; expected objective values come with a short optimality
 argument rather than from the solver.
 """
 
+import dataclasses
 import hashlib
 import importlib
 import math
@@ -180,28 +181,6 @@ class TestBuilderLayout:
         assert lp.num_vars == 9 and len(lp.constraints) == 4
         assert layout["slack_col"] == 8
 
-    def test_nfg_cost_baseline_overrides_argument(self):
-        # The witness utility already installs the diagonal target with
-        # margin 0.5 > 0.1, so modifying it costs nothing.
-        sigma = sigma_corr()
-        base = witness_utility(sigma)
-        config = DesignConfig(slack=0.1, bound=1.0)
-        via_cost, _ = build_nfg_lp(
-            sigma, Concept.CE, CostSpec(CostKind.OFFLINE, baseline=base),
-            config, baseline=np.zeros_like(base),
-        )
-        via_arg, _ = build_nfg_lp(
-            sigma, Concept.CE, CostSpec(CostKind.OFFLINE), config,
-            baseline=base,
-        )
-        assert via_cost.dump() == via_arg.dump()
-        assert solve(via_cost).objective == pytest.approx(0.0, abs=1e-9)
-        result = design(
-            zero_game((2, 2)), sigma, Concept.CE,
-            CostSpec(CostKind.OFFLINE, baseline=base), config,
-        )
-        assert result.objective == pytest.approx(0.0, abs=1e-9)
-
     def test_l1_programs_have_only_strictness_rows(self):
         sk, pol = recipe_instance(3, 3, (3, 3))
         cost = CostSpec(CostKind.OFFLINE)
@@ -240,19 +219,14 @@ class TestBuilderLayout:
         DesignConfig(slack=np.inf, bound=1.0, max_gap=True)
 
     def test_baseline_must_be_finite(self):
+        # The game carries the baseline, so its constructor rejects a
+        # non-finite one before any design or cost reads it.
         sk = chain_skeleton()
-        pol = full_support_policy()
-        config = DesignConfig(slack=0.1, bound=1.0)
-        reward = RewardFunction(rewards=np.zeros((2, 2, 2, 2, 2)), bound=1.0)
         for bad in (np.nan, np.inf):
             base = np.zeros((2, 2, 2, 2, 2))
             base[1, 0, 1, 1, 0] = bad
-            for kind in (CostKind.ONLINE, CostKind.OFFLINE):
-                cost = CostSpec(kind, baseline=base)
-                with pytest.raises(ShapeError, match="non-finite"):
-                    design(sk, pol, Concept.CCE, cost, config)
-                with pytest.raises(ShapeError, match="non-finite"):
-                    evaluate_cost(sk, pol, cost, reward)
+            with pytest.raises(ShapeError, match="non-finite"):
+                dataclasses.replace(sk, baseline_reward=base)
 
     def test_nash_design_names_correlated_stage(self):
         stages = np.full((2, 2, 2, 2), 0.25)
@@ -265,14 +239,8 @@ class TestBuilderLayout:
             )
 
     def test_baseline_shape_checked(self):
-        sk = chain_skeleton()
-        pol = full_support_policy()
-        with pytest.raises(ShapeError):
-            build_mg_lp(
-                sk, pol, Concept.CCE,
-                CostSpec(CostKind.OFFLINE, baseline=np.zeros((2, 2))),
-                DesignConfig(slack=0.1, bound=1.0),
-            )
+        with pytest.raises(ShapeError, match="baseline_reward shape"):
+            dataclasses.replace(chain_skeleton(), baseline_reward=np.zeros((2, 2)))
 
 
 class TestNfgDesign:
@@ -366,8 +334,8 @@ class TestNfgDesign:
     def test_feasible_baseline_costs_nothing(self):
         base = witness_utility(sigma_corr())
         result = design(
-            self.corr_game(), sigma_corr(), Concept.CE,
-            CostSpec(CostKind.OFFLINE, baseline=base),
+            NormalFormGame(self.corr_game().action_sets, base), sigma_corr(),
+            Concept.CE, CostSpec(CostKind.OFFLINE),
             DesignConfig(slack=0.5, bound=1.0),
         )
         assert result.status == LpStatus.OPTIMAL
@@ -420,7 +388,7 @@ class TestOneStageEmbedding:
             sets = tuple(tuple(f"a{k}" for k in range(c)) for c in shape[1:])
             game = NormalFormGame(sets, rng.uniform(-1.0, 1.0, shape))
             override = rng.uniform(-1.0, 1.0, shape)
-            embedded = (nfg_as_markov(game), strategy_as_policy(sigma))
+            skeleton, policy = nfg_as_markov(game), strategy_as_policy(sigma)
             for concept in (Concept.CE, Concept.CCE):
                 for kind, max_gap, base in [
                     (k, False, None) for k in CostKind
@@ -429,20 +397,15 @@ class TestOneStageEmbedding:
                     (CostKind.OFFLINE, True, None),
                 ]:
                     config = DesignConfig(slack=0.05, bound=1.0, max_gap=max_gap)
-                    one = design(
-                        game, sigma, concept, CostSpec(kind, baseline=base),
-                        config,
-                    )
-                    two = design(
-                        *embedded, concept,
-                        CostSpec(
-                            kind,
-                            baseline=None
-                            if base is None
-                            else base.reshape((2, 1, 1) + shape[1:]),
-                        ),
-                        config,
-                    )
+                    one_game, two_game = game, skeleton
+                    if base is not None:
+                        one_game = NormalFormGame(game.action_sets, base)
+                        two_game = dataclasses.replace(
+                            skeleton,
+                            baseline_reward=base.reshape((2, 1, 1) + shape[1:]),
+                        )
+                    one = design(one_game, sigma, concept, CostSpec(kind), config)
+                    two = design(two_game, policy, concept, CostSpec(kind), config)
                     case = (sigma.probs.tolist(), concept, kind, max_gap)
                     assert one.status == two.status, case
                     assert one.objective == two.objective, case
@@ -738,9 +701,10 @@ class TestAgainstHighs:
         rng = make_rng("design-outside-box")
         shape = (2, sk.horizon, sk.num_states) + sk.action_counts
         base = 3.0 * bound * rng.choice([-1.0, 1.0], size=shape)
+        sk = dataclasses.replace(sk, baseline_reward=base)
         config = DesignConfig(slack=recipe_slack(pol, bound), bound=bound)
         for kind in (CostKind.ONLINE, CostKind.OFFLINE):
-            cost = CostSpec(kind, baseline=base)
+            cost = CostSpec(kind)
             lp, _ = build_mg_lp(sk, pol, Concept.CCE, cost, config)
             sol = self.check(lp)
             assert sol.status == LpStatus.OPTIMAL, kind
@@ -952,5 +916,5 @@ class TestEvaluateCost:
 
     def test_baseline_shifts_modification_cost(self):
         sk, pol, rw = self.fixture()
-        spec = CostSpec(CostKind.OFFLINE, baseline=np.asarray(rw.rewards))
-        assert evaluate_cost(sk, pol, spec, rw) == 0.0
+        sk = dataclasses.replace(sk, baseline_reward=rw.rewards)
+        assert evaluate_cost(sk, pol, CostSpec(CostKind.OFFLINE), rw) == 0.0

@@ -207,7 +207,6 @@ class TestMarkovObjects:
         stages[1, 2] = sigma_corr().probs
         policy = MarkovPolicy(stages=stages)
         assert policy.first_correlated() == (1, 1)
-        assert policy.first_correlated(atol=0.25) is None
         with pytest.raises(DistributionError, match=r"\(h=1, s=1\)"):
             MarkovPolicy(stages=stages, product=True)
 

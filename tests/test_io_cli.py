@@ -6,6 +6,7 @@ tool/config/result envelope and the documented exit codes (0 positive
 verdict, 1 negative verdict, 2 input error, 3 tool failure).
 """
 
+import dataclasses
 import json
 import math
 
@@ -23,7 +24,9 @@ from eqdesign import (
     NormalFormGame,
     RewardFunction,
     design,
+    gamma_cce,
     nfg_as_markov,
+    strategy_as_policy,
 )
 from eqdesign.cli import main
 from eqdesign.io import (
@@ -39,7 +42,12 @@ from eqdesign.io import (
     utility_to_doc,
 )
 
-from conftest import installable_policy, make_rng, random_skeleton
+from conftest import (
+    installable_policy,
+    make_rng,
+    random_skeleton,
+    three_stage_skeleton,
+)
 
 NFG_DOC = {
     "actions": [["heads", "tails"], ["heads", "tails"]],
@@ -273,21 +281,23 @@ class TestPolicyAndRewardLoading:
 
     def test_baseline_accepts_utility_or_rewards(self):
         # The documents verify reads as its reward, bound optional, in the
-        # game's own shape (the one design() takes as CostSpec.baseline).
+        # Markov form's shape (the one a skeleton carries as its baseline).
         game = load_game(NFG_DOC)
+        embedded = nfg_as_markov(game).baseline_reward
         upl = load_baseline(utility_to_doc(game.utility), game)
-        assert np.allclose(upl, game.utility, atol=0)
+        assert np.allclose(upl, embedded, atol=0)
         flat = game.utility.reshape(2, 1, 1, 4).tolist()
         rpl = load_baseline({"rewards": flat}, game)
-        assert np.allclose(rpl, game.utility, atol=0)
+        assert np.allclose(rpl, embedded, atol=0)
         # The flat [player][joint action] rewards form is not a reward
         # document of the embedding.
         with pytest.raises(InputFormatError, match="expected \\(2, 1, 1, 4\\)"):
             load_baseline({"rewards": utility_to_doc(game.utility)["utility"]}, game)
-        # design() takes the loaded one-shot baseline as it is.
+        # The embedding carries the loaded one-shot baseline as it is.
         sigma = load_strategy(CORR_TARGET, game.action_counts)
         res = design(
-            game, sigma, Concept.CE, CostSpec(CostKind.OFFLINE, rpl),
+            dataclasses.replace(nfg_as_markov(game), baseline_reward=rpl),
+            strategy_as_policy(sigma), Concept.CE, CostSpec(CostKind.OFFLINE),
             DesignConfig(slack=0.1, bound=1.0),
         )
         assert res.status.value == "optimal"
@@ -482,6 +492,41 @@ class TestCliWitness:
         assert reports[0] == reports[1]
         assert reports[0]["stage"] == [0, 0]
         assert reports[0]["max_epsilon"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_epsilon_witness_beyond_two_stages(self, files):
+        # Stage utilities within B / 2 keep every reward of a three-stage
+        # epsilon witness in the box, so 0.9 of (B / 2) * gamma is built.
+        rng = make_rng("cli-witness-h3")
+        sk = three_stage_skeleton(rng)
+        pol = installable_policy(rng, sk, allow_pure=False)
+        cells = np.ndindex(sk.horizon, sk.num_states)
+        eps = 0.9 * min(gamma_cce(pol.stage(h, s)).value for h, s in cells)
+        game = files("game.json", game_doc(sk))
+        target = files("target.json", policy_doc(pol))
+        result = invoke(
+            ["witness", game, target, "--concept", "cce", "--bound", "2",
+             "--epsilon", repr(eps)]
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)["result"]
+        assert report["min_gap"] >= eps - 1e-9
+        assert np.max(np.abs(report["reward"]["rewards"])) <= 2.0
+
+    @pytest.mark.parametrize("concept", ["ce", "cce"])
+    def test_zero_epsilon_at_zero_gamma(self, files, concept):
+        # Installable with gamma 0: epsilon 0 is a zero utility, not a
+        # division by gamma.
+        game = files("game.json", NFG_DOC)
+        target = files(
+            "target.json", {"probs": [0.25, 0.25, 0.25 + 2e-9, 0.25 - 2e-9]}
+        )
+        result = invoke(
+            ["witness", game, target, "--concept", concept, "--epsilon", "0"]
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)["result"]
+        assert report["utility"] == [[0.0] * 4] * 2
+        assert report["min_gap"] == 0.0
 
     def test_markov_witness_reward_document(self, files):
         rng = make_rng("cli-witness-mg")

@@ -22,6 +22,7 @@ The default sample runs in a few seconds; ``EQDESIGN_SLOW=1`` runs a ten
 times larger one.
 """
 
+import dataclasses
 import math
 import os
 import re
@@ -190,11 +191,14 @@ def check_case(k: int) -> dict:
         specs += [(CostKind.OFFLINE, False, override), (CostKind.OFFLINE, True, None)]
         for kind, max_gap, base in specs:
             config = DesignConfig(slack=slack, bound=1.0, max_gap=max_gap)
-            one = design(game, sigma, concept, CostSpec(kind, base), config)
-            embedded_base = None if base is None else base[:, None, None]
-            two = design(
-                skeleton, policy, concept, CostSpec(kind, embedded_base), config
-            )
+            one_game, two_game = game, skeleton
+            if base is not None:
+                one_game = NormalFormGame(game.action_sets, base)
+                two_game = dataclasses.replace(
+                    skeleton, baseline_reward=base[:, None, None]
+                )
+            one = design(one_game, sigma, concept, CostSpec(kind), config)
+            two = design(two_game, policy, concept, CostSpec(kind), config)
             case = (k, concept, kind, max_gap, base is not None)
             assert one.status == two.status, case
             assert one.objective == two.objective, case

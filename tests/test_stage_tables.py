@@ -203,7 +203,7 @@ def ref_epsilon_markov_witness(policy, skeleton, concept, config):
     """Stages that cannot carry the margin are named; input errors (a
     correlated Nash target, checked first, or a deviation class the concept
     does not cover) are raised as they are."""
-    bound = config.bound / skeleton.horizon
+    bound = config.bound / min(skeleton.horizon, 2)
     stages = list(np.ndindex(skeleton.horizon, skeleton.num_states))
     for h, s in stages:
         if concept == Concept.NE and not is_product(policy.stage(h, s)):

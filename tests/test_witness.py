@@ -36,6 +36,7 @@ from conftest import (
     random_skeleton,
     sigma_corr,
     sigma_ex,
+    three_stage_skeleton,
 )
 
 
@@ -306,6 +307,57 @@ class TestEpsilonMarkovWitness:
         )
         assert rep.strict
         assert rep.min_gap >= eps - 1e-9
+
+    @pytest.mark.parametrize("concept", list(Concept), ids=lambda c: c.value)
+    def test_half_the_bound_per_stage_beyond_two_stages(self, concept):
+        # A reward is its stage utility minus the next stage's on-path
+        # value, so stage utilities within B / 2 keep it in the box at any
+        # horizon: at H = 3 the margin reaches 0.9 of (B / 2) * gamma, and
+        # 0.9 B for pure Nash.
+        bound = 2.0
+        for k in range(4):
+            rng = make_rng(f"emw-h3-{concept.value}-{k}")
+            skeleton = three_stage_skeleton(rng)
+            cells = list(np.ndindex(skeleton.horizon, skeleton.num_states))
+            if concept == Concept.NE:
+                stages = np.zeros((3, skeleton.num_states) + skeleton.action_counts)
+                for h, s in cells:
+                    profile = tuple(rng.integers(0, c) for c in skeleton.action_counts)
+                    stages[(h, s) + profile] = 1.0
+                policy = MarkovPolicy(stages=stages)
+                eps, dev = 0.9 * bound, DeviationClass.NEVER_TARGET
+            else:
+                policy = installable_policy(rng, skeleton, allow_pure=False)
+                gamma = gamma_ce if concept == Concept.CE else gamma_cce
+                low = min(gamma(policy.stage(h, s)).value for h, s in cells)
+                eps = 0.9 * 0.5 * bound * low
+                dev = (
+                    DeviationClass.NEVER_RECOMMENDED
+                    if concept == Concept.CE
+                    else DeviationClass.UNRESTRICTED
+                )
+            cfg = EpsilonConfig(epsilon=eps, bound=bound, deviation_class=dev)
+            reward = epsilon_markov_witness(policy, skeleton, concept, cfg)
+            assert np.max(np.abs(reward.rewards)) <= bound
+            rep = check_strict(skeleton, reward, policy, concept, dev_class=dev)
+            assert rep.min_gap >= eps - 1e-9, k
+
+    def test_zero_epsilon_at_zero_gamma(self):
+        # Installable, yet gamma rounds to 0: epsilon 0 is carried by the
+        # zero reward rather than by a division by gamma.
+        sigma = JointMixedStrategy(
+            np.array([[0.25, 0.25], [0.25 + 2e-9, 0.25 - 2e-9]])
+        )
+        skeleton, policy = embed(sigma)
+        for concept, dev in (
+            (Concept.CE, DeviationClass.NEVER_RECOMMENDED),
+            (Concept.CCE, DeviationClass.UNRESTRICTED),
+        ):
+            gamma = gamma_ce(sigma) if concept == Concept.CE else gamma_cce(sigma)
+            assert gamma == (0.0, True)
+            cfg = EpsilonConfig(epsilon=0.0, bound=1.0, deviation_class=dev)
+            reward = epsilon_markov_witness(policy, skeleton, concept, cfg)
+            assert not np.any(reward.rewards)
 
     def test_pure_stage_blocks_coarse_margin(self):
         rng = make_rng("emw-pure")
