@@ -22,7 +22,7 @@ import click
 
 from . import __version__
 from .design import CostKind, CostSpec, DesignConfig, build_mg_lp, design
-from .games import NormalFormGame, RewardFunction, nfg_as_markov
+from .games import NormalFormGame, RewardFunction, ShapeError, nfg_as_markov
 from .installability import (
     Concept,
     DeviationClass,
@@ -32,6 +32,7 @@ from .installability import (
     require,
 )
 from .io import (
+    InputFormatError,
     dump_json,
     load_baseline,
     load_game,
@@ -176,8 +177,11 @@ def _run_design(
     :func:`design` solves."""
     game, skeleton, policy = _load_inputs(game, target)
     if baseline is not None:
-        baseline = load_baseline(load_json(baseline), game, where=baseline)
-        skeleton = dataclasses.replace(skeleton, baseline_reward=baseline)
+        base = load_baseline(load_json(baseline), game, where=baseline)
+        try:
+            skeleton = dataclasses.replace(skeleton, baseline_reward=base)
+        except ShapeError as exc:
+            raise InputFormatError(f"{baseline}: {exc}") from None
     cost = CostSpec(kind=cost)
     config = DesignConfig(slack=slack, bound=bound, max_gap=max_gap)
     if lp_dump is not None:

@@ -5,8 +5,8 @@ by the bound, plus the auxiliary columns of the chosen cost.  With the
 target policy fixed, action and state values are linear in the rewards, so
 one backward-induction operator turns every deviation constraint into a
 single strictness row over rewards.  The rows of every stage are built at
-once from the policy's stage arrays and conditional table; :mod:`.games` is
-the one home of conditionals, supports and genuine deviations.  The L1
+once from the policy's stage arrays and conditional table, over the
+deviations :func:`~eqdesign.installability.deviation_mask` names.  The L1
 costs write each reward as ``base + d+ - d-`` with bounded deviation columns
 ``d+`` and ``d-`` in place of the rewards, so their programs have the
 strictness rows alone.  A normal-form game is designed as its one-stage,
@@ -34,11 +34,10 @@ from .games import (
     NormalFormGame,
     RewardFunction,
     ShapeError,
-    genuine_mask,
     nfg_as_markov,
     strategy_as_policy,
 )
-from .installability import Concept, DeviationClass, require
+from .installability import Concept, DeviationClass, deviation_mask, require
 from .lp import LinearProgram, LpStatus, solve
 from .verify import GapReport, check_strict, policy_eval, visitation
 
@@ -125,12 +124,11 @@ def _strict_rows(
             p, conds = policy.conditional_table[i]
             cond = conds.reshape(p.shape + counts[:i] + (1,) + counts[i + 1 :])
             w = (e[:, None] - e) * cond[:, :, :, None]
-            ok = (p > 0.0)[..., None] & (e.reshape(c, c) == 0.0)
         else:  # the target minus e_m x the opponents' marginal
+            p = policy.marginal(i)
             marg = stages.sum(axis=2 + i, keepdims=True)
             w = stages[:, :, None] - e * marg[:, :, None]
-            ok = genuine_mask(policy.marginal(i))
-        ok = ok.reshape(horizon, num_s, -1)
+        ok = deviation_mask(p, concept).reshape(horizon, num_s, -1)
         keep[:, :, i, : ok.shape[2]] = ok
         weights[:, :, i, : ok.shape[2]] = w.reshape(ok.shape + (-1,))
     # A stack of row-vector products; one matrix product would round otherwise.
@@ -337,8 +335,6 @@ def design(
     if isinstance(game, NormalFormGame):
         if not isinstance(target, JointMixedStrategy):
             raise ShapeError("normal-form design expects a joint strategy")
-        if target.action_counts != game.action_counts:
-            raise ShapeError("strategy shape does not match the game")
         sigma = target
         game, target = nfg_as_markov(game), strategy_as_policy(sigma)
     elif not isinstance(target, MarkovPolicy):

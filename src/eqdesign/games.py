@@ -21,7 +21,7 @@ package relies on:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -148,12 +148,6 @@ def genuine_deviations(sigma: JointMixedStrategy, player: int) -> tuple[int, ...
     if len(sup) == 1:
         return tuple(a for a in actions if a != sup[0])
     return tuple(actions)
-
-
-def genuine_mask(p: np.ndarray) -> np.ndarray:
-    """:func:`genuine_deviations` as a mask over the last axis of masses ``p``."""
-    sup = p > 0.0
-    return ~(sup & (sup.sum(axis=-1, keepdims=True) == 1))
 
 
 def _conditionals(
@@ -307,13 +301,12 @@ class MarkovGameSkeleton:
 class MarkovPolicy:
     """Target joint behavior: one joint action distribution per (stage, state).
 
-    ``stages[h, s]`` is a joint distribution over action profiles.  When
-    ``product`` is set, every stage distribution must factorize into
-    independent per-player marginals (within ``COND_ATOL``).
+    ``stages[h, s]`` is a joint distribution over action profiles.  Whether
+    every stage factorizes is :meth:`first_correlated`'s question, asked by
+    :func:`~eqdesign.installability.require` of every Nash target.
     """
 
     stages: np.ndarray
-    product: bool = False
 
     def __post_init__(self) -> None:
         arr = np.array(self.stages, dtype=float)
@@ -325,12 +318,6 @@ class MarkovPolicy:
             lambda k: "policy stage (h={}, s={})".format(*divmod(k, num_s)),
         )
         object.__setattr__(self, "stages", _freeze(arr))
-        bad = self.first_correlated() if self.product else None
-        if bad is not None:
-            raise DistributionError(
-                f"policy flagged product but stage (h={bad[0]}, s={bad[1]}) "
-                "does not factorize"
-            )
 
     @property
     def horizon(self) -> int:
@@ -415,7 +402,8 @@ class RewardFunction:
 
 @dataclass(frozen=True)
 class ValueTables:
-    """Per-player state values and action values under a fixed policy.
+    """Per-player state values and action values under a fixed policy, as
+    :func:`~eqdesign.verify.policy_eval` builds them.
 
     ``v[i, h, s]`` for h in 0..H (terminal layer all zero), and
     ``q[i, h, s, a...]`` for h in 0..H-1.
@@ -423,20 +411,6 @@ class ValueTables:
 
     v: np.ndarray
     q: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.array(self.v, dtype=float)
-        q = np.array(self.q, dtype=float)
-        if v.ndim != 3 or q.ndim < 4:
-            raise ShapeError("value tables have wrong rank")
-        if v.shape[1] != q.shape[1] + 1 or v.shape[0] != q.shape[0]:
-            raise ShapeError(
-                f"v shape {v.shape} inconsistent with q shape {q.shape}"
-            )
-        if np.any(v[:, -1, :] != 0.0):
-            raise ShapeError("terminal values must be exactly zero")
-        object.__setattr__(self, "v", _freeze(v))
-        object.__setattr__(self, "q", _freeze(q))
 
 
 def nfg_as_markov(game: NormalFormGame) -> MarkovGameSkeleton:

@@ -10,7 +10,8 @@ expression over the policy's conditional table checks all stages at once.
 It is also the one home of the concept rules that every check, witness,
 design and verification shares: :func:`require` rejects a concept it does
 not know, a Nash target with a correlated stage, and a class the concept
-cannot measure.
+cannot measure, and :func:`deviation_mask` is the set of deviations each
+concept measures.
 
 Verdicts are deterministic: players, then actions, are scanned in ascending
 index order and the first violation found becomes the certificate.
@@ -118,6 +119,19 @@ def require(
         raise ValueError(
             "never-target deviations apply to the NE/CCE concepts only"
         )
+
+
+def deviation_mask(p: np.ndarray, concept: Concept) -> np.ndarray:
+    """The deviations ``concept`` measures, from one player's masses ``p``
+    over its last axis.  CE: the pairs of a supported recommendation ``j``
+    and a replacement ``k != j``, shaped ``(..., c, c)``.  NE and CCE: every
+    action except one carrying the player's whole mass, which replicates
+    the target, shaped ``(..., c)``."""
+    sup = p > 0.0
+    if concept == Concept.CE:
+        other = np.arange(p.shape[-1])
+        return sup[..., None] & (other[:, None] != other)
+    return ~(sup & (sup.sum(axis=-1, keepdims=True) == 1))
 
 
 def stage_reports(table, concept: Concept) -> list[InstallabilityReport]:

@@ -92,8 +92,6 @@ def load_game(doc: dict, where: str = "game") -> Game:
             (len(sets), num_a),
             f"{where}.utility",
         )
-        if not np.all(np.isfinite(utility)):
-            raise InputFormatError(f"{where}.utility: non-finite entries")
         try:
             return NormalFormGame(
                 action_sets=sets, utility=utility.reshape((len(sets),) + counts)
@@ -176,13 +174,8 @@ def load_policy(
             f"{where}.stages",
         )
         stages = _clean_rows(stages, f"{where}.stages")
-    product = doc.get("product", False)
-    if not isinstance(product, bool):
-        raise InputFormatError(f"{where}.product: expected true or false")
     try:
-        return MarkovPolicy(
-            stages=stages.reshape((horizon, num_s) + counts), product=product
-        )
+        return MarkovPolicy(stages=stages.reshape((horizon, num_s) + counts))
     except (ShapeError, DistributionError) as exc:
         raise InputFormatError(f"{where}: {exc}") from None
 

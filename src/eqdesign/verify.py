@@ -11,9 +11,10 @@ for normal-form instances, against which the tests and the benchmark check
 :func:`~eqdesign.installability.require`, with the rest of the module.
 
 Deviation semantics: margins quantify over deviations that actually change
-play.  An action carrying a player's whole stage mass replicates the target
-and is never counted as a deviation at that stage; the deviation class may
-exclude it from future stages as well (``NEVER_TARGET``).
+play, the sets :func:`~eqdesign.installability.deviation_mask` gives.  An
+action carrying a player's whole stage mass replicates the target and is
+never counted as a deviation at that stage; the deviation class may exclude
+it from future stages as well (``NEVER_TARGET``).
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from .games import (
     ValueTables,
     conditional_matrix,
     genuine_deviations,
-    genuine_mask,
 )
-from .installability import Concept, DeviationClass, require
+from .installability import Concept, DeviationClass, deviation_mask, require
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def best_response(
     actions = np.zeros((horizon, num_s), dtype=int)
     allowed = None
     if dev_class == DeviationClass.NEVER_TARGET:
-        allowed = genuine_mask(policy.marginal(player))
+        allowed = deviation_mask(policy.marginal(player), Concept.CCE)
     # Own action values as (state, own, opponents); transpose beats np.moveaxis.
     others = [1 + i for i in range(skeleton.num_players) if i != player]
     for h in range(horizon - 1, -1, -1):
@@ -177,43 +177,6 @@ def best_response(
     return BestResponse(
         player=player, deviation_class=dev_class, v=v, q=q, actions=actions
     )
-
-
-def _add_gaps(gaps: dict, player: int, mask: np.ndarray, table: np.ndarray) -> None:
-    """Add ``table`` where ``mask`` holds, keyed ``(player, *index)``, row-major."""
-    index = np.nonzero(mask)
-    keys = zip([player] * index[0].size, *(ax.tolist() for ax in index))
-    gaps.update(zip(keys, table[mask].tolist()))
-
-
-def _coarse_gaps(
-    skeleton: MarkovGameSkeleton,
-    reward: RewardFunction,
-    policy: MarkovPolicy,
-    dev_class: DeviationClass,
-    values: ValueTables,
-) -> dict:
-    gaps: dict = {}
-    for i in range(skeleton.num_players):
-        if skeleton.action_counts[i] < 2:
-            continue  # no deviation exists for a single-action player
-        br = best_response(skeleton, reward, policy, i, dev_class)
-        genuine = genuine_mask(policy.marginal(i))
-        _add_gaps(gaps, i, genuine, values.v[i, :-1, :, None] - br.q)
-    return gaps
-
-
-def _ce_gaps(policy: MarkovPolicy, values: ValueTables) -> dict:
-    gaps: dict = {}
-    for i in range(len(policy.action_counts)):
-        p, conds = policy.conditional_table[i]
-        qmat = np.moveaxis(values.q[i], 2 + i, 2).reshape(conds.shape)
-        on_rec = np.einsum("...jr,...jr->...j", conds, qmat)
-        cross = conds @ qmat.swapaxes(-1, -2)  # [.., j, k] = E_cond_j[q_k]
-        other = np.arange(p.shape[-1])
-        rec = (p > 0.0)[..., None] & (other[:, None] != other)
-        _add_gaps(gaps, i, rec, on_rec[..., None] - cross)
-    return gaps
 
 
 def _finalize(
@@ -260,10 +223,24 @@ def check_strict(
     _check_shapes(skeleton, reward, policy)
     require(concept, policy, dev_class)
     values = policy_eval(skeleton, reward, policy)
-    if concept == Concept.CE:
-        gaps = _ce_gaps(policy, values)
-    else:
-        gaps = _coarse_gaps(skeleton, reward, policy, dev_class, values)
+    gaps: dict = {}
+    for i in range(skeleton.num_players):
+        if concept == Concept.CE:
+            p, conds = policy.conditional_table[i]
+            qmat = np.moveaxis(values.q[i], 2 + i, 2).reshape(conds.shape)
+            on_rec = np.einsum("...jr,...jr->...j", conds, qmat)
+            cross = conds @ qmat.swapaxes(-1, -2)  # [.., j, k] = E_cond_j[q_k]
+            table = on_rec[..., None] - cross
+        elif skeleton.action_counts[i] > 1:  # one action has no deviation
+            br = best_response(skeleton, reward, policy, i, dev_class)
+            p, table = policy.marginal(i), values.v[i, :-1, :, None] - br.q
+        else:
+            continue
+        # Keyed (player, *index of the mask), row-major.
+        mask = deviation_mask(p, concept)
+        index = np.nonzero(mask)
+        keys = zip([i] * index[0].size, *(ax.tolist() for ax in index))
+        gaps.update(zip(keys, table[mask].tolist()))
     return _finalize(concept, epsilon, dev_class, gaps)
 
 

@@ -24,13 +24,13 @@ from .games import (
     MarkovGameSkeleton,
     MarkovPolicy,
     RewardFunction,
-    genuine_mask,
 )
 from .installability import (
     Concept,
     DeviationClass,
     check,
     check_markov,
+    deviation_mask,
     require,
     stage_reports,
 )
@@ -116,13 +116,11 @@ def _gamma_values(table, concept: Concept) -> np.ndarray:
         if concept == Concept.CE:
             # gaps[..., j, k] for supported j and every k != j.
             gaps = norms[..., None] * gaps
-            other = np.arange(p.shape[-1])
-            keep = (p > 0.0)[..., None] & (other[:, None] != other)
         else:
             # Mass-weighted over supported j, per genuine deviation m.
             weights = np.where(p > 0.0, norms * p, 0.0)[..., None, :]
-            gaps, keep = (weights @ gaps)[..., 0, :], genuine_mask(p)
-        gaps = np.where(keep, gaps, math.inf)
+            gaps = (weights @ gaps)[..., 0, :]
+        gaps = np.where(deviation_mask(p, concept), gaps, math.inf)
         best = np.minimum(best, gaps.reshape(best.shape + (-1,)).min(axis=-1))
     return best
 

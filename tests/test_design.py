@@ -39,6 +39,9 @@ from eqdesign import (
     witness_utility,
 )
 
+from test_one_stage import concepts_for as one_shot_concepts
+from test_one_stage import margin_cap, one_shot_case
+
 from conftest import (
     build_lp,
     installable_policy,
@@ -735,6 +738,41 @@ class TestPricedStart:
                 ), (rung, concept)
                 assert egal.phase_steps[0] == social.phase_steps[0], (rung, concept)
                 assert egal.phase_steps[1] <= sk.num_players, (rung, concept)
+
+
+def test_egalitarian_is_the_social_designs_worst_player():
+    # Each strictness row covers one player's rewards, so the design that
+    # maximizes the sum of initial values maximizes every player's at once,
+    # and its worst player is the egalitarian optimum.
+    cases = []
+    for rung in (
+        (2, 2, (2, 2)), (2, 3, (2, 2)), (3, 2, (2, 2)), (2, 2, (2, 3)),
+        (3, 3, (2, 2)), (2, 2, (3, 3)), (3, 3, (3, 3)), (4, 4, (3, 3)),
+    ):
+        sk, pol = recipe_instance(*rung)
+        config = DesignConfig(slack=recipe_slack(pol, 2.0), bound=2.0)
+        cases += [(sk, pol, sk, pol, c, config) for c in (Concept.CE, Concept.CCE)]
+    for k in range(32):  # the one-shot sample, at its slack rule
+        _, game, sigma = one_shot_case(k)
+        sk, pol = nfg_as_markov(game), strategy_as_policy(sigma)
+        for concept in one_shot_concepts(sigma):
+            installable = check(sigma, concept).installable
+            slack = 0.5 * margin_cap(sigma, concept, 1.0) if installable else 1e-3
+            config = DesignConfig(slack=slack, bound=1.0)
+            cases.append((game, sigma, sk, pol, concept, config))
+    egalitarian = CostSpec(CostKind.EGALITARIAN)
+    optimal = 0
+    for game, target, sk, pol, concept, config in cases:
+        social = design(
+            game, target, concept, CostSpec(CostKind.SOCIAL_WELFARE), config
+        )
+        egal = design(game, target, concept, egalitarian, config)
+        assert egal.status == social.status
+        if egal.status == LpStatus.OPTIMAL:
+            worst = evaluate_cost(sk, pol, egalitarian, social.reward)
+            assert abs(egal.objective - worst) <= 1e-12
+            optimal += 1
+    assert optimal > len(cases) // 2
 
 
 class TestOptimalDualsAreChecked:

@@ -11,7 +11,6 @@ from eqdesign import (
     NormalFormGame,
     RewardFunction,
     ShapeError,
-    ValueTables,
     clean_distribution,
     conditional_matrix,
     is_product,
@@ -207,30 +206,17 @@ class TestMarkovObjects:
         stages[1, 2] = sigma_corr().probs
         policy = MarkovPolicy(stages=stages)
         assert policy.first_correlated() == (1, 1)
-        with pytest.raises(DistributionError, match=r"\(h=1, s=1\)"):
-            MarkovPolicy(stages=stages, product=True)
 
     def test_stage_objects_built_once(self):
         policy = MarkovPolicy(stages=np.full((2, 3, 2, 2), 0.25))
         assert policy.stage(1, 2) is policy.stage(1, 2)
         np.testing.assert_array_equal(policy.stage(1, 2).probs, policy.stages[1, 2])
 
-    def test_policy_product_flag_checked(self):
-        stages = sigma_corr().probs.reshape(1, 1, 2, 2)
-        with pytest.raises(DistributionError):
-            MarkovPolicy(stages=stages, product=True)
-
     def test_reward_bound_exact(self):
         with pytest.raises(ShapeError):
             RewardFunction(
                 rewards=np.full((1, 1, 1, 2, 2), 1.0 + 1e-9), bound=1.0
             )
-
-    def test_value_tables_terminal_zero(self):
-        v = np.zeros((1, 2, 1))
-        v[0, 1, 0] = 0.5
-        with pytest.raises(ShapeError):
-            ValueTables(v=v, q=np.zeros((1, 1, 1, 2, 2)))
 
     def test_nfg_embedding_round_trip(self):
         rng = np.random.default_rng(3)

@@ -260,25 +260,6 @@ class TestPolicyAndRewardLoading:
         with pytest.raises(InputFormatError, match=r"reward\.bound"):
             load_reward(doc, sk)
 
-    @pytest.mark.parametrize("flag", ["false", 0, None, [True]])
-    def test_non_boolean_product_rejected(self, flag):
-        one_stage = nfg_as_markov(load_game(NFG_DOC))
-        with pytest.raises(InputFormatError, match=r"^target\.product: "):
-            load_policy(dict(CORR_TARGET, product=flag), one_stage)
-        rng = make_rng("io-product-flag")
-        markov = random_skeleton(rng)
-        doc = dict(policy_doc(installable_policy(rng, markov)), product=flag)
-        with pytest.raises(InputFormatError, match=r"^target\.product: "):
-            load_policy(doc, markov)
-
-    def test_boolean_product_flag_still_checked(self):
-        one_stage = nfg_as_markov(load_game(NFG_DOC))
-        assert load_policy(dict(CORR_TARGET, product=False), one_stage)
-        with pytest.raises(ValueError, match="does not factorize"):
-            load_policy(dict(CORR_TARGET, product=True), one_stage)
-        pol = load_policy(dict(UNIFORM_TARGET, product=True), one_stage)
-        assert pol.product is True
-
     def test_baseline_accepts_utility_or_rewards(self):
         # The documents verify reads as its reward, bound optional, in the
         # Markov form's shape (the one a skeleton carries as its baseline).
@@ -391,6 +372,16 @@ class TestCliCheck:
         result = invoke(["check", game, target, "--concept", "ne"])
         assert result.exit_code == 2
         assert "error:" in result.stderr
+
+    @pytest.mark.parametrize("flag", [True, "false"])
+    def test_product_key_is_ignored(self, files, flag):
+        # Nash's product rule is require's alone; the key changes nothing.
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", dict(CORR_TARGET, product=flag))
+        for concept, code in (("ce", 0), ("ne", 2)):
+            result = invoke(["check", game, target, "--concept", concept])
+            assert result.exit_code == code, result.output
+        assert "stage (h=0, s=0) is not a product strategy" in result.stderr
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_boolean_horizon_exits_two(self, files, flag):
@@ -681,6 +672,30 @@ class TestCliDesign:
                 texts.append(handle.read())
         assert texts[0] == texts[1]
 
+    def test_non_finite_baseline_names_its_file(self, files):
+        # As verify's error names its reward file, design's names the
+        # baseline file, on a one-shot and on a Markov game.
+        rng = make_rng("cli-nan-baseline")
+        sk = random_skeleton(rng, max_states=2, max_horizon=2)
+        num_a = int(np.prod(sk.action_counts))
+        rewards = np.zeros((sk.num_players, sk.horizon, sk.num_states, num_a))
+        rewards[0, 0, 0, 0] = math.nan
+        utility = [[math.nan, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, 0.5]]
+        cases = (
+            (NFG_DOC, CORR_TARGET, {"utility": utility}),
+            (game_doc(sk), policy_doc(installable_policy(rng, sk)),
+             {"rewards": rewards.tolist()}),
+        )
+        for game_json, target_json, base_json in cases:
+            game = files("game.json", game_json)
+            target = files("target.json", target_json)
+            base = files("base.json", base_json)
+            result = invoke(["design", game, target, "--baseline", base])
+            assert result.exit_code == 2, result.output
+            assert result.stderr == (
+                f"error: {base}: baseline_reward has non-finite entries\n"
+            )
+
     def test_markov_design_reward_artifact(self, files, tmp_path):
         rng = make_rng("cli-design-mg")
         sk = random_skeleton(rng, max_states=2, max_horizon=2)
@@ -780,13 +795,6 @@ class TestCliVerify:
             result = invoke(["verify", game, target, reward, "--concept", "ce"])
             assert result.exit_code == 2, result.output
             assert f"{reward}{field}" in result.stderr
-
-    def test_non_boolean_product_exits_two(self, files):
-        game = files("game.json", NFG_DOC)
-        target = files("target.json", dict(CORR_TARGET, product="false"))
-        result = invoke(["check", game, target, "--concept", "ce"])
-        assert result.exit_code == 2, result.output
-        assert f"{target}.product: expected true or false" in result.stderr
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_non_finite_epsilon_exits_two(self, files, epsilon):

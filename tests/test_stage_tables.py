@@ -3,10 +3,11 @@ per-stage definitions.
 
 ``check_markov``, ``markov_witness``, ``epsilon_markov_witness`` and
 ``check_strict`` work on each player's conditional table for every
-``(stage, state)`` together.  The references below loop over stages, as the
-definitions read, and must agree with them: verdicts, certificates, evidence,
-error stages and messages exactly; rewards and gaps within 1e-12, with the
-gap keys in the same order.
+``(stage, state)`` together, over the deviation sets that
+``deviation_mask`` gives for every stage at once.  The references below
+loop over stages, as the definitions read, and must agree with them:
+verdicts, certificates, evidence, deviation sets, error stages and messages
+exactly; rewards and gaps within 1e-12, with the gap keys in the same order.
 """
 
 import numpy as np
@@ -36,6 +37,7 @@ from eqdesign import (
     witness_utility,
 )
 from eqdesign.games import genuine_deviations
+from eqdesign.installability import deviation_mask
 from conftest import (
     conditional,
     epsilon_stage_reference,
@@ -356,6 +358,21 @@ class TestAllStagesMatchPerStage:
                 np.testing.assert_allclose(
                     got, expected, rtol=0, atol=ALL_STAGES_TOL
                 )
+
+    def test_deviation_mask(self, tag, sk, pol, rw):
+        for i, count in enumerate(pol.action_counts):
+            p = pol.marginal(i)
+            coarse = {c: deviation_mask(p, c) for c in (Concept.NE, Concept.CCE)}
+            pairs = deviation_mask(p, Concept.CE)
+            for h, s in np.ndindex(sk.horizon, sk.num_states):
+                sigma = pol.stage(h, s)
+                genuine = np.isin(np.arange(count), genuine_deviations(sigma, i))
+                for mask in coarse.values():
+                    assert np.array_equal(mask[h, s], genuine), (i, h, s)
+                sup = support(sigma, i)
+                want = [[j in sup and k != j for k in range(count)]
+                        for j in range(count)]
+                assert np.array_equal(pairs[h, s], want), (i, h, s)
 
     def test_check_strict_gaps(self, tag, sk, pol, rw):
         runs = [
