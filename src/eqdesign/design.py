@@ -1,7 +1,7 @@
 """LP-based reward design: minimal-cost rewards that install a target.
 
 Builds one linear program per request whose unknowns are the rewards, boxed
-by the bound, plus the auxiliary columns of the chosen cost.  With the
+by the bound, plus at most one auxiliary column for the cost.  With the
 target policy fixed, action and state values are linear in the rewards, so
 one backward-induction operator turns every deviation constraint into a
 single strictness row over rewards.  The rows of every stage are built at
@@ -202,16 +202,11 @@ def build_mg_lp(
     else:
         base = None
         lower, upper = np.full(blk, -bound), np.full(blk, bound)
-    cursor = lower.size
-    z_col = None
-    if cost.kind == CostKind.EGALITARIAN and not config.max_gap:
-        z_col = cursor
-        cursor += 1
-    slack_col = None
-    if config.max_gap:
-        slack_col = cursor
-        cursor += 1
-    num_vars = cursor
+    # One auxiliary column after the rewards: the max-gap margin, or the
+    # egalitarian z (max-gap overrides the cost, so never both).
+    aux = lower.size
+    egalitarian = cost.kind == CostKind.EGALITARIAN and not config.max_gap
+    num_vars = aux + 1 if config.max_gap or egalitarian else aux
 
     lp = LinearProgram(num_vars)
     lp.set_bounds(np.arange(lower.size), lower, upper)
@@ -230,8 +225,8 @@ def build_mg_lp(
     q_of_r, v0_of_r = _value_operator(skeleton, policy)
     players, coeffs = _strict_rows(policy, concept, q_of_r)
     rows, at = player_rows(players, coeffs)
-    if slack_col is not None:
-        rows[:, slack_col] = -1.0
+    if config.max_gap:
+        rows[:, aux] = -1.0
         lp.add_constraint(rows, ">=", 0.0)
     elif l1:
         rows[at[0], at[1] + blk] = -coeffs
@@ -246,7 +241,7 @@ def build_mg_lp(
     # One player's expected initial value per reward entry.
     value0 = skeleton.initial_dist @ v0_of_r
     if config.max_gap:
-        objective[slack_col] = -1.0
+        objective[aux] = -1.0
     elif l1:
         if cost.kind == CostKind.ONLINE:
             weights = np.tile(visitation(skeleton, policy).reshape(-1), n)
@@ -255,15 +250,15 @@ def build_mg_lp(
         objective[: 2 * blk] = np.tile(weights, 2)
     elif cost.kind == CostKind.SOCIAL_WELFARE:
         objective[:blk] = -np.tile(value0, n)
-    elif cost.kind == CostKind.EGALITARIAN:
-        objective[z_col] = -1.0
+    elif egalitarian:
+        objective[aux] = -1.0
         # z <= each player's expected initial value.
         rows, _ = player_rows(np.arange(n), value0)
-        rows[:, z_col] = -1.0
+        rows[:, aux] = -1.0
         lp.add_constraint(rows, ">=", 0.0)
     lp.set_objective(objective)
     layout = {
-        "slack_col": slack_col,
+        "slack_col": aux if config.max_gap else None,
         "num_vars": num_vars,
         "shape": shape,
         "baseline": base,

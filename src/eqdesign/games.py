@@ -340,9 +340,10 @@ class MarkovPolicy:
         return self._stage_table[h][s]
 
     def marginal(self, player: int) -> np.ndarray:
-        """Marginal action distribution of one player at every (h, s)."""
-        players = range(len(self.action_counts))
-        return self.stages.sum(axis=tuple(2 + i for i in players if i != player))
+        """Marginal action distribution of one player at every (h, s), shaped
+        ``(H, S, c_i)``: the masses :attr:`conditional_table` caches,
+        read-only."""
+        return self.conditional_table[player][0]
 
     @cached_property
     def conditional_table(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

@@ -65,6 +65,14 @@ def _clean_rows(arr: np.ndarray, where: str) -> np.ndarray:
         raise InputFormatError(str(exc)) from None
 
 
+def _build(cls, where: str, *fields):
+    """``cls(*fields)``, with the constructor's errors prefixed by ``where``."""
+    try:
+        return cls(*fields)
+    except (ShapeError, DistributionError) as exc:
+        raise InputFormatError(f"{where}: {exc}") from None
+
+
 def _action_sets(doc: dict, where: str) -> tuple[tuple[str, ...], ...]:
     actions = _require(doc, "actions", where)
     if not isinstance(actions, list) or not all(
@@ -88,16 +96,9 @@ def load_game(doc: dict, where: str = "game") -> Game:
     num_a = int(np.prod(counts))
     if "states" not in doc and "horizon" not in doc:
         utility = _as_array(
-            _require(doc, "utility", where),
-            (len(sets), num_a),
-            f"{where}.utility",
-        )
-        try:
-            return NormalFormGame(
-                action_sets=sets, utility=utility.reshape((len(sets),) + counts)
-            )
-        except (ShapeError, DistributionError) as exc:
-            raise InputFormatError(f"{where}: {exc}") from None
+            _require(doc, "utility", where), (len(sets), num_a), f"{where}.utility"
+        ).reshape((len(sets),) + counts)
+        return _build(NormalFormGame, where, sets, utility)
     states = _require(doc, "states", where)
     if not isinstance(states, list) or not states:
         raise InputFormatError(f"{where}.states: expected a nonempty list")
@@ -112,6 +113,7 @@ def load_game(doc: dict, where: str = "game") -> Game:
         f"{where}.transitions",
     )
     trans = _clean_rows(trans, f"{where}.transitions")
+    trans = trans.reshape((horizon, num_s) + counts + (num_s,))
     init = _as_array(
         _require(doc, "initial_dist", where), (num_s,), f"{where}.initial_dist"
     )
@@ -123,17 +125,9 @@ def load_game(doc: dict, where: str = "game") -> Game:
             (len(sets), horizon, num_s, num_a),
             f"{where}.baseline_reward",
         ).reshape((len(sets), horizon, num_s) + counts)
-    try:
-        return MarkovGameSkeleton(
-            action_sets=sets,
-            states=states,
-            horizon=horizon,
-            transitions=trans.reshape((horizon, num_s) + counts + (num_s,)),
-            initial_dist=init,
-            baseline_reward=baseline,
-        )
-    except (ShapeError, DistributionError) as exc:
-        raise InputFormatError(f"{where}: {exc}") from None
+    return _build(
+        MarkovGameSkeleton, where, sets, states, horizon, trans, init, baseline
+    )
 
 
 def load_strategy(
@@ -143,10 +137,7 @@ def load_strategy(
     num_a = int(np.prod(counts))
     probs = _as_array(_require(doc, "probs", where), (num_a,), f"{where}.probs")
     probs = _clean_rows(probs, f"{where}.probs")
-    try:
-        return JointMixedStrategy(probs=probs.reshape(counts))
-    except (ShapeError, DistributionError) as exc:
-        raise InputFormatError(f"{where}: {exc}") from None
+    return _build(JointMixedStrategy, where, probs.reshape(counts))
 
 
 def load_policy(
@@ -174,10 +165,7 @@ def load_policy(
             f"{where}.stages",
         )
         stages = _clean_rows(stages, f"{where}.stages")
-    try:
-        return MarkovPolicy(stages=stages.reshape((horizon, num_s) + counts))
-    except (ShapeError, DistributionError) as exc:
-        raise InputFormatError(f"{where}: {exc}") from None
+    return _build(MarkovPolicy, where, stages.reshape((horizon, num_s) + counts))
 
 
 def _reward_tensor(doc: dict, game: Game, where: str) -> tuple[np.ndarray, str]:
@@ -208,10 +196,7 @@ def load_reward(doc: dict, game: Game, where: str = "reward") -> RewardFunction:
         bound = max(float(np.abs(rewards).max()), 1.0)
     else:
         bound = _as_number(_require(doc, "bound", where), f"{where}.bound")
-    try:
-        return RewardFunction(rewards=rewards, bound=bound)
-    except (ShapeError, DistributionError) as exc:
-        raise InputFormatError(f"{where}: {exc}") from None
+    return _build(RewardFunction, where, rewards, bound)
 
 
 def load_baseline(doc: dict, game: Game, where: str = "baseline") -> np.ndarray:

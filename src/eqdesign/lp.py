@@ -26,16 +26,18 @@ pulled.
 
 Dual phase: the leaving row has the largest bound violation and the
 entering column comes from a Harris two-pass ratio test on the reduced
-costs; a run of ``BLAND_AFTER`` steps without progress switches both
-choices to the lowest index.  A row no column can repair makes the program
-infeasible, and its row of the basis inverse is checked as a certificate on
-the original data.  Primal phase: the entering column is the eligible one
-with the largest reduced cost in magnitude and the leaving row comes from a
-Harris two-pass ratio test; after a run of ``BLAND_AFTER`` pivots that do
-not move, both become the lowest index (Bland's rule).  Both tests use
-``PIVOT_TOL``.  An entering column that no row limits and whose bound is
-infinite makes the program unbounded; the ray it moves along is checked on
-the original data.
+costs, over the columns whose entry in that row exceeds ``PIVOT_TOL`` times
+the row's largest entry (or 1, if larger), so a pivot that is rounding
+noise beside the row never enters; a run of ``BLAND_AFTER`` steps without
+progress switches both choices to the lowest index.  A row no column can
+repair makes the program infeasible, and its row of the basis inverse is
+checked as a certificate on the original data.  Primal phase: the entering
+column is the eligible one with the largest reduced cost in magnitude and
+the leaving row comes from a Harris two-pass ratio test; after a run of
+``BLAND_AFTER`` pivots that do not move, both become the lowest index
+(Bland's rule).  Both tests use ``PIVOT_TOL``.  An entering column that no
+row limits and whose bound is infinite makes the program unbounded; the ray
+it moves along is checked on the original data.
 
 Each pivot costs a few dozen small numpy calls plus one dense rank-one
 update, so the loops keep those calls few: each row's basic-column bounds
@@ -294,15 +296,17 @@ def _dual_simplex(
 
     The leaving row has the largest bound violation, the first such row on a
     tie; the entering column comes from a Harris two-pass ratio test on the
-    reduced costs: the longest dual step that keeps every reduced cost on
-    its side of zero within ``PIVOT_TOL``, then the largest pivot among the
-    columns that limit it.  A step makes progress when it moves the reduced
-    costs (it is not dual degenerate) or brings the total violation below
-    its lowest so far.  After ``BLAND_AFTER`` steps in a row without
-    progress, the leaving row is the infeasible one with the lowest basic
-    index and the entering column the lowest index among those that limit
-    the step.  A cycle repeats its bases, so after one turn it makes no
-    progress and falls under these rules.
+    reduced costs of the columns whose entry in that row passes
+    ``PIVOT_TOL`` times the row's largest entry (or 1, if larger): the
+    longest dual step that keeps every reduced cost on its side of zero
+    within ``PIVOT_TOL``, then the largest pivot among the columns that
+    limit it.  A step makes progress when it moves the reduced costs (it is
+    not dual degenerate) or brings the total violation below its lowest so
+    far.  After ``BLAND_AFTER`` steps in a row without progress, the leaving
+    row is the infeasible one with the lowest basic index and the entering
+    column the lowest index among those that limit the step.  A cycle
+    repeats its bases, so after one turn it makes no progress and falls
+    under these rules.
     """
     if not basis.size:
         return None, 0
@@ -331,8 +335,10 @@ def _dual_simplex(
         # The leaving value moves by move * alpha[col]; alpha > 0 marks
         # columns that repair it by rising, alpha < 0 by falling.
         alpha = -tableau[row] if rising else tableau[row]
+        # Relative to the row's largest entry: rounding noise never enters.
+        tol = PIVOT_TOL * max(1.0, np.abs(alpha).max())
         eligible = (
-            ((alpha > PIVOT_TOL) & (x < upper)) | ((alpha < -PIVOT_TOL) & (x > lower))
+            ((alpha > tol) & (x < upper)) | ((alpha < -tol) & (x > lower))
         ).nonzero()[0]
         if not eligible.size:
             return row, count

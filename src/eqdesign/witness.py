@@ -256,14 +256,14 @@ def epsilon_markov_witness(
         err.__cause__ = InfeasibleEpsilonError(message, max_gap=max_gap)
         return err
 
+    reports = stage_reports(table, concept)
     if concept == Concept.NE:
-        # A stage is pure iff its joint support is a single profile.
-        cells = np.count_nonzero(probs.reshape(-1, int(np.prod(counts))), axis=1)
-        mixed = np.flatnonzero(cells != 1)
+        # An NE stage is installable iff it is pure.
+        mixed = [k for k, rep in enumerate(reports) if not rep.installable]
         max_gap = 2.0 * bound
-        if mixed.size and (mixed[0] == 0 or eps < max_gap):
+        if mixed and (mixed[0] == 0 or eps < max_gap):
             message = "strict Nash scaling requires a pure target"
-            raise fail(int(mixed[0]), message, 0.0)
+            raise fail(mixed[0], message, 0.0)
         if eps >= max_gap:
             raise fail(
                 0,
@@ -275,7 +275,7 @@ def epsilon_markov_witness(
 
     gammas = _gamma_values(table, concept).reshape(-1).tolist()
     alphas = []
-    for k, (rep, gamma) in enumerate(zip(stage_reports(table, concept), gammas)):
+    for k, (rep, gamma) in enumerate(zip(reports, gammas)):
         if not rep.installable:
             raise fail(k, f"target is not {concept.value}-installable", 0.0)
         # A single-support player with spare actions would let a deviator

@@ -793,6 +793,27 @@ class TestOptimalDualsAreChecked:
             solve(lp)
 
 
+class TestBoxedMarginColumn:
+    """A box on the max-gap margin that never binds keeps the optimum.  On
+    the 4,4,(3,3) CCE program the dual phase meets a leaving row whose
+    candidate pivot, 2.7e-8, is rounding noise beside its 2.3e4 entry;
+    entering it breaks the solve down."""
+
+    def test_boxes_that_never_bind_keep_the_optimum(self):
+        sk, pol = recipe_instance(4, 4, (3, 3))
+        config = DesignConfig(slack=0.0, bound=2.0, max_gap=True)
+        cost = CostSpec(CostKind.OFFLINE)
+        lp, _ = build_mg_lp(sk, pol, Concept.CCE, cost, config)
+        free = solve(lp)
+        assert free.status == LpStatus.OPTIMAL
+        for box in ((-16.0, 16.0), (-1e3, 1e3), (0.0, 16.0), (-8.0, 8.0)):
+            lp, _ = build_mg_lp(sk, pol, Concept.CCE, cost, config)
+            lp.set_bounds(lp.num_vars - 1, *box)
+            sol = solve(lp)
+            assert sol.status == LpStatus.OPTIMAL, box
+            assert abs(sol.objective - free.objective) <= 1e-9, box
+
+
 class TestMgDesign:
     def test_every_cost_is_sound_and_recomputable(self):
         for k in range(2):

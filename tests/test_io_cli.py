@@ -400,6 +400,28 @@ class TestCliCheck:
         result = invoke(["check", game, "absent.json"])
         assert result.exit_code == 2
 
+    def test_markov_game_constructor_errors_name_the_file(self, files):
+        # The skeleton's own checks, reported with the file they read.
+        rng = make_rng("cli-skeleton-errors")
+        sk = random_skeleton(rng, max_states=2, max_horizon=2)
+        target = files("target.json", policy_doc(installable_policy(rng, sk)))
+        num_a = int(np.prod(sk.action_counts))
+        rewards = np.zeros((sk.num_players, sk.horizon, sk.num_states, num_a))
+        rewards[-1, -1, -1, -1] = math.nan
+        game = files("game.json", dict(game_doc(sk), baseline_reward=rewards.tolist()))
+        # No players means one empty joint action, which the rows fit.
+        empty = files("empty.json", {
+            "actions": [], "states": ["s"], "horizon": 1,
+            "transitions": [[[[1.0]]]], "initial_dist": [1.0],
+        })
+        for path, message in (
+            (game, "baseline_reward has non-finite entries"),
+            (empty, "every player needs a nonempty action set"),
+        ):
+            result = invoke(["check", path, target])
+            assert result.exit_code == 2, result.output
+            assert result.stderr == f"error: {path}: {message}\n"
+
 
 class TestCliWitness:
     def test_canonical_witness(self, files):

@@ -359,6 +359,17 @@ class TestNfgOracle:
         with pytest.raises(NotProductError):
             nfg_oracle(np.zeros((2, 2, 2)), sigma_corr(), Concept.NE)
 
+    def test_one_action_player_has_no_deviations(self):
+        # Player 0 has one action: no CE pair and no coarse deviation of its
+        # own, on the oracle's side as on check_strict's.
+        sigma = JointMixedStrategy(np.array([[0.2, 0.5, 0.3]]))
+        utility = make_rng("oracle-one-action").uniform(-2.0, 2.0, (2, 1, 3))
+        sk, rw, pol = embed(utility, sigma)
+        for concept in (Concept.CE, Concept.CCE):
+            ora = nfg_oracle(utility, sigma, concept).per_constraint
+            assert ora and all(key[0] == 1 for key in ora), concept
+            assert check_strict(sk, rw, pol, concept).per_constraint == ora
+
     def test_weak_boundary_keeps_replica_out_of_gaps(self):
         # A pure target's own action replicates play, so only genuine
         # deviations appear; the remaining gap measures the payoff drop.
