@@ -21,7 +21,7 @@ import sys
 import click
 
 from . import __version__
-from .design import CostKind, CostSpec, DesignConfig, build_mg_lp, design
+from .design import CostKind, CostSpec, DesignConfig, _solve_design, build_mg_lp
 from .games import NormalFormGame, RewardFunction, ShapeError, nfg_as_markov
 from .installability import (
     Concept,
@@ -171,10 +171,10 @@ def _run_witness(
 def _run_design(
     game, target, concept, slack, bound, cost, baseline, max_gap, lp_dump, out
 ) -> tuple[int, dict]:
-    """Design on the Markov form; ``--baseline`` reads the documents
-    ``verify`` reads and replaces the game's baseline reward with it, and
-    ``--lp-dump`` writes the :func:`build_mg_lp` program that
-    :func:`design` solves."""
+    """Design on the Markov form as :func:`design` does, building the
+    program once; ``--baseline`` reads the documents ``verify`` reads and
+    replaces the game's baseline reward with it, and ``--lp-dump`` writes
+    the :func:`build_mg_lp` program before it is solved."""
     game, skeleton, policy = _load_inputs(game, target)
     if baseline is not None:
         base = load_baseline(load_json(baseline), game, where=baseline)
@@ -184,11 +184,11 @@ def _run_design(
             raise InputFormatError(f"{baseline}: {exc}") from None
     cost = CostSpec(kind=cost)
     config = DesignConfig(slack=slack, bound=bound, max_gap=max_gap)
+    built = build_mg_lp(skeleton, policy, concept, cost, config)
     if lp_dump is not None:
-        lp, _ = build_mg_lp(skeleton, policy, concept, cost, config)
         with open(lp_dump, "w", encoding="utf-8") as handle:
-            handle.write(lp.dump())
-    res = design(skeleton, policy, concept, cost, config)
+            handle.write(built[0].dump())
+    res = _solve_design(skeleton, policy, concept, cost, config, built)
     result = {
         "status": res.status.value,
         "cost": res.cost.value,

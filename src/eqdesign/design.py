@@ -6,8 +6,9 @@ target policy fixed, action and state values are linear in the rewards, so
 one backward-induction operator turns every deviation constraint into a
 single strictness row over rewards.  The rows of every stage are built at
 once from the policy's stage arrays and conditional table, over the
-deviations :func:`~eqdesign.installability.deviation_mask` names.  The L1
-costs write each reward as ``base + d+ - d-`` with bounded deviation columns
+deviations :func:`~eqdesign.installability.deviation_mask` names; their
+weights depend on the policy alone and are kept on it.  The L1 costs
+write each reward as ``base + d+ - d-`` with bounded deviation columns
 ``d+`` and ``d-`` in place of the rewards, so their programs have the
 strictness rows alone.  A normal-form game is designed as its one-stage,
 one-state Markov embedding.
@@ -102,13 +103,13 @@ class DesignResult:
     phase_steps: tuple[int, int] = (0, 0)
 
 
-def _strict_rows(
-    policy: MarkovPolicy, concept: Concept, ops: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Strictness rows of every stage at once, as ``(players, rows)`` in
-    (stage, state, player, constraint) order.  A row is over one player's
-    rewards: the constraint's weights over its stage's flat joint actions
-    times that stage's block of the action-value operator ``ops``."""
+def _strict_weights(
+    policy: MarkovPolicy, concept: Concept
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The policy's part of :func:`_strict_rows`, as read-only
+    ``(players, weights, keep)``: each constraint's weights over its stage's
+    flat joint actions, shaped ``(H, S, n, K, A)``, the mask of the
+    constraints the concept measures, and the player of each kept one."""
     stages, counts = policy.stages, policy.action_counts
     horizon, num_s, n = policy.horizon, policy.num_states, len(counts)
     ce = concept == Concept.CE
@@ -131,9 +132,23 @@ def _strict_rows(
         ok = deviation_mask(p, concept).reshape(horizon, num_s, -1)
         keep[:, :, i, : ok.shape[2]] = ok
         weights[:, :, i, : ok.shape[2]] = w.reshape(ok.shape + (-1,))
+    players = np.nonzero(keep)[2]
+    for arr in (players, weights, keep):
+        arr.flags.writeable = False
+    return players, weights, keep
+
+
+def _strict_rows(
+    policy: MarkovPolicy, concept: Concept, ops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Strictness rows of every stage at once, as ``(players, rows)`` in
+    (stage, state, player, constraint) order.  A row is over one player's
+    rewards: the constraint's weights, computed once per policy and concept,
+    times its stage's block of the action-value operator ``ops``."""
+    players, weights, keep = policy.derived(_strict_weights, concept)
     # A stack of row-vector products; one matrix product would round otherwise.
     blocks = ops.reshape(weights.shape[:2] + (1, 1) + weights.shape[-1:] + (-1,))
-    return np.nonzero(keep)[2], (weights[..., None, :] @ blocks)[..., 0, :][keep]
+    return players, (weights[..., None, :] @ blocks)[..., 0, :][keep]
 
 
 def _value_operator(
@@ -326,15 +341,29 @@ def design(
     that misses its margin is a :class:`RuntimeError`.  Non-optimal statuses
     return without tensors.
     """
-    sigma = None
-    if isinstance(game, NormalFormGame):
+    one_shot = isinstance(game, NormalFormGame)
+    if one_shot:
         if not isinstance(target, JointMixedStrategy):
             raise ShapeError("normal-form design expects a joint strategy")
-        sigma = target
-        game, target = nfg_as_markov(game), strategy_as_policy(sigma)
+        game, target = nfg_as_markov(game), strategy_as_policy(target)
     elif not isinstance(target, MarkovPolicy):
         raise ShapeError("Markov design expects a Markov policy")
-    lp, layout = build_mg_lp(game, target, concept, cost, config)
+    built = build_mg_lp(game, target, concept, cost, config)
+    return _solve_design(game, target, concept, cost, config, built, one_shot)
+
+
+def _solve_design(
+    skeleton: MarkovGameSkeleton,
+    policy: MarkovPolicy,
+    concept: Concept,
+    cost: CostSpec,
+    config: DesignConfig,
+    built: tuple[LinearProgram, dict],
+    one_shot: bool = False,
+) -> DesignResult:
+    """Solve, extract, and verify the program :func:`build_mg_lp` built for
+    these arguments; ``one_shot`` also sets the result's ``utility``."""
+    lp, layout = built
     sol = solve(lp)
     if sol.status != LpStatus.OPTIMAL:
         return DesignResult(
@@ -353,17 +382,14 @@ def design(
     reward = RewardFunction(rewards=rewards, bound=config.bound)
     achieved = float(sol.x[layout["slack_col"]]) if config.max_gap else None
     required = achieved if config.max_gap else config.slack
-    report = _verify_design(game, target, concept, reward, required)
-    utility = None
-    if sigma is not None:
-        utility = rewards.reshape((sigma.num_players,) + sigma.action_counts)
+    report = _verify_design(skeleton, policy, concept, reward, required)
     return DesignResult(
         sol.status,
         concept,
         cost.kind,
         objective=sol.objective,
         reward=reward,
-        utility=utility,
+        utility=rewards[:, 0, 0] if one_shot else None,
         achieved_slack=achieved,
         report=report,
         iterations=sol.iterations,

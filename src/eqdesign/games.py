@@ -21,7 +21,7 @@ package relies on:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -47,6 +47,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _read_only(
+    table: tuple[tuple[np.ndarray, np.ndarray], ...]
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    for p, conds in table:
+        p.flags.writeable = conds.flags.writeable = False
+    return table
+
+
+class _Rebuilt:
+    """Pickle and copy through the constructor: arrays come back frozen and
+    no cached table is carried over."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _check_rows(rows: np.ndarray, label: Callable[[int], str]) -> None:
@@ -90,7 +106,7 @@ def clean_distribution(values, where: str = "distribution") -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class JointMixedStrategy:
+class JointMixedStrategy(_Rebuilt):
     """A joint distribution over action profiles of a normal-form game.
 
     ``probs`` has one axis per player; entry ``probs[a_0, ..., a_{n-1}]``
@@ -123,10 +139,16 @@ class JointMixedStrategy:
         """Joint marginal over everyone except ``player`` (their axes, in order)."""
         return self.probs.sum(axis=player)
 
-    @property
+    @cached_property
     def conditional_table(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """:func:`conditional_matrix` of every player, computed on each access."""
-        return tuple(_conditionals(self.probs, i, 0) for i in range(self.num_players))
+        """:func:`conditional_matrix` of every player, computed once
+        (read-only arrays)."""
+        players = range(self.num_players)
+        return _read_only(tuple(_conditionals(self.probs, i, 0) for i in players))
+
+    @cached_property
+    def _embedding(self) -> MarkovPolicy:
+        return MarkovPolicy(stages=self.probs.reshape((1, 1) + self.action_counts))
 
 
 def support(sigma: JointMixedStrategy, player: int) -> tuple[int, ...]:
@@ -198,7 +220,7 @@ def is_product(sigma: JointMixedStrategy) -> bool:
 
 
 @dataclass(frozen=True)
-class NormalFormGame:
+class NormalFormGame(_Rebuilt):
     """A finite normal-form game: labeled action sets and a payoff tensor.
 
     ``utility[i]`` is player i's payoff over joint action profiles.
@@ -224,13 +246,25 @@ class NormalFormGame:
     def num_players(self) -> int:
         return len(self.action_sets)
 
-    @property
+    @cached_property
     def action_counts(self) -> tuple[int, ...]:
         return tuple(len(acts) for acts in self.action_sets)
 
+    @cached_property
+    def _embedding(self) -> MarkovGameSkeleton:
+        counts = self.action_counts
+        return MarkovGameSkeleton(
+            action_sets=self.action_sets,
+            states=("s0",),
+            horizon=1,
+            transitions=np.ones((1, 1) + counts + (1,)),
+            initial_dist=np.array([1.0]),
+            baseline_reward=self.utility.reshape((self.num_players, 1, 1) + counts),
+        )
+
 
 @dataclass(frozen=True)
-class MarkovGameSkeleton:
+class MarkovGameSkeleton(_Rebuilt):
     """Dynamics of a finite-horizon Markov game, with rewards left open.
 
     ``transitions[h, s, a_0, ..., a_{n-1}]`` is the next-state distribution
@@ -292,13 +326,13 @@ class MarkovGameSkeleton:
     def num_states(self) -> int:
         return len(self.states)
 
-    @property
+    @cached_property
     def action_counts(self) -> tuple[int, ...]:
         return tuple(len(acts) for acts in self.action_sets)
 
 
 @dataclass(frozen=True)
-class MarkovPolicy:
+class MarkovPolicy(_Rebuilt):
     """Target joint behavior: one joint action distribution per (stage, state).
 
     ``stages[h, s]`` is a joint distribution over action profiles.  Whether
@@ -350,10 +384,18 @@ class MarkovPolicy:
         """Per player, :func:`conditional_matrix` of every :meth:`stage` at
         once: ``(p, conds)`` shaped ``(H, S, c_i)`` and ``(H, S, c_i, R_i)``."""
         players = range(len(self.action_counts))
-        table = tuple(_conditionals(self.stages, i, 2) for i in players)
-        for p, conds in table:
-            p.flags.writeable = conds.flags.writeable = False
-        return table
+        return _read_only(tuple(_conditionals(self.stages, i, 2) for i in players))
+
+    def derived(self, build: Callable, *args):
+        """``build(self, *args)``, computed on the first call with these
+        arguments and returned again on later ones.  The policy cannot
+        change, so the result cannot go stale; ``build`` returns read-only
+        arrays, as :attr:`conditional_table` holds."""
+        memo = self.__dict__.setdefault("_derived", {})
+        key = (build, args)
+        if key not in memo:
+            memo[key] = build(self, *args)
+        return memo[key]
 
     def check_fits(self, skeleton: MarkovGameSkeleton) -> None:
         """Raise ``ShapeError`` unless the stage/state grid and the action
@@ -367,13 +409,18 @@ class MarkovPolicy:
 
     def first_correlated(self) -> Optional[tuple[int, int]]:
         """The first ``(h, s)`` whose stage does not factorize into its
-        marginals within ``COND_ATOL``, in row-major order; None if all do."""
+        marginals within ``COND_ATOL``, in row-major order; None if all do.
+        Computed once per policy."""
+        return self._first_correlated
+
+    @cached_property
+    def _first_correlated(self) -> Optional[tuple[int, int]]:
         bad = np.argwhere(_factor_gap(self.stages, 2) > COND_ATOL)
         return (int(bad[0, 0]), int(bad[0, 1])) if bad.size else None
 
 
 @dataclass(frozen=True)
-class RewardFunction:
+class RewardFunction(_Rebuilt):
     """Per-player stage rewards with a box bound.
 
     ``rewards[i, h, s, a_0, ..., a_{n-1}]``; every entry lies in
@@ -415,24 +462,20 @@ class ValueTables:
 
 
 def nfg_as_markov(game: NormalFormGame) -> MarkovGameSkeleton:
-    """Embed a normal-form game as a one-stage, one-state Markov game.
+    """The one-stage, one-state Markov game that embeds ``game``, whose
+    payoff tensor is the skeleton's baseline reward.
 
-    The payoff tensor becomes the baseline reward of the skeleton.
+    It is the game's single embedding: built on the first call and returned
+    again on later ones, so every caller shares one skeleton.
     """
-    counts = game.action_counts
-    num_s = 1
-    trans = np.ones((1, num_s) + counts + (num_s,), dtype=float)
-    base = game.utility.reshape((game.num_players, 1, 1) + counts)
-    return MarkovGameSkeleton(
-        action_sets=game.action_sets,
-        states=("s0",),
-        horizon=1,
-        transitions=trans,
-        initial_dist=np.array([1.0]),
-        baseline_reward=base,
-    )
+    return game._embedding
 
 
 def strategy_as_policy(sigma: JointMixedStrategy) -> MarkovPolicy:
-    """Embed a joint mixed strategy as a one-stage, one-state Markov policy."""
-    return MarkovPolicy(stages=sigma.probs.reshape((1, 1) + sigma.action_counts))
+    """The one-stage, one-state Markov policy that embeds ``sigma``.
+
+    It is the strategy's single embedding: built on the first call and
+    returned again on later ones, so every caller shares one policy and its
+    tables.
+    """
+    return sigma._embedding

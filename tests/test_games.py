@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,16 @@ from eqdesign import (
     strategy_as_policy,
     support,
 )
-from conftest import conditional, random_sigma, sigma_corr, sigma_ex
+from conftest import (
+    conditional,
+    make_rng,
+    random_policy,
+    random_reward,
+    random_sigma,
+    random_skeleton,
+    sigma_corr,
+    sigma_ex,
+)
 
 
 def joint_strategies(max_side=3):
@@ -236,6 +249,54 @@ class TestMarkovObjects:
         policy = strategy_as_policy(sigma_ex())
         assert policy.horizon == 1
         np.testing.assert_array_equal(policy.stage(0, 0).probs, sigma_ex().probs)
+
+
+def warmed_objects() -> dict:
+    """One object of each frozen class, with every cached table filled."""
+    rng = make_rng("games-round-trip")
+    sigma = random_sigma(rng, (3, 2))
+    game = NormalFormGame((("a", "b", "c"), ("x", "y")), rng.normal(size=(2, 3, 2)))
+    skeleton = random_skeleton(rng)
+    skeleton = dataclasses.replace(
+        skeleton, baseline_reward=random_reward(rng, skeleton).rewards
+    )
+    policy = random_policy(rng, skeleton)
+    reward = random_reward(rng, skeleton)
+    sigma.conditional_table, strategy_as_policy(sigma), nfg_as_markov(game)
+    policy.conditional_table, policy.first_correlated(), policy.stage(0, 0)
+    skeleton.action_counts
+    return {type(obj).__name__: obj for obj in (sigma, game, skeleton, policy, reward)}
+
+
+ROUND_TRIPS = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("trip", sorted(ROUND_TRIPS))
+@pytest.mark.parametrize(
+    "name",
+    ["JointMixedStrategy", "NormalFormGame", "MarkovGameSkeleton",
+     "MarkovPolicy", "RewardFunction"],
+)
+def test_round_trip_rebuilds_through_the_constructor(name, trip):
+    # A copy's arrays must stay read-only, so that no cached table can
+    # disagree with them, and no cached table may ride along.
+    obj = warmed_objects()[name]
+    twin = ROUND_TRIPS[trip](obj)
+    assert type(twin) is type(obj)
+    names = [f.name for f in dataclasses.fields(obj)]
+    assert sorted(vars(twin)) == sorted(names)
+    for field in names:
+        old, new = getattr(obj, field), getattr(twin, field)
+        if not isinstance(old, np.ndarray):
+            assert new == old
+            continue
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+        assert not new.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            new[(0,) * new.ndim] = -0.2
 
 
 def test_random_sigma_helper_is_deterministic():

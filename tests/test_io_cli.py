@@ -7,6 +7,7 @@ verdict, 1 negative verdict, 2 input error, 3 tool failure).
 """
 
 import dataclasses
+import importlib
 import json
 import math
 
@@ -23,6 +24,7 @@ from eqdesign import (
     MarkovGameSkeleton,
     NormalFormGame,
     RewardFunction,
+    build_mg_lp,
     design,
     gamma_cce,
     nfg_as_markov,
@@ -613,7 +615,7 @@ class TestCliDesign:
         def broken(*args, **kwargs):
             raise RuntimeError("simplex exceeded 7 pivots")
 
-        monkeypatch.setattr("eqdesign.cli.design", broken)
+        monkeypatch.setattr("eqdesign.cli._solve_design", broken)
         game = files("game.json", NFG_DOC)
         target = files("target.json", CORR_TARGET)
         result = invoke(["design", game, target, "--slack", "0.1"])
@@ -647,6 +649,29 @@ class TestCliDesign:
             text = handle.read()
         assert text.startswith("minimize")
         assert "subject to" in text
+
+    def test_lp_dump_builds_the_program_once(self, files, tmp_path, monkeypatch):
+        # The dumped program is the one solved, built once per call.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_mg_lp(*args)
+
+        for where in ("eqdesign.cli", "eqdesign.design"):
+            module = importlib.import_module(where)
+            monkeypatch.setattr(module, "build_mg_lp", counting)
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", CORR_TARGET)
+        dump = str(tmp_path / "program.lp")
+        result = invoke(
+            ["design", game, target, "--concept", "ce", "--slack", "0.2",
+             "--lp-dump", dump]
+        )
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+        with open(dump, "r", encoding="utf-8") as handle:
+            assert handle.read() == build_mg_lp(*calls[0])[0].dump()
 
     def test_baseline_reads_the_documented_reward_document(self, files):
         # The README's {"rewards": [player][stage][state][joint action]}
