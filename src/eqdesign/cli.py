@@ -231,7 +231,9 @@ def _execute(runner, opts: dict) -> None:
 
     The report's ``config`` is the command plus every option that is set,
     apart from the output paths, with the concept's default deviation class
-    filled in.  Input errors exit 2 and tool failures 3, with no report.
+    filled in.  Input errors, an unwritable output path among them, exit 2
+    and tool failures 3, with no report; the report is printed only after
+    every file is written.
     """
     command = click.get_current_context().command.name
     config = {"command": command}
@@ -248,20 +250,23 @@ def _execute(runner, opts: dict) -> None:
         opts["cost"] = CostKind(opts["cost"])
     try:
         code, result = runner(**opts)
+        report = {
+            "tool": {"name": "eqdesign", "version": __version__},
+            "config": config,
+            "result": result,
+        }
+        if command != "design" and opts.get("out") is not None:
+            dump_json(report, opts["out"])
     except ValueError as exc:  # every input error of the package is one
         click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
+    except OSError as exc:  # inputs are read by load_json, so a write failed
+        click.echo(f"error: cannot write {exc.filename}: {exc}", err=True)
         sys.exit(2)
     except RuntimeError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
-    report = {
-        "tool": {"name": "eqdesign", "version": __version__},
-        "config": config,
-        "result": result,
-    }
     dump_json(report, sys.stdout)
-    if command != "design" and opts.get("out") is not None:
-        dump_json(report, opts["out"])
     sys.exit(code)
 
 

@@ -3,11 +3,12 @@
 Builds one linear program per request whose unknowns are the rewards, boxed
 by the bound, plus at most one auxiliary column for the cost.  With the
 target policy fixed, action and state values are linear in the rewards, so
-one backward-induction operator turns every deviation constraint into a
-single strictness row over rewards.  The rows of every stage are built at
-once from the policy's stage arrays and conditional table, over the
-deviations :func:`~eqdesign.installability.deviation_mask` names; their
-weights depend on the policy alone and are kept on it.  The L1 costs
+the verifier's backward induction on one player's unit rewards gives the
+operator that turns every deviation constraint into a single strictness row
+over rewards.  The rows of every stage are built at once from the policy's
+stage arrays and conditional table, over the deviations
+:func:`~eqdesign.installability.deviation_mask` names; their weights depend
+on the policy alone and are kept on it.  The L1 costs
 write each reward as ``base + d+ - d-`` with bounded deviation columns
 ``d+`` and ``d-`` in place of the rewards, so their programs have the
 strictness rows alone.  A normal-form game is designed as its one-stage,
@@ -40,7 +41,7 @@ from .games import (
 )
 from .installability import Concept, DeviationClass, deviation_mask, require
 from .lp import LinearProgram, LpStatus, solve
-from .verify import GapReport, check_strict, policy_eval, visitation
+from .verify import GapReport, _backward, check_strict, policy_eval, visitation
 
 # Post-solve verification allows this much slip below the requested slack.
 GAP_SLIP = 1e-6
@@ -151,30 +152,6 @@ def _strict_rows(
     return players, (weights[..., None, :] @ blocks)[..., 0, :][keep]
 
 
-def _value_operator(
-    skeleton: MarkovGameSkeleton, policy: MarkovPolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backward induction as matrices over one player's flat reward vector.
-
-    With the policy fixed, values are linear in rewards: ``L @ r`` gives the
-    action values in the (stage, state, joint action) order of ``r``, and
-    ``V0 @ r`` the stage-0 state values.  Returns ``(L, V0)``.
-    """
-    horizon, num_s = skeleton.horizon, skeleton.num_states
-    num_a = int(np.prod(skeleton.action_counts))
-    width = num_s * num_a
-    size = horizon * width
-    trans = skeleton.transitions.reshape(horizon, width, num_s)
-    pi = policy.stages.reshape(horizon, num_s, 1, num_a)
-    ops = np.zeros((horizon, width, size))
-    v_next = np.zeros((num_s, size))
-    for h in range(horizon - 1, -1, -1):
-        ops[h] = trans[h] @ v_next
-        ops[h, :, h * width : (h + 1) * width] += np.eye(width)
-        v_next = (pi[h] @ ops[h].reshape(num_s, num_a, size))[:, 0]
-    return ops.reshape(size, size), v_next
-
-
 def build_mg_lp(
     skeleton: MarkovGameSkeleton,
     policy: MarkovPolicy,
@@ -237,8 +214,10 @@ def build_mg_lp(
         rows[at] = blocks
         return rows, at
 
-    q_of_r, v0_of_r = _value_operator(skeleton, policy)
-    players, coeffs = _strict_rows(policy, concept, q_of_r)
+    # The unit rewards' values: the action-value operator, stage-0 values.
+    unit = np.eye(size).reshape((size,) + shape[1:])
+    v_unit, q_unit = _backward(skeleton, policy, unit)
+    players, coeffs = _strict_rows(policy, concept, q_unit.reshape(size, size).T)
     rows, at = player_rows(players, coeffs)
     if config.max_gap:
         rows[:, aux] = -1.0
@@ -254,7 +233,7 @@ def build_mg_lp(
 
     objective = np.zeros(num_vars)
     # One player's expected initial value per reward entry.
-    value0 = skeleton.initial_dist @ v0_of_r
+    value0 = v_unit[:, 0] @ skeleton.initial_dist
     if config.max_gap:
         objective[aux] = -1.0
     elif l1:
@@ -389,7 +368,7 @@ def _solve_design(
         cost.kind,
         objective=sol.objective,
         reward=reward,
-        utility=rewards[:, 0, 0] if one_shot else None,
+        utility=reward.rewards[:, 0, 0] if one_shot else None,
         achieved_slack=achieved,
         report=report,
         iterations=sol.iterations,

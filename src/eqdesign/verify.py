@@ -3,11 +3,14 @@
 Everything here is plain backward/forward induction over the dense tensors,
 one stage at a time with every state at once: on-path values, visitation,
 single-deviator best responses, and the per-constraint strictness gaps of
-each concept, as arrays.  :func:`check_strict` is the one verifier the
-package runs, on Markov games and one-stage embeddings alike.  A one-stage
-re-implementation (:func:`nfg_oracle`) is kept as an independent reference
-for normal-form instances, against which the tests and the benchmark check
-:func:`check_strict` bit-tightly; it shares only the precondition check,
+each concept, as arrays.  On-path values have one recursion, ``_backward``,
+over a batch of rewards: :func:`policy_eval` runs it on the players'
+rewards, and the design program on the unit rewards.  :func:`check_strict`
+is the one verifier the package runs, on Markov games and one-stage
+embeddings alike.  A one-stage re-implementation (:func:`nfg_oracle`) is
+kept as an independent reference for normal-form instances, against which
+the tests and the benchmark check :func:`check_strict` bit-tightly; it
+shares only the precondition check,
 :func:`~eqdesign.installability.require`, with the rest of the module.
 
 Deviation semantics: margins quantify over deviations that actually change
@@ -95,6 +98,23 @@ def _check_shapes(
     policy.check_fits(skeleton)
 
 
+def _backward(
+    skeleton: MarkovGameSkeleton, policy: MarkovPolicy, rewards: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """On-path values of a batch of rewards shaped ``(k, H, S, *counts)``:
+    ``v[k, h, s]`` for h in 0..H (terminal layer all zero), and ``q`` shaped
+    like ``rewards``."""
+    horizon, num_s = skeleton.horizon, skeleton.num_states
+    v = np.zeros((rewards.shape[0], horizon + 1, num_s))
+    q = np.zeros(rewards.shape)
+    action_axes = tuple(range(2, rewards.ndim - 1))
+    for h in range(horizon - 1, -1, -1):
+        cont = np.tensordot(skeleton.transitions[h], v[:, h + 1], axes=([-1], [1]))
+        q[:, h] = rewards[:, h] + np.moveaxis(cont, -1, 0)
+        v[:, h] = np.sum(policy.stages[h][None] * q[:, h], axis=action_axes)
+    return v, q
+
+
 def policy_eval(
     skeleton: MarkovGameSkeleton,
     reward: RewardFunction,
@@ -102,16 +122,7 @@ def policy_eval(
 ) -> ValueTables:
     """On-path state and action values by backward induction."""
     _check_shapes(skeleton, reward, policy)
-    n = skeleton.num_players
-    horizon, num_s = skeleton.horizon, skeleton.num_states
-    counts = skeleton.action_counts
-    v = np.zeros((n, horizon + 1, num_s))
-    q = np.zeros((n, horizon, num_s) + counts)
-    action_axes = tuple(range(2, 2 + len(counts)))
-    for h in range(horizon - 1, -1, -1):
-        cont = np.tensordot(skeleton.transitions[h], v[:, h + 1], axes=([-1], [1]))
-        q[:, h] = reward.rewards[:, h] + np.moveaxis(cont, -1, 0)
-        v[:, h] = np.sum(policy.stages[h][None] * q[:, h], axis=action_axes)
+    v, q = _backward(skeleton, policy, reward.rewards)
     return ValueTables(v=v, q=q)
 
 

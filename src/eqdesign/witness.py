@@ -4,11 +4,11 @@ The central object is the witness utility: each player is paid the value of
 their conditional opponent distribution, L2-normalized per own action.  Its
 strictness margins have an exact cosine form, which also yields the maximum
 margin ``gamma`` attainable per concept and the epsilon-strict scalings.
-Markov targets get a backward-induction variant whose rewards cancel the
-continuation value so that every stage inherits the normal-form margins; all
-stages' utilities come at once from the policy's conditional table.  The
-epsilon-strict witness exists only in that form: a one-shot target takes it
-on its one-stage embedding.
+Markov targets get a variant whose rewards cancel the continuation value so
+that every stage inherits the normal-form margins; all stages' utilities,
+and so their on-path values, come at once from the policy's conditional
+table.  The epsilon-strict witness exists only in that form: a one-shot
+target takes it on its one-stage embedding.
 """
 
 from __future__ import annotations
@@ -156,18 +156,16 @@ def _cancel_continuation(
     bound: float,
 ) -> RewardFunction:
     """Rewards whose on-path action values at every ``(h, s)`` equal the
-    stage utility ``stage_u[:, h, s]``: backward induction subtracts each
-    stage's expected continuation value, then clips to the bound."""
-    n = skeleton.num_players
-    horizon, num_s = skeleton.horizon, skeleton.num_states
-    rewards = np.zeros((n, horizon, num_s) + skeleton.action_counts)
-    values = np.zeros((n, horizon + 1, num_s))
-    action_axes = tuple(range(2, 2 + n))
-    for h in range(horizon - 1, -1, -1):
+    stage utility ``stage_u[:, h, s]``: each stage's utility minus the next
+    stage's expected on-path value ``<pi, u>``, which needs no recursion,
+    clipped to the bound."""
+    action_axes = tuple(range(3, stage_u.ndim))
+    values = np.sum(policy.stages * stage_u, axis=action_axes)
+    rewards = stage_u.copy()
+    for h in range(skeleton.horizon - 1):
         # Expected next-stage value per state and joint action, per player.
         ev = skeleton.transitions[h] @ values[:, h + 1].T
-        rewards[:, h] = stage_u[:, h] - np.moveaxis(ev, -1, 0)
-        values[:, h] = np.sum(policy.stages[h] * stage_u[:, h], axis=action_axes)
+        rewards[:, h] -= np.moveaxis(ev, -1, 0)
     np.clip(rewards, -bound, bound, out=rewards)
     return RewardFunction(rewards=rewards, bound=bound)
 

@@ -266,6 +266,16 @@ class TestNfgDesign:
             float(np.abs(result.utility).sum()), abs=1e-9
         )
 
+    def test_utility_is_a_read_only_view_of_the_reward(self):
+        result = design(
+            self.corr_game(), sigma_corr(), Concept.CE,
+            CostSpec(CostKind.OFFLINE),
+            DesignConfig(slack=0.5, bound=1.0),
+        )
+        assert np.shares_memory(result.utility, result.reward.rewards)
+        with pytest.raises(ValueError):
+            result.utility[0, 0, 0] = 0.9
+
     def test_online_cost_can_vanish_off_path(self):
         result = design(
             self.corr_game(), sigma_corr(), Concept.CCE,
@@ -516,14 +526,17 @@ class TestPinnedProgramBytes:
     coefficients, rhs, column bounds and objective, then the relations.
     ``dump`` prints 6 significant digits, so :class:`TestPinnedPrograms`
     cannot see a change below about 1e-6; these digests see every bit.  Being
-    bit-exact, they can also move with the numpy or BLAS build."""
+    bit-exact, they can also move with the numpy or BLAS build.  The CCE
+    and CE digests were re-recorded when the value operator became the
+    verifier's backward induction on the unit rewards, which moved entries
+    by at most 8.3e-17."""
 
     DIGESTS = {
         (Concept.CCE, CostKind.OFFLINE): (
-            "68bbf9b834bda2cd3a13179bd7b0d9defaa1269b91f3b8a6574e404296065354"
+            "5d075ae70d8f00b97e7573542820ea835bd453a36f033846dd421f92c525d0f3"
         ),
         (Concept.CE, CostKind.ONLINE): (
-            "6674da07d037a4281ab99ff2fccb61e295246775f564230f7259cb0145060d8f"
+            "9ddc39e486735829e2f80ea52b86b6154cb525dfb446ed4df1a50654fa4689e6"
         ),
         (Concept.NE, CostKind.OFFLINE): (
             "7b73fd4576002bc0555eb7fc2ae5ff04f80da4a1fe25f3a7a0e6c00e3782d548"
@@ -556,30 +569,32 @@ class TestPinnedSolves:
     """SHA-256 of each solve's status, phase steps, objective and ``x``
     bytes, recorded before the pivot loops were rewritten for fewer numpy
     calls: every pivot, tie-break and rounding must stay as it was.  Being
-    bit-exact, they can also move with the numpy or BLAS build."""
+    bit-exact, they can also move with the numpy or BLAS build.  The design
+    digests were re-recorded with :class:`TestPinnedProgramBytes`'s, with
+    every status and phase step count unchanged."""
 
     DESIGNS = {
         (Concept.CCE, CostKind.ONLINE, False): (
-            "974cceeb734231ac89d434638f3de415a3e777894b15dc6f8a1e675df43dbf70"
+            "4f3fe36c3ac2283d6aa63dd7257415b0a5bee6079c1da3a0d6d742287c54ecf0"
         ),
         (Concept.CCE, CostKind.OFFLINE, False): (
-            "e714cfac101af34f92d4c98eeef9e2e90c0a85cc0e544f0c3ed188b91e364c0f"
+            "424ee088f628f86996d55334c0d29711dc924a51fef28200a4486ddcdb1077a2"
         ),
         (Concept.CCE, CostKind.SOCIAL_WELFARE, False): (
-            "c5e3f3aae7052b777559cdcec747b05ff7f0e6ef5c5c07ae906517d33f9c790c"
+            "ed08f60d78648d6a83ea1661418df02695a241f3b2d47edbeb67988658314bf8"
         ),
         (Concept.CCE, CostKind.EGALITARIAN, False): (
-            "abf32c0fa4e4160b3a0262ea684a54d9da6f2786ed2b346e149c6eeee7eaf5ad"
+            "cc555a77562d952fc88668156ad8256b6665b1a1b383d538f3f3d51233581064"
         ),
         (Concept.CCE, CostKind.OFFLINE, True): (
-            "62b9039d3fb24882d46cbbb35fbc15ac5ceae2268c7a9608cd9b428013cc7eba"
+            "92a5fb86684709e8c7c46bf02368a0b21e132dc1aeb38b4e70cd8b7bc391db7d"
         ),
         (Concept.CE, CostKind.ONLINE, False): (
-            "ef13fce400c50b207bf292d225e47a7635d0b95e7568fb57bdd95605133a102f"
+            "21b8e2984d2ccac78be0c0302516a01f62599aa875ad20636e4b75557937682b"
         ),
     }
     OFFLINE_4_4_3X3 = (
-        "a2e8c365e66e4fdaaa0ffc26ac7d40698b2060c7f37365f38761d4b1a73411d6"
+        "3769ec2e44331a164b51b3fecd51fcdba2cfa038ff85f4307d1b3b21649a97d7"
     )
     # Seeded program count -> digest of their digests in order.
     RANDOM = {

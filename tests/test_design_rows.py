@@ -6,7 +6,9 @@ them one stage at a time, as the constraints read, from the per-stage
 helpers of ``games``: each row is a weight vector over the stage's flat
 joint actions times that stage's block of the action-value operator.  Both
 must give the same program byte for byte: coefficients, right-hand sides,
-bounds, objective and ``dump()`` text, signed zeros included.
+bounds, objective and ``dump()`` text, signed zeros included.  The program
+is also checked against the verifier at a reward: its CE rows give the
+verifier's gaps and its social objective the verifier's cost.
 """
 
 import dataclasses
@@ -20,12 +22,16 @@ from eqdesign import (
     CostKind,
     CostSpec,
     DesignConfig,
+    DeviationClass,
     JointMixedStrategy,
     MarkovGameSkeleton,
     MarkovPolicy,
     NormalFormGame,
+    RewardFunction,
     build_mg_lp,
     build_nfg_lp,
+    check_strict,
+    evaluate_cost,
     nfg_as_markov,
 )
 from eqdesign.games import conditional_matrix, genuine_deviations
@@ -252,3 +258,38 @@ def test_one_action_players_give_no_rows(monkeypatch):
             )[0],
         )
         assert rows == (6 if concept == Concept.CE else 3)
+
+
+@pytest.mark.parametrize("counts", SHAPES, ids=str)
+def test_program_values_match_the_verifier(counts):
+    # The program's operator and the verifier's values come from one
+    # backward induction, run on the unit rewards and on the rewards: the
+    # CE rows at a reward are its gaps, and the social objective its cost.
+    rng = make_rng(f"design-rows-values-{counts}")
+    for num_s, horizon in ((3, 2), (2, 3), (2, 1), (1, 1)):
+        sk = grid_game(rng, counts, num_s, horizon)
+        for policy, _ in grid_policies(rng, counts, num_s, horizon):
+            reward = RewardFunction(
+                rng.uniform(-2.0, 2.0, sk.baseline_reward.shape), bound=2.0
+            )
+            flat = reward.rewards.reshape(-1)
+            config = DesignConfig(slack=0.0, bound=2.0)
+            lp, _ = build_mg_lp(
+                sk, policy, Concept.CE, CostSpec(CostKind.SOCIAL_WELFARE), config
+            )
+            rows = np.array([c.coeffs for c in lp.constraints]).reshape(-1, flat.size)
+            report = check_strict(
+                sk, reward, policy, Concept.CE,
+                dev_class=DeviationClass.NEVER_RECOMMENDED,
+            )
+            # Rows run in (stage, state, player, recommended, replacement) order.
+            keys = sorted(
+                report.per_constraint, key=lambda k: (k[1], k[2], k[0]) + k[3:]
+            )
+            gaps = np.array([report.per_constraint[key] for key in keys])
+            assert rows.shape[0] == gaps.size
+            assert np.max(np.abs(rows @ flat - gaps), initial=0.0) <= 1e-12
+            social = evaluate_cost(
+                sk, policy, CostSpec(CostKind.SOCIAL_WELFARE), reward
+            )
+            assert abs(lp.objective @ flat - social) <= 1e-12

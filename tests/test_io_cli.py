@@ -891,6 +891,29 @@ class TestCliEnvelope:
         assert result.exit_code == 0
         assert load_json(out) == json.loads(result.output)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["design", "--concept", "ce", "--slack", "0.3", "--out"],
+            ["design", "--concept", "ce", "--slack", "0.3", "--lp-dump"],
+            ["witness", "--concept", "ce", "--out"],
+            ["verify", "--concept", "ce", "--out"],
+        ],
+        ids=["design-out", "design-lp-dump", "witness-out", "verify-out"],
+    )
+    def test_unwritable_output_is_an_input_error(self, files, tmp_path, args):
+        # Exit 2 with no report, not a traceback's exit 1 (the negative
+        # verdict), and not after a positive report is already printed.
+        command, options = args[0], args[1:]
+        inputs = [files("game.json", NFG_DOC), files("target.json", CORR_TARGET)]
+        if command == "verify":
+            inputs.append(files("reward.json", UNIT_REWARD))
+        path = str(tmp_path / "missing" / "out.json")
+        result = invoke([command] + inputs + options + [path])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: cannot write {path}: ")
+
 
 # witness on a one-shot game and on its one-stage Markov document exits the
 # same way: a target the concept cannot install (or carry the margin on) is
