@@ -46,7 +46,6 @@ from .lp import LpStatus
 from .verify import GapReport, check_strict
 from .witness import (
     EpsilonConfig,
-    InfeasibleEpsilonError,
     StageCheckError,
     epsilon_markov_witness,
     gamma_ce,
@@ -154,8 +153,8 @@ def _run_witness(
             reward = markov_witness(policy, skeleton, bound, concept)
     except StageCheckError as exc:
         result = {"feasible": False, "stage": list(exc.stage), "message": str(exc)}
-        if isinstance(exc.__cause__, InfeasibleEpsilonError):
-            result["max_epsilon"] = exc.__cause__.max_gap
+        if exc.max_gap is not None:
+            result["max_epsilon"] = exc.max_gap
         return 1, result
     result["min_gap"] = check_strict(
         skeleton, reward, policy, concept,

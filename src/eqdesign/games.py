@@ -140,13 +140,6 @@ class JointMixedStrategy(_Rebuilt):
         return self.probs.sum(axis=player)
 
     @cached_property
-    def conditional_table(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """:func:`conditional_matrix` of every player, computed once
-        (read-only arrays)."""
-        players = range(self.num_players)
-        return _read_only(tuple(_conditionals(self.probs, i, 0) for i in players))
-
-    @cached_property
     def _embedding(self) -> MarkovPolicy:
         return MarkovPolicy(stages=self.probs.reshape((1, 1) + self.action_counts))
 
@@ -172,15 +165,13 @@ def genuine_deviations(sigma: JointMixedStrategy, player: int) -> tuple[int, ...
     return tuple(actions)
 
 
-def _conditionals(
-    probs: np.ndarray, player: int, lead: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _conditionals(probs: np.ndarray, player: int) -> tuple[np.ndarray, np.ndarray]:
     """``(p, conds)`` of ``player`` for every joint distribution in ``probs``
-    (action axes after the first ``lead``): masses ``p[..., j]``, flattened
-    conditionals ``conds[..., j, :]`` (zeros where ``p`` is 0)."""
+    (axes ``(h, s)``, then the actions): masses ``p[h, s, j]``, flattened
+    conditionals ``conds[h, s, j, :]`` (zeros where ``p`` is 0)."""
     axes = list(range(probs.ndim))
-    axes.insert(lead, axes.pop(lead + player))
-    shape = probs.shape[:lead] + (probs.shape[lead + player], -1)
+    axes.insert(2, axes.pop(2 + player))
+    shape = probs.shape[:2] + (probs.shape[2 + player], -1)
     mat = probs.transpose(axes).reshape(shape)
     p = mat.sum(axis=-1)
     # zeros_like keeps mat's layout, and with it later reductions' rounding.
@@ -194,18 +185,20 @@ def conditional_matrix(sigma: JointMixedStrategy, player: int) -> tuple[np.ndarr
     Returns ``(p, conds)`` where ``p[j]`` is the marginal mass on action j and
     ``conds[j]`` is the flattened conditional opponent distribution (all zeros
     for unsupported j), over opponent profiles in row-major order of the
-    other players' axes.
+    other players' axes.  The arrays are computed afresh, not read from
+    any cached table.
     """
     n = sigma.num_players
     if not 0 <= player < n:
         raise ShapeError(f"player {player} out of range for {n} players")
-    return _conditionals(sigma.probs, player, 0)
+    p, conds = _conditionals(sigma.probs[None, None], player)
+    return p[0, 0], conds[0, 0]
 
 
-def _factor_gap(probs: np.ndarray, lead: int) -> np.ndarray:
+def _factor_gap(probs: np.ndarray) -> np.ndarray:
     """L-inf distance of each joint distribution in ``probs`` from the
-    product of its marginals; the action axes follow the first ``lead``."""
-    axes = tuple(range(lead, probs.ndim))
+    product of its marginals, over the axes ``(h, s)``."""
+    axes = tuple(range(2, probs.ndim))
     outer = None
     for ax in axes:
         marg = probs.sum(axis=tuple(a for a in axes if a != ax), keepdims=True)
@@ -215,8 +208,8 @@ def _factor_gap(probs: np.ndarray, lead: int) -> np.ndarray:
 
 def is_product(sigma: JointMixedStrategy) -> bool:
     """Whether the joint strategy factorizes into independent marginals
-    (within ``COND_ATOL``)."""
-    return bool(_factor_gap(sigma.probs, 0) <= COND_ATOL)
+    (within ``COND_ATOL``): its embedding has no correlated stage."""
+    return strategy_as_policy(sigma).first_correlated() is None
 
 
 @dataclass(frozen=True)
@@ -384,7 +377,7 @@ class MarkovPolicy(_Rebuilt):
         """Per player, :func:`conditional_matrix` of every :meth:`stage` at
         once: ``(p, conds)`` shaped ``(H, S, c_i)`` and ``(H, S, c_i, R_i)``."""
         players = range(len(self.action_counts))
-        return _read_only(tuple(_conditionals(self.stages, i, 2) for i in players))
+        return _read_only(tuple(_conditionals(self.stages, i) for i in players))
 
     def derived(self, build: Callable, *args):
         """``build(self, *args)``, computed on the first call with these
@@ -415,7 +408,7 @@ class MarkovPolicy(_Rebuilt):
 
     @cached_property
     def _first_correlated(self) -> Optional[tuple[int, int]]:
-        bad = np.argwhere(_factor_gap(self.stages, 2) > COND_ATOL)
+        bad = np.argwhere(_factor_gap(self.stages) > COND_ATOL)
         return (int(bad[0, 0]), int(bad[0, 1])) if bad.size else None
 
 

@@ -21,16 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .games import (
-    COND_ATOL,
-    JointMixedStrategy,
-    MarkovPolicy,
-    is_product,
-)
+from .games import COND_ATOL, JointMixedStrategy, MarkovPolicy, strategy_as_policy
 
 
 class Concept(str, Enum):
@@ -91,25 +86,21 @@ class MarkovInstallability:
 
 def require(
     concept: Concept,
-    target: Union[JointMixedStrategy, MarkovPolicy],
+    policy: MarkovPolicy,
     dev_class: Optional[DeviationClass] = None,
 ) -> None:
-    """Raise unless ``concept`` is known, applies to ``target``, and can
+    """Raise unless ``concept`` is known, applies to ``policy``, and can
     measure ``dev_class``, checked in that order.  A Nash target's first
-    correlated stage (row-major; a joint strategy is stage ``(0, 0)``) raises
-    :class:`NotProductError`.  Only CE measures never-recommended deviations,
-    and only NE and CCE never-target ones."""
+    correlated stage (row-major; a joint strategy's embedding has only
+    stage ``(0, 0)``) raises :class:`NotProductError`.  Only CE measures
+    never-recommended deviations, and only NE and CCE never-target ones."""
     if concept not in (Concept.NE, Concept.CE, Concept.CCE):
         raise ValueError(f"unknown concept {concept!r}")
-    if concept == Concept.NE:
-        if isinstance(target, MarkovPolicy):
-            bad = target.first_correlated()
-        else:
-            bad = None if is_product(target) else (0, 0)
-        if bad is not None:
-            raise NotProductError(
-                f"stage (h={bad[0]}, s={bad[1]}) is not a product strategy"
-            )
+    bad = policy.first_correlated() if concept == Concept.NE else None
+    if bad is not None:
+        raise NotProductError(
+            f"stage (h={bad[0]}, s={bad[1]}) is not a product strategy"
+        )
     if dev_class == DeviationClass.NEVER_RECOMMENDED and concept != Concept.CE:
         raise ValueError(
             "never-recommended deviations are recommendation-aware: "
@@ -135,10 +126,9 @@ def deviation_mask(p: np.ndarray, concept: Concept) -> np.ndarray:
 
 
 def stage_reports(table, concept: Concept) -> list[InstallabilityReport]:
-    """Verdicts for every stage of a ``conditional_table`` (of a
-    :class:`MarkovPolicy`, axes ``(h, s)``, or of a :class:`JointMixedStrategy`,
-    none) at once, in row-major order of its leading axes.  The caller has
-    passed :func:`require`."""
+    """Verdicts for every stage of a :class:`MarkovPolicy`'s
+    ``conditional_table`` at once, in row-major order of ``(h, s)``.  The
+    caller has passed :func:`require`."""
     failing, certs, evidence = [], [], []
     for p, conds in table:
         count = p.shape[-1]
@@ -190,8 +180,8 @@ def check_scce(sigma: JointMixedStrategy) -> InstallabilityReport:
 
 
 def check(sigma: JointMixedStrategy, concept: Concept) -> InstallabilityReport:
-    """Installability of one joint strategy: one stage of
-    :func:`stage_reports`.
+    """Installability of one joint strategy: stage ``(0, 0)`` of
+    :func:`check_markov` on its embedding, :func:`strategy_as_policy`.
 
     NE: a product strategy (else :class:`NotProductError`) qualifies iff
     every player puts all mass on a single action.  CE: fails exactly when
@@ -201,8 +191,7 @@ def check(sigma: JointMixedStrategy, concept: Concept) -> InstallabilityReport:
     differs from the lowest supported anchor's; a player whose supported
     conditionals all coincide defeats installability.
     """
-    require(concept, sigma)
-    return stage_reports(sigma.conditional_table, concept)[0]
+    return check_markov(strategy_as_policy(sigma), concept).stage(0, 0)
 
 
 def check_markov(policy: MarkovPolicy, concept: Concept) -> MarkovInstallability:

@@ -185,11 +185,12 @@ class LinearProgram:
 
     def dump(self) -> str:
         """Human-readable rendering over variables ``x0, x1, ...``, stable
-        across runs."""
+        across runs; every number is printed with 17 significant digits,
+        enough to read each float back exactly."""
         names = [f"x{j}" for j in range(self.num_vars)]
 
         def term(c: float, name: str) -> str:
-            return f"{c:+g}*{name}"
+            return f"{c:+.17g}*{name}"
 
         lines = [
             "minimize "
@@ -198,10 +199,10 @@ class LinearProgram:
         lines.append("subject to")
         for con in self.constraints:
             lhs = " ".join(term(c, n) for c, n in zip(con.coeffs, names))
-            lines.append(f"  {lhs} {con.relation} {con.rhs:g}")
+            lines.append(f"  {lhs} {con.relation} {con.rhs:.17g}")
         lines.append("bounds")
         for j, name in enumerate(names):
-            lines.append(f"  {self.lower[j]:g} <= {name} <= {self.upper[j]:g}")
+            lines.append(f"  {self.lower[j]:.17g} <= {name} <= {self.upper[j]:.17g}")
         return "\n".join(lines)
 
 

@@ -4,14 +4,15 @@ Everything here is plain backward/forward induction over the dense tensors,
 one stage at a time with every state at once: on-path values, visitation,
 single-deviator best responses, and the per-constraint strictness gaps of
 each concept, as arrays.  On-path values have one recursion, ``_backward``,
-over a batch of rewards: :func:`policy_eval` runs it on the players'
-rewards, and the design program on the unit rewards.  :func:`check_strict`
-is the one verifier the package runs, on Markov games and one-stage
-embeddings alike.  A one-stage re-implementation (:func:`nfg_oracle`) is
-kept as an independent reference for normal-form instances, against which
-the tests and the benchmark check :func:`check_strict` bit-tightly; it
-shares only the precondition check,
-:func:`~eqdesign.installability.require`, with the rest of the module.
+over a batch of rewards: :func:`policy_eval` and :func:`check_strict` run
+it on the players' rewards, and the design program on the unit rewards.
+:func:`check_strict` is the one verifier the package runs, on Markov games
+and one-stage embeddings alike.  A one-stage re-implementation
+(:func:`nfg_oracle`) is kept as an independent reference for normal-form
+instances, against which the tests and the benchmark check
+:func:`check_strict` bit-tightly; it shares only the precondition check,
+:func:`~eqdesign.installability.require` on the strategy's embedding, with
+the rest of the package.
 
 Deviation semantics: margins quantify over deviations that actually change
 play, the sets :func:`~eqdesign.installability.deviation_mask` gives.  An
@@ -37,6 +38,7 @@ from .games import (
     ValueTables,
     conditional_matrix,
     genuine_deviations,
+    strategy_as_policy,
 )
 from .installability import Concept, DeviationClass, deviation_mask, require
 
@@ -233,18 +235,18 @@ def check_strict(
         raise ValueError(f"epsilon {epsilon} must be finite")
     _check_shapes(skeleton, reward, policy)
     require(concept, policy, dev_class)
-    values = policy_eval(skeleton, reward, policy)
+    v, q = _backward(skeleton, policy, reward.rewards)
     gaps: dict = {}
     for i in range(skeleton.num_players):
         if concept == Concept.CE:
             p, conds = policy.conditional_table[i]
-            qmat = np.moveaxis(values.q[i], 2 + i, 2).reshape(conds.shape)
+            qmat = np.moveaxis(q[i], 2 + i, 2).reshape(conds.shape)
             on_rec = np.einsum("...jr,...jr->...j", conds, qmat)
             cross = conds @ qmat.swapaxes(-1, -2)  # [.., j, k] = E_cond_j[q_k]
             table = on_rec[..., None] - cross
         elif skeleton.action_counts[i] > 1:  # one action has no deviation
             br = best_response(skeleton, reward, policy, i, dev_class)
-            p, table = policy.marginal(i), values.v[i, :-1, :, None] - br.q
+            p, table = policy.marginal(i), v[i, :-1, :, None] - br.q
         else:
             continue
         # Keyed (player, *index of the mask), row-major.
@@ -271,7 +273,7 @@ def nfg_oracle(
         raise ShapeError(
             f"utility shape {u.shape}, expected {(n,) + sigma.action_counts}"
         )
-    require(concept, sigma)
+    require(concept, strategy_as_policy(sigma))
     gaps: dict = {}
     if concept != Concept.CE:
         for i in range(n):

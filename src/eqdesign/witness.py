@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,11 +24,11 @@ from .games import (
     MarkovGameSkeleton,
     MarkovPolicy,
     RewardFunction,
+    strategy_as_policy,
 )
 from .installability import (
     Concept,
     DeviationClass,
-    check,
     check_markov,
     deviation_mask,
     require,
@@ -36,22 +36,18 @@ from .installability import (
 )
 
 
-class InfeasibleEpsilonError(ValueError):
-    """Requested strictness exceeds what the target and bound allow; carries
-    the max, which is 0 for a target that admits no margin at all.  It is
-    the ``__cause__`` of the :class:`StageCheckError` naming the stage."""
-
-    def __init__(self, message: str, max_gap: float):
-        super().__init__(message)
-        self.max_gap = max_gap
-
-
 class StageCheckError(ValueError):
-    """A Markov construction hit a stage that fails its precondition."""
+    """A Markov construction hit a stage that fails its precondition.
 
-    def __init__(self, message: str, stage: tuple[int, int]):
+    ``max_gap`` is set when the stage cannot carry a requested epsilon: the
+    largest margin it carries, 0 when it carries none."""
+
+    def __init__(
+        self, message: str, stage: tuple[int, int], max_gap: Optional[float] = None
+    ):
         super().__init__(message)
         self.stage = stage
+        self.max_gap = max_gap
 
 
 @dataclass(frozen=True)
@@ -86,13 +82,13 @@ def _unit_rows(conds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _witness_field(table, counts: tuple[int, ...]) -> np.ndarray:
     """Witness utility of every stage in a conditional table, shaped
-    ``(num_players, *leading axes, *counts)``."""
-    lead = table[0][0].shape[:-1]
+    ``(num_players, H, S, *counts)``."""
+    lead = table[0][0].shape[:2]
     out = np.empty((len(counts),) + lead + counts)
     for i, (_, conds) in enumerate(table):
         other = counts[:i] + counts[i + 1 :]
         shaped = _unit_rows(conds)[1].reshape(lead + (counts[i],) + other)
-        out[i] = np.moveaxis(shaped, len(lead), len(lead) + i)
+        out[i] = np.moveaxis(shaped, 2, 2 + i)
     return out
 
 
@@ -103,7 +99,8 @@ def witness_utility(sigma: JointMixedStrategy) -> np.ndarray:
     supported own actions; rows of unsupported actions are identically zero.
     Shape ``(num_players, *action_counts)``.
     """
-    return _witness_field(sigma.conditional_table, sigma.action_counts)
+    table = strategy_as_policy(sigma).conditional_table
+    return _witness_field(table, sigma.action_counts)[:, 0, 0]
 
 
 def _gamma_values(table, concept: Concept) -> np.ndarray:
@@ -125,6 +122,16 @@ def _gamma_values(table, concept: Concept) -> np.ndarray:
     return best
 
 
+def _gamma(sigma: JointMixedStrategy, concept: Concept) -> GammaResult:
+    """Stage ``(0, 0)`` of :func:`_gamma_values` on the embedding of
+    ``sigma``, or zero with a cleared flag when it is not installable."""
+    policy = strategy_as_policy(sigma)
+    if not check_markov(policy, concept).installable:
+        return GammaResult(0.0, False)
+    value = _gamma_values(policy.conditional_table, concept)[0, 0]
+    return GammaResult(float(value), True)
+
+
 def gamma_ce(sigma: JointMixedStrategy) -> GammaResult:
     """Largest strictness margin any unit-bound correlated witness achieves.
 
@@ -132,9 +139,7 @@ def gamma_ce(sigma: JointMixedStrategy) -> GammaResult:
     ``||cond_j||_2 (1 - cos(cond_j, cond_k))``.  Returns a zero value with a
     cleared flag when the target is not installable.
     """
-    if not check(sigma, Concept.CE).installable:
-        return GammaResult(0.0, False)
-    return GammaResult(float(_gamma_values(sigma.conditional_table, Concept.CE)), True)
+    return _gamma(sigma, Concept.CE)
 
 
 def gamma_cce(sigma: JointMixedStrategy) -> GammaResult:
@@ -144,9 +149,7 @@ def gamma_cce(sigma: JointMixedStrategy) -> GammaResult:
     ``sum_j p_ij ||cond_j||_2 (1 - cos(cond_j, cond_m))``.  A player whose
     whole mass sits on one action contributes no constraint for that action.
     """
-    if not check(sigma, Concept.CCE).installable:
-        return GammaResult(0.0, False)
-    return GammaResult(float(_gamma_values(sigma.conditional_table, Concept.CCE)), True)
+    return _gamma(sigma, Concept.CCE)
 
 
 def _cancel_continuation(
@@ -225,10 +228,9 @@ def epsilon_markov_witness(
     A one-shot target is its one-stage embedding (:func:`nfg_as_markov`,
     :func:`strategy_as_policy`), where ``b = B``.  The first stage in
     row-major order that cannot carry the margin raises
-    :class:`StageCheckError`, whose ``__cause__`` is an
-    :class:`InfeasibleEpsilonError` with that stage's largest margin (0 when
-    it carries none).  A correlated NE stage, or a deviation class the
-    concept does not cover, is an input error.
+    :class:`StageCheckError` with that stage's largest margin as
+    ``max_gap`` (0 when it carries none).  A correlated NE stage, or a
+    deviation class the concept does not cover, is an input error.
     """
     policy.check_fits(skeleton)
     dev = config.deviation_class
@@ -248,11 +250,11 @@ def epsilon_markov_witness(
     counts = policy.action_counts
 
     def fail(k: int, message: str, max_gap: float) -> StageCheckError:
-        """The error naming flat stage ``k``, caused by its infeasibility."""
+        """The error naming flat stage ``k`` and the margin it carries."""
         h, s = divmod(k, skeleton.num_states)
-        err = StageCheckError(f"stage (h={h}, s={s}): {message}", stage=(h, s))
-        err.__cause__ = InfeasibleEpsilonError(message, max_gap=max_gap)
-        return err
+        return StageCheckError(
+            f"stage (h={h}, s={s}): {message}", stage=(h, s), max_gap=max_gap
+        )
 
     reports = stage_reports(table, concept)
     if concept == Concept.NE:

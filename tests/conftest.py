@@ -21,7 +21,6 @@ from eqdesign import (
     Concept,
     DeviationClass,
     EpsilonConfig,
-    InfeasibleEpsilonError,
     JointMixedStrategy,
     MarkovGameSkeleton,
     MarkovPolicy,
@@ -87,9 +86,18 @@ def epsilon_utility(sigma: JointMixedStrategy, concept, config: EpsilonConfig):
     """The epsilon witness of a joint strategy as a utility tensor: stage
     (0, 0) of ``epsilon_markov_witness`` on its one-stage embedding.  A
     target that cannot carry the margin raises ``StageCheckError`` with the
-    ``InfeasibleEpsilonError`` as its ``__cause__``."""
+    largest margin it carries as ``max_gap``."""
     skeleton, policy = embed(sigma)
     return epsilon_markov_witness(policy, skeleton, concept, config).rewards[:, 0, 0]
+
+
+class InfeasibleMargin(ValueError):
+    """The reference's error for a stage that cannot carry the requested
+    margin; ``max_gap`` is the largest margin it carries."""
+
+    def __init__(self, message: str, max_gap: float):
+        super().__init__(message)
+        self.max_gap = max_gap
 
 
 def epsilon_stage_reference(sigma, concept, bound, config):
@@ -97,7 +105,7 @@ def epsilon_stage_reference(sigma, concept, bound, config):
     its definition with the one-shot API: NE pays +-bound on a pure target;
     CE and CCE scale the unit witness by epsilon / gamma, capped at the
     bound.  A target that cannot carry the margin raises
-    ``InfeasibleEpsilonError`` with the largest margin it carries."""
+    ``InfeasibleMargin`` with the largest margin it carries."""
     eps, dev = config.epsilon, config.deviation_class
     if concept == Concept.NE and dev == DeviationClass.UNRESTRICTED:
         raise ValueError(
@@ -112,11 +120,11 @@ def epsilon_stage_reference(sigma, concept, bound, config):
     counts = sigma.action_counts
     if concept == Concept.NE:
         if np.count_nonzero(sigma.probs) != 1:
-            raise InfeasibleEpsilonError(
+            raise InfeasibleMargin(
                 "strict Nash scaling requires a pure target", 0.0
             )
         if eps >= 2.0 * bound:
-            raise InfeasibleEpsilonError(
+            raise InfeasibleMargin(
                 f"epsilon {eps} not achievable: margin must stay below "
                 f"{2.0 * bound}",
                 2.0 * bound,
@@ -125,12 +133,12 @@ def epsilon_stage_reference(sigma, concept, bound, config):
         return np.repeat(pay[None], len(counts), 0)
     rep = check(sigma, concept)
     if not rep.installable:
-        raise InfeasibleEpsilonError(
+        raise InfeasibleMargin(
             f"target is not {concept.value}-installable", 0.0
         )
     for i, entry in enumerate(rep.evidence):
         if entry[0] == "single" and counts[i] > 1:
-            raise InfeasibleEpsilonError(
+            raise InfeasibleMargin(
                 "coarse epsilon-strictness needs two supported actions with "
                 "differing conditionals for every player; player "
                 f"{i} has a single supported action",
@@ -138,7 +146,7 @@ def epsilon_stage_reference(sigma, concept, bound, config):
             )
     gamma = (gamma_ce if concept == Concept.CE else gamma_cce)(sigma).value
     if eps > bound * gamma:
-        raise InfeasibleEpsilonError(
+        raise InfeasibleMargin(
             f"epsilon {eps} exceeds the achievable margin {bound * gamma}",
             bound * gamma,
         )

@@ -491,16 +491,18 @@ class TestPinnedOptima:
 
 
 class TestPinnedPrograms:
-    """SHA-256 of the ``--lp-dump`` text of two ladder programs, recorded
-    before the strictness rows were built for all stages at once; a change
-    to any coefficient, bound or row order shows here."""
+    """SHA-256 of the ``--lp-dump`` text of two ladder programs; a change
+    to any coefficient, bound or row order shows here.  Re-recorded when
+    ``dump`` went from 6 to 17 significant digits, on the programs that
+    :class:`TestPinnedProgramBytes` pins, so these digests now see every
+    bit and can move with the numpy or BLAS build."""
 
     DIGESTS = {
         (Concept.CCE, CostKind.OFFLINE): (
-            "b0ad8cd509aa3bcb26164457d1890e5cbffe85f0cfff2d6d9de4c553fa558661"
+            "6eaa236b6483b9aec6da68b0cbf820bdf356b6049e2892ca7037c726dd31b894"
         ),
         (Concept.CE, CostKind.ONLINE): (
-            "45da172cf4d3cf3996ab433a197e7eb0fd250b4bf64bf9e70b7b7f0e814a6579"
+            "d1038e38f38b845a55d6ee836a1c77c524a074758cfad2ebe934cd1ba2559946"
         ),
     }
 
@@ -511,6 +513,22 @@ class TestPinnedPrograms:
             lp, _ = build_mg_lp(sk, pol, concept, CostSpec(kind), config)
             text = lp.dump().encode()
             assert hashlib.sha256(text).hexdigest() == digest, (concept, kind)
+
+
+def test_dump_shows_a_relative_change_of_1e_7():
+    # One coefficient, then one lower bound (-2), of a 3,3,(3,3) program
+    # moved far below their sixth significant digit.
+    sk, pol = recipe_instance(3, 3, (3, 3))
+    config = DesignConfig(slack=recipe_slack(pol, 2.0), bound=2.0)
+    cost = CostSpec(CostKind.SOCIAL_WELFARE)
+    lp, _ = build_mg_lp(sk, pol, Concept.CCE, cost, config)
+    before = lp.dump()
+    coeffs = lp.constraints[0].coeffs
+    coeffs[np.flatnonzero(coeffs)[0]] *= 1.0 + 1e-7
+    moved = lp.dump()
+    assert moved != before
+    lp.lower[0] *= 1.0 + 1e-7
+    assert lp.lower[0] != -2.0 and lp.dump() != moved
 
 
 def pure_policy(horizon, num_s):
@@ -524,12 +542,10 @@ def pure_policy(horizon, num_s):
 class TestPinnedProgramBytes:
     """SHA-256 of the raw float64 bytes of three programs: the stacked row
     coefficients, rhs, column bounds and objective, then the relations.
-    ``dump`` prints 6 significant digits, so :class:`TestPinnedPrograms`
-    cannot see a change below about 1e-6; these digests see every bit.  Being
-    bit-exact, they can also move with the numpy or BLAS build.  The CCE
-    and CE digests were re-recorded when the value operator became the
-    verifier's backward induction on the unit rewards, which moved entries
-    by at most 8.3e-17."""
+    These digests see every bit, and so can move with the numpy or BLAS
+    build.  The CCE and CE digests were re-recorded when the value operator
+    became the verifier's backward induction on the unit rewards, which
+    moved entries by at most 8.3e-17."""
 
     DIGESTS = {
         (Concept.CCE, CostKind.OFFLINE): (

@@ -112,10 +112,9 @@ def cached_arrays(game, sigma):
     yield sigma.probs
     yield from (skeleton.transitions, skeleton.initial_dist, skeleton.baseline_reward)
     yield policy.stages
-    for table in (sigma.conditional_table, policy.conditional_table):
-        for p, conds in table:
-            yield p
-            yield conds
+    for p, conds in policy.conditional_table:
+        yield p
+        yield conds
     for concept, *_ in plans(sigma):
         yield from policy.derived(design_module._strict_weights, concept)
 

@@ -133,6 +133,21 @@ class TestConditionals:
                 cond = conditional(sigma, i, j)
                 np.testing.assert_allclose(conds[j], cond.flat(), atol=1e-15)
 
+    def test_matrix_is_fresh_and_writable(self):
+        # The reference stays independent of the embedding's cached table.
+        sigma = sigma_ex()
+        table = strategy_as_policy(sigma).conditional_table
+        for i, cached in enumerate(table):
+            got = conditional_matrix(sigma, i)
+            for arr, kept in zip(got, cached):
+                np.testing.assert_array_equal(arr, kept[0, 0])
+                assert arr.flags.writeable
+                assert not any(np.shares_memory(arr, t) for pair in table for t in pair)
+                arr[...] = -1.0
+            for arr, kept in zip(conditional_matrix(sigma, i), cached):
+                np.testing.assert_array_equal(arr, kept[0, 0])
+                assert kept.min() >= 0.0
+
     @settings(max_examples=60, deadline=None)
     @given(joint_strategies())
     def test_conditionals_are_distributions(self, sigma):
@@ -262,7 +277,7 @@ def warmed_objects() -> dict:
     )
     policy = random_policy(rng, skeleton)
     reward = random_reward(rng, skeleton)
-    sigma.conditional_table, strategy_as_policy(sigma), nfg_as_markov(game)
+    strategy_as_policy(sigma).conditional_table, nfg_as_markov(game)
     policy.conditional_table, policy.first_correlated(), policy.stage(0, 0)
     skeleton.action_counts
     return {type(obj).__name__: obj for obj in (sigma, game, skeleton, policy, reward)}

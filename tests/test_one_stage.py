@@ -37,7 +37,6 @@ from eqdesign import (
     DesignConfig,
     DeviationClass,
     EpsilonConfig,
-    InfeasibleEpsilonError,
     JointMixedStrategy,
     LpStatus,
     NormalFormGame,
@@ -57,7 +56,7 @@ from eqdesign import (
     strategy_as_policy,
     witness_utility,
 )
-from conftest import epsilon_stage_reference, make_rng
+from conftest import InfeasibleMargin, epsilon_stage_reference, make_rng
 
 SHAPES = ((2, 2), (3, 2), (3, 3), (2, 2, 2))
 KINDS = ("full", "sparse", "pure", "product")
@@ -161,13 +160,12 @@ def check_case(k: int) -> dict:
                 cfg = EpsilonConfig(eps, bound, dev)
                 try:
                     want = epsilon_stage_reference(sigma, concept, bound, cfg)
-                except InfeasibleEpsilonError as exc:
+                except InfeasibleMargin as exc:
                     with pytest.raises(StageCheckError) as err:
                         epsilon_markov_witness(policy, skeleton, concept, cfg)
                     assert err.value.stage == (0, 0)
-                    cause = err.value.__cause__
-                    assert str(cause) == str(exc)
-                    assert cause.max_gap == exc.max_gap
+                    assert str(err.value) == f"stage (h=0, s=0): {exc}"
+                    assert err.value.max_gap == exc.max_gap
                     continue
                 except ValueError as exc:
                     with pytest.raises(ValueError) as err:

@@ -10,7 +10,6 @@ from eqdesign import (
     DesignConfig,
     DeviationClass,
     EpsilonConfig,
-    InfeasibleEpsilonError,
     JointMixedStrategy,
     MarkovPolicy,
     RewardFunction,
@@ -121,8 +120,7 @@ class TestEpsilonWitness:
         with pytest.raises(StageCheckError) as err:
             epsilon_utility(sigma, Concept.CCE, cfg)
         assert err.value.stage == (0, 0)
-        assert isinstance(err.value.__cause__, InfeasibleEpsilonError)
-        assert err.value.__cause__.max_gap == pytest.approx(0.5, abs=1e-12)
+        assert err.value.max_gap == pytest.approx(0.5, abs=1e-12)
 
     def test_nash_pays_double_bound(self):
         probs = np.zeros((2, 3))
@@ -270,6 +268,16 @@ class TestMarkovWitness:
         with pytest.raises(StageCheckError) as err:
             markov_witness(bad, skeleton, 1.0)
         assert err.value.stage == (0, 0)
+
+    def test_uninstallable_stage_carries_no_margin(self):
+        # Only the epsilon witness's infeasible margins set max_gap.
+        skeleton, policy = self._fixture("mw-no-margin")
+        stages = np.array(policy.stages)
+        stages[-1, -1] = np.full(skeleton.action_counts, 1.0 / stages[0, 0].size)
+        with pytest.raises(StageCheckError) as err:
+            markov_witness(MarkovPolicy(stages=stages), skeleton, 1.0, Concept.CE)
+        assert err.value.stage == (skeleton.horizon - 1, skeleton.num_states - 1)
+        assert err.value.max_gap is None
 
     def test_one_stage_matches_plain_witness(self):
         rng = make_rng("mw-one-stage")
