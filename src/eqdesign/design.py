@@ -3,16 +3,17 @@
 Builds one linear program per request whose unknowns are the rewards, boxed
 by the bound, plus at most one auxiliary column for the cost.  With the
 target policy fixed, action and state values are linear in the rewards, so
-the verifier's backward induction on one player's unit rewards gives the
-operator that turns every deviation constraint into a single strictness row
-over rewards.  The rows of every stage are built at once from the policy's
-stage arrays and conditional table, over the deviations
-:func:`~eqdesign.installability.deviation_mask` names; their weights depend
-on the policy alone and are kept on it.  The L1 costs
-write each reward as ``base + d+ - d-`` with bounded deviation columns
-``d+`` and ``d-`` in place of the rewards, so their programs have the
-strictness rows alone.  A normal-form game is designed as its one-stage,
-one-state Markov embedding.
+every deviation constraint is a single strictness row over rewards: its
+weights on its own stage's rewards and their occupancy, carried forward
+through the transitions and the policy, on every later stage's.  One
+forward pass, the verifier's ``_forward`` that :func:`visitation` also
+runs, builds every row.  The weights of every stage come at once from the
+policy's stage arrays and conditional table, over the deviations
+:func:`~eqdesign.installability.deviation_mask` names; they depend on the
+policy alone and are kept on it.  The L1 costs write each reward as
+``base + d+ - d-`` with bounded deviation columns ``d+`` and ``d-`` in place
+of the rewards, so their programs have the strictness rows alone.  A
+normal-form game is designed as its one-stage, one-state Markov embedding.
 
 Costs: ``ONLINE`` weights reward changes by the target's visitation measure,
 ``OFFLINE`` counts them unweighted, ``SOCIAL_WELFARE`` maximizes the sum of
@@ -41,7 +42,7 @@ from .games import (
 )
 from .installability import Concept, DeviationClass, deviation_mask, require
 from .lp import LinearProgram, LpStatus, solve
-from .verify import GapReport, _backward, check_strict, policy_eval, visitation
+from .verify import GapReport, _forward, check_strict, policy_eval, visitation
 
 # Post-solve verification allows this much slip below the requested slack.
 GAP_SLIP = 1e-6
@@ -106,11 +107,11 @@ class DesignResult:
 
 def _strict_weights(
     policy: MarkovPolicy, concept: Concept
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The policy's part of :func:`_strict_rows`, as read-only
-    ``(players, weights, keep)``: each constraint's weights over its stage's
-    flat joint actions, shaped ``(H, S, n, K, A)``, the mask of the
-    constraints the concept measures, and the player of each kept one."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The strictness constraints the concept measures, as ``(stage, state,
+    player, weights)`` in (stage, state, player, constraint) order: where
+    each sits, whose rewards it reads, and its weights over that stage's
+    flat joint actions."""
     stages, counts = policy.stages, policy.action_counts
     horizon, num_s, n = policy.horizon, policy.num_states, len(counts)
     ce = concept == Concept.CE
@@ -133,23 +134,7 @@ def _strict_weights(
         ok = deviation_mask(p, concept).reshape(horizon, num_s, -1)
         keep[:, :, i, : ok.shape[2]] = ok
         weights[:, :, i, : ok.shape[2]] = w.reshape(ok.shape + (-1,))
-    players = np.nonzero(keep)[2]
-    for arr in (players, weights, keep):
-        arr.flags.writeable = False
-    return players, weights, keep
-
-
-def _strict_rows(
-    policy: MarkovPolicy, concept: Concept, ops: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Strictness rows of every stage at once, as ``(players, rows)`` in
-    (stage, state, player, constraint) order.  A row is over one player's
-    rewards: the constraint's weights, computed once per policy and concept,
-    times its stage's block of the action-value operator ``ops``."""
-    players, weights, keep = policy.derived(_strict_weights, concept)
-    # A stack of row-vector products; one matrix product would round otherwise.
-    blocks = ops.reshape(weights.shape[:2] + (1, 1) + weights.shape[-1:] + (-1,))
-    return players, (weights[..., None, :] @ blocks)[..., 0, :][keep]
+    return np.nonzero(keep)[:3] + (weights[keep],)
 
 
 def build_mg_lp(
@@ -172,7 +157,7 @@ def build_mg_lp(
     n = skeleton.num_players
     horizon, num_s = skeleton.horizon, skeleton.num_states
     counts = skeleton.action_counts
-    num_a = int(np.prod(counts))
+    num_a = math.prod(counts)
     require(concept, policy)
 
     size = horizon * num_s * num_a  # one player's rewards
@@ -214,10 +199,12 @@ def build_mg_lp(
         rows[at] = blocks
         return rows, at
 
-    # The unit rewards' values: the action-value operator, stage-0 values.
-    unit = np.eye(size).reshape((size,) + shape[1:])
-    v_unit, q_unit = _backward(skeleton, policy, unit)
-    players, coeffs = _strict_rows(policy, concept, q_unit.reshape(size, size).T)
+    # A row puts its weights on its own stage's rewards and their occupancy,
+    # carried forward by the policy, on every later stage's.
+    stage, state, players, weights = policy.derived(_strict_weights, concept)
+    coeffs = np.zeros((players.size, horizon, num_s, num_a))
+    coeffs[np.arange(players.size), stage, state] = weights
+    coeffs = _forward(skeleton, policy, coeffs).reshape(players.size, size)
     rows, at = player_rows(players, coeffs)
     if config.max_gap:
         rows[:, aux] = -1.0
@@ -232,24 +219,24 @@ def build_mg_lp(
         lp.add_constraint(rows, ">=", config.slack)
 
     objective = np.zeros(num_vars)
-    # One player's expected initial value per reward entry.
-    value0 = v_unit[:, 0] @ skeleton.initial_dist
     if config.max_gap:
         objective[aux] = -1.0
-    elif l1:
+    elif cost.kind == CostKind.OFFLINE:
+        objective[: 2 * blk] = 1.0
+    else:
+        # A reward entry's visitation is its weight in the online cost and
+        # in its player's expected initial value.
+        mu = np.tile(visitation(skeleton, policy).reshape(-1), n)
         if cost.kind == CostKind.ONLINE:
-            weights = np.tile(visitation(skeleton, policy).reshape(-1), n)
+            objective[: 2 * blk] = np.tile(mu, 2)
+        elif cost.kind == CostKind.SOCIAL_WELFARE:
+            objective[:blk] = -mu
         else:
-            weights = np.ones(blk)
-        objective[: 2 * blk] = np.tile(weights, 2)
-    elif cost.kind == CostKind.SOCIAL_WELFARE:
-        objective[:blk] = -np.tile(value0, n)
-    elif egalitarian:
-        objective[aux] = -1.0
-        # z <= each player's expected initial value.
-        rows, _ = player_rows(np.arange(n), value0)
-        rows[:, aux] = -1.0
-        lp.add_constraint(rows, ">=", 0.0)
+            objective[aux] = -1.0
+            # z <= each player's expected initial value.
+            rows, _ = player_rows(np.arange(n), mu.reshape(n, size))
+            rows[:, aux] = -1.0
+            lp.add_constraint(rows, ">=", 0.0)
     lp.set_objective(objective)
     layout = {
         "slack_col": aux if config.max_gap else None,
@@ -279,26 +266,6 @@ def build_nfg_lp(
     return build_mg_lp(
         nfg_as_markov(game), strategy_as_policy(sigma), concept, cost, config
     )
-
-
-def _verify_design(
-    skeleton: MarkovGameSkeleton,
-    policy: MarkovPolicy,
-    concept: Concept,
-    reward: RewardFunction,
-    required: float,
-) -> GapReport:
-    dev = (
-        DeviationClass.NEVER_RECOMMENDED
-        if concept == Concept.CE
-        else DeviationClass.UNRESTRICTED
-    )
-    report = check_strict(skeleton, reward, policy, concept, dev_class=dev)
-    if report.min_gap < required - GAP_SLIP:
-        raise RuntimeError(
-            f"designed reward missed its margin: {report.min_gap} < {required}"
-        )
-    return report
 
 
 def design(
@@ -353,7 +320,7 @@ def _solve_design(
             phase_steps=sol.phase_steps,
         )
     shape = layout["shape"]
-    blk = int(np.prod(shape))
+    blk = math.prod(shape)
     flat = sol.x[:blk]
     if layout["baseline"] is not None:
         flat = layout["baseline"] + flat - sol.x[blk : 2 * blk]
@@ -361,7 +328,13 @@ def _solve_design(
     reward = RewardFunction(rewards=rewards, bound=config.bound)
     achieved = float(sol.x[layout["slack_col"]]) if config.max_gap else None
     required = achieved if config.max_gap else config.slack
-    report = _verify_design(skeleton, policy, concept, reward, required)
+    ce = concept == Concept.CE
+    dev = DeviationClass.NEVER_RECOMMENDED if ce else DeviationClass.UNRESTRICTED
+    report = check_strict(skeleton, reward, policy, concept, dev_class=dev)
+    if report.min_gap < required - GAP_SLIP:
+        raise RuntimeError(
+            f"designed reward missed its margin: {report.min_gap} < {required}"
+        )
     return DesignResult(
         sol.status,
         concept,

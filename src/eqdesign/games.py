@@ -360,10 +360,14 @@ class MarkovPolicy(_Rebuilt):
 
     @cached_property
     def _stage_table(self) -> list[list[JointMixedStrategy]]:
-        return [[JointMixedStrategy(p) for p in per_h] for per_h in self.stages]
+        table = [[JointMixedStrategy(p) for p in per_h] for per_h in self.stages]
+        if self.stages.shape[:2] == (1, 1):
+            table[0][0].__dict__["_embedding"] = self
+        return table
 
     def stage(self, h: int, s: int) -> JointMixedStrategy:
-        """The joint mixed strategy played at stage ``h`` in state ``s``."""
+        """The joint mixed strategy played at stage ``h`` in state ``s``; a
+        one-stage, one-state policy is its stage's embedding."""
         return self._stage_table[h][s]
 
     def marginal(self, player: int) -> np.ndarray:
@@ -380,14 +384,15 @@ class MarkovPolicy(_Rebuilt):
         return _read_only(tuple(_conditionals(self.stages, i) for i in players))
 
     def derived(self, build: Callable, *args):
-        """``build(self, *args)``, computed on the first call with these
-        arguments and returned again on later ones.  The policy cannot
-        change, so the result cannot go stale; ``build`` returns read-only
-        arrays, as :attr:`conditional_table` holds."""
+        """``build(self, *args)``, a tuple of arrays, computed on the first
+        call with these arguments and returned again, read-only, on later
+        ones.  The policy cannot change, so the result cannot go stale."""
         memo = self.__dict__.setdefault("_derived", {})
         key = (build, args)
         if key not in memo:
             memo[key] = build(self, *args)
+            for arr in memo[key]:
+                arr.flags.writeable = False
         return memo[key]
 
     def check_fits(self, skeleton: MarkovGameSkeleton) -> None:

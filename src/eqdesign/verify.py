@@ -4,8 +4,9 @@ Everything here is plain backward/forward induction over the dense tensors,
 one stage at a time with every state at once: on-path values, visitation,
 single-deviator best responses, and the per-constraint strictness gaps of
 each concept, as arrays.  On-path values have one recursion, ``_backward``,
-over a batch of rewards: :func:`policy_eval` and :func:`check_strict` run
-it on the players' rewards, and the design program on the unit rewards.
+over a batch of rewards, for :func:`policy_eval` and :func:`check_strict`.
+Its adjoint, ``_forward``, carries signed measures forward: it is
+:func:`visitation`, and the design program's rows from their weights.
 :func:`check_strict` is the one verifier the package runs, on Markov games
 and one-stage embeddings alike.  A one-stage re-implementation
 (:func:`nfg_oracle`) is kept as an independent reference for normal-form
@@ -128,20 +129,29 @@ def policy_eval(
     return ValueTables(v=v, q=q)
 
 
-def visitation(skeleton: MarkovGameSkeleton, policy: MarkovPolicy) -> np.ndarray:
-    """Stage occupancy measure over (state, joint action); each stage sums to 1."""
-    policy.check_fits(skeleton)
-    horizon, num_s = skeleton.horizon, skeleton.num_states
-    counts = skeleton.action_counts
-    mu = np.zeros((horizon, num_s) + counts)
-    state_dist = skeleton.initial_dist.copy()
-    extra = (None,) * len(counts)
-    for h in range(horizon):
-        mu[h] = state_dist[(slice(None),) + extra] * policy.stages[h]
-        flat_mu = mu[h].reshape(num_s, -1)
-        flat_p = skeleton.transitions[h].reshape(num_s, -1, num_s)
-        state_dist = np.einsum("sa,sat->t", flat_mu, flat_p)
+def _forward(
+    skeleton: MarkovGameSkeleton, policy: MarkovPolicy, mu: np.ndarray
+) -> np.ndarray:
+    """Occupancy of a batch of signed measures over (h, s, a), shaped ``(k,
+    H, S, *counts)``, in place: each stage's mass moves through the
+    transitions and the next stage's policy onto the next stage.  The
+    adjoint of :func:`_backward`: occupancy dotted with a reward is the
+    measure dotted with the reward's action values."""
+    k, horizon, num_s = mu.shape[:3]
+    flat = mu.reshape(k, horizon, num_s, -1)
+    for h in range(horizon - 1):
+        into = flat[:, h].reshape(k, -1) @ skeleton.transitions[h].reshape(-1, num_s)
+        flat[:, h + 1] += into[:, :, None] * policy.stages[h + 1].reshape(num_s, -1)
     return mu
+
+
+def visitation(skeleton: MarkovGameSkeleton, policy: MarkovPolicy) -> np.ndarray:
+    """Stage occupancy measure over (state, joint action), :func:`_forward`
+    from the initial distribution; each stage sums to 1."""
+    policy.check_fits(skeleton)
+    mu = np.zeros((1, skeleton.horizon) + policy.stages.shape[1:])
+    mu[0, 0] = (policy.stages[0].T * skeleton.initial_dist).T
+    return _forward(skeleton, policy, mu)[0]
 
 
 def best_response(
@@ -162,6 +172,18 @@ def best_response(
     require(Concept.CCE, policy, dev_class)
     if not 0 <= player < skeleton.num_players:
         raise ShapeError(f"player {player} out of range")
+    return _best_response(skeleton, reward, policy, player, dev_class)
+
+
+def _deviations(policy: MarkovPolicy, concept: Concept, player: int) -> tuple:
+    """:func:`deviation_mask` of one player's masses and that mask's
+    ``nonzero`` index, for :meth:`MarkovPolicy.derived`."""
+    mask = deviation_mask(policy.marginal(player), concept)
+    return (mask,) + np.nonzero(mask)
+
+
+def _best_response(skeleton, reward, policy, player, dev_class) -> BestResponse:
+    """:func:`best_response` for a caller that has checked its arguments."""
     horizon, num_s = skeleton.horizon, skeleton.num_states
     count = skeleton.action_counts[player]
     v = np.zeros((horizon + 1, num_s))
@@ -169,7 +191,7 @@ def best_response(
     actions = np.zeros((horizon, num_s), dtype=int)
     allowed = None
     if dev_class == DeviationClass.NEVER_TARGET:
-        allowed = deviation_mask(policy.marginal(player), Concept.CCE)
+        allowed = policy.derived(_deviations, Concept.CCE, player)[0]
     # Own action values as (state, own, opponents); transpose beats np.moveaxis.
     others = [1 + i for i in range(skeleton.num_players) if i != player]
     for h in range(horizon - 1, -1, -1):
@@ -239,19 +261,18 @@ def check_strict(
     gaps: dict = {}
     for i in range(skeleton.num_players):
         if concept == Concept.CE:
-            p, conds = policy.conditional_table[i]
+            conds = policy.conditional_table[i][1]
             qmat = np.moveaxis(q[i], 2 + i, 2).reshape(conds.shape)
             on_rec = np.einsum("...jr,...jr->...j", conds, qmat)
             cross = conds @ qmat.swapaxes(-1, -2)  # [.., j, k] = E_cond_j[q_k]
             table = on_rec[..., None] - cross
         elif skeleton.action_counts[i] > 1:  # one action has no deviation
-            br = best_response(skeleton, reward, policy, i, dev_class)
-            p, table = policy.marginal(i), v[i, :-1, :, None] - br.q
+            br = _best_response(skeleton, reward, policy, i, dev_class)
+            table = v[i, :-1, :, None] - br.q
         else:
             continue
         # Keyed (player, *index of the mask), row-major.
-        mask = deviation_mask(p, concept)
-        index = np.nonzero(mask)
+        mask, *index = policy.derived(_deviations, concept, i)
         keys = zip([i] * index[0].size, *(ax.tolist() for ax in index))
         gaps.update(zip(keys, table[mask].tolist()))
     return _finalize(concept, epsilon, dev_class, gaps)

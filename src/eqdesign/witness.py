@@ -2,8 +2,8 @@
 
 The central object is the witness utility: each player is paid the value of
 their conditional opponent distribution, L2-normalized per own action.  Its
-strictness margins have an exact cosine form, which also yields the maximum
-margin ``gamma`` attainable per concept and the epsilon-strict scalings.
+strictness margins have an exact cosine form, giving its unit-bound margin
+``gamma`` (at most the max-gap design's) and the epsilon-strict scalings.
 Markov targets get a variant whose rewards cancel the continuation value so
 that every stage inherits the normal-form margins; all stages' utilities,
 and so their on-path values, come at once from the policy's conditional
@@ -40,7 +40,7 @@ class StageCheckError(ValueError):
     """A Markov construction hit a stage that fails its precondition.
 
     ``max_gap`` is set when the stage cannot carry a requested epsilon: the
-    largest margin it carries, 0 when it carries none."""
+    margin the witness reaches there, 0 when it reaches none."""
 
     def __init__(
         self, message: str, stage: tuple[int, int], max_gap: Optional[float] = None
@@ -66,7 +66,7 @@ class EpsilonConfig:
 
 
 class GammaResult(NamedTuple):
-    """Maximum unit-bound strictness margin; zero-flagged when unattainable."""
+    """The witness's unit-bound margin; zero-flagged when not installable."""
 
     value: float
     installable: bool
@@ -133,7 +133,7 @@ def _gamma(sigma: JointMixedStrategy, concept: Concept) -> GammaResult:
 
 
 def gamma_ce(sigma: JointMixedStrategy) -> GammaResult:
-    """Largest strictness margin any unit-bound correlated witness achieves.
+    """Strictness margin the unit-bound correlated witness achieves.
 
     Minimum over players, supported actions j, and alternatives k != j of
     ``||cond_j||_2 (1 - cos(cond_j, cond_k))``.  Returns a zero value with a
@@ -143,7 +143,7 @@ def gamma_ce(sigma: JointMixedStrategy) -> GammaResult:
 
 
 def gamma_cce(sigma: JointMixedStrategy) -> GammaResult:
-    """Largest coarse strictness margin at unit bound (mass-weighted form).
+    """Coarse strictness margin of the unit-bound witness (mass-weighted form).
 
     Minimum over players i and genuine deviations m of
     ``sum_j p_ij ||cond_j||_2 (1 - cos(cond_j, cond_m))``.  A player whose
@@ -228,9 +228,9 @@ def epsilon_markov_witness(
     A one-shot target is its one-stage embedding (:func:`nfg_as_markov`,
     :func:`strategy_as_policy`), where ``b = B``.  The first stage in
     row-major order that cannot carry the margin raises
-    :class:`StageCheckError` with that stage's largest margin as
-    ``max_gap`` (0 when it carries none).  A correlated NE stage, or a
-    deviation class the concept does not cover, is an input error.
+    :class:`StageCheckError` with the margin the witness reaches at that
+    stage as ``max_gap`` (0 when it reaches none).  A correlated NE stage,
+    or a deviation class the concept does not cover, is an input error.
     """
     policy.check_fits(skeleton)
     dev = config.deviation_class

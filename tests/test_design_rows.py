@@ -1,18 +1,22 @@
 """The design program's strictness rows against their per-stage definition.
 
-``build_mg_lp`` builds the rows of every ``(stage, state)`` at once from the
-policy's stage arrays and conditional table.  The reference below builds
-them one stage at a time, as the constraints read, from the per-stage
-helpers of ``games``: each row is a weight vector over the stage's flat
-joint actions times that stage's block of the action-value operator.  Both
-must give the same program byte for byte: coefficients, right-hand sides,
-bounds, objective and ``dump()`` text, signed zeros included.  The program
-is also checked against the verifier at a reward: its CE rows give the
-verifier's gaps and its social objective the verifier's cost.
+``build_mg_lp`` builds the weights of every ``(stage, state)`` at once from
+the policy's stage arrays and conditional table, and carries them forward by
+occupancy.  The reference below builds the weights one stage at a time, as
+the constraints read, from the per-stage helpers of ``games``, and
+propagates them with the value operator: the verifier's backward induction
+run on each of one player's unit rewards, transposed.  Each row is a
+stage's weight vector times that stage's block of the operator.  A one-stage
+program must equal the reference value for value (only the sign of a zero
+may differ); a Markov program's rows and objective lie within 1e-15 of it,
+and its right-hand sides within 1e-14.
+The program is also checked against the verifier at a reward: its CE rows
+give the verifier's gaps and its social objective the verifier's cost.
 """
 
 import dataclasses
 import importlib
+import os
 
 import numpy as np
 import pytest
@@ -33,12 +37,18 @@ from eqdesign import (
     check_strict,
     evaluate_cost,
     nfg_as_markov,
+    strategy_as_policy,
+    visitation,
 )
 from eqdesign.games import conditional_matrix, genuine_deviations
+from eqdesign.verify import _backward
 
 from conftest import make_rng
 
 design_module = importlib.import_module("eqdesign.design")
+# Largest gap between a Markov program and the reference, per array; an L1
+# program's rhs holds each row's dot product with a baseline of up to 3.
+TOL = {"a": 1e-15, "b": 1e-14, "objective": 1e-15}
 
 
 def reference_stage_rows(stage: JointMixedStrategy, concept: Concept) -> list:
@@ -72,32 +82,81 @@ def reference_stage_rows(stage: JointMixedStrategy, concept: Concept) -> list:
     return rows
 
 
-def reference_rows(policy: MarkovPolicy, concept: Concept, ops: np.ndarray):
-    """``_strict_rows`` stage by stage: ``(players, rows)`` arrays in (stage,
-    state, player, constraint) order."""
+def reference_weights(policy: MarkovPolicy, concept: Concept):
+    """``_strict_weights`` stage by stage: ``(stage, state, player,
+    weights)`` in (stage, state, player, constraint) order."""
     num_a = int(np.prod(policy.action_counts))
-    players, rows = [], []
+    at, weights = [], []
     for h in range(policy.horizon):
         for s in range(policy.num_states):
-            at = (h * policy.num_states + s) * num_a
             for i, w in reference_stage_rows(policy.stage(h, s), concept):
-                players.append(i)
-                rows.append(w @ ops[at : at + num_a])
-    return np.array(players, dtype=int), np.reshape(rows, (len(rows), ops.shape[1]))
+                at.append((h, s, i))
+                weights.append(w)
+    stage, state, players = np.reshape(np.array(at, dtype=int), (-1, 3)).T
+    return stage, state, players, np.reshape(weights, (len(weights), num_a))
 
 
-def program_bytes(lp) -> dict:
-    a = np.array([c.coeffs for c in lp.constraints]).reshape(-1, lp.num_vars)
+def reference_operator(skeleton: MarkovGameSkeleton, policy: MarkovPolicy):
+    """The unit rewards' values by backward induction: the action-value
+    operator, whose row ``(h, s, a)`` is the action value there per reward
+    entry of one player, and each entry's expected initial value."""
+    size = policy.stages.size
+    unit = np.eye(size).reshape((size,) + policy.stages.shape)
+    v_unit, q_unit = _backward(skeleton, policy, unit)
+    return q_unit.reshape(size, size).T, v_unit[:, 0] @ skeleton.initial_dist
+
+
+def program_arrays(lp) -> dict:
     return {
-        "a": a.tobytes(),
-        "rows": a.shape,
+        "a": np.array([c.coeffs for c in lp.constraints]).reshape(-1, lp.num_vars),
+        "b": np.array([c.rhs for c in lp.constraints]),
+        "objective": lp.objective,
+        "lower": lp.lower,
+        "upper": lp.upper,
         "relations": [c.relation for c in lp.constraints],
-        "b": np.array([c.rhs for c in lp.constraints]).tobytes(),
-        "lower": lp.lower.tobytes(),
-        "upper": lp.upper.tobytes(),
-        "objective": lp.objective.tobytes(),
-        "dump": lp.dump(),
     }
+
+
+def reference_program(monkeypatch, skeleton, policy, build) -> dict:
+    """``build()`` with the reference weights, the rows propagated through
+    the reference operator and its initial values as the visitation."""
+    ops, value0 = reference_operator(skeleton, policy)
+    propagated = []
+
+    def forward(sk, pol, mu):
+        propagated.append(mu.shape[0])
+        return (mu.reshape(len(mu), -1) @ ops).reshape(mu.shape)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(design_module, "_strict_weights", reference_weights)
+        patch.setattr(design_module, "_forward", forward)
+        patch.setattr(
+            design_module,
+            "visitation",
+            lambda sk, pol: value0.reshape(pol.stages.shape),
+        )
+        arrays = program_arrays(build())
+    assert len(propagated) == 1
+    return arrays
+
+
+def programs_match(monkeypatch, skeleton, policy, build) -> int:
+    """Build with the kernel, then with the reference; assert the programs
+    agree, one-stage ones value for value, and return the row count."""
+    new = program_arrays(build())
+    old = reference_program(monkeypatch, skeleton, policy, build)
+    assert new["relations"] == old["relations"]
+    for key in ("lower", "upper"):
+        assert new[key].tobytes() == old[key].tobytes(), key
+    one_stage = policy.stages.shape[:2] == (1, 1)
+    for key in ("a", "b", "objective"):
+        assert new[key].shape == old[key].shape, key
+        if one_stage:
+            assert np.array_equal(new[key], old[key]), key
+        else:
+            gap = np.max(np.abs(new[key] - old[key]), initial=0.0)
+            assert gap <= TOL[key], (key, gap)
+    return len(new["relations"])
 
 
 def stage_probs(rng, counts, kind: str) -> np.ndarray:
@@ -163,17 +222,6 @@ def grid_policies(rng, counts, num_s, horizon):
     ]
 
 
-def programs_match(monkeypatch, build) -> int:
-    """Build with the kernel, then with the reference rows; assert the two
-    programs are byte-identical and return the row count."""
-    new = program_bytes(build())
-    with monkeypatch.context() as patch:
-        patch.setattr(design_module, "_strict_rows", reference_rows)
-        old = program_bytes(build())
-    assert new == old
-    return new["rows"][0]
-
-
 @pytest.mark.parametrize("counts", SHAPES, ids=str)
 def test_markov_programs_match_the_per_stage_reference(monkeypatch, counts):
     rng = make_rng(f"design-rows-{counts}")
@@ -192,9 +240,13 @@ def test_markov_programs_match_the_per_stage_reference(monkeypatch, counts):
                         cost = CostSpec(kind)
                         config = DesignConfig(slack=0.1, bound=2.0, max_gap=max_gap)
                         rows += programs_match(
-                            monkeypatch,
+                            monkeypatch, game, policy,
                             lambda: build_mg_lp(game, policy, concept, cost, config)[0],
                         )
+            # The social weights: each reward entry's expected initial value.
+            value0 = reference_operator(sk, policy)[1]
+            gap = np.abs(visitation(sk, policy).reshape(-1) - value0)
+            assert np.max(gap) <= TOL["objective"]
     assert rows > 0
 
 
@@ -204,6 +256,13 @@ def test_one_stage_programs_match_the_per_stage_reference(monkeypatch, counts):
     for kind_name in KINDS:
         sigma = JointMixedStrategy(stage_probs(rng, counts, kind_name))
         utility = rng.uniform(-1.0, 1.0, (len(counts),) + counts)
+        game = nfg_as_markov(
+            NormalFormGame(tuple(tuple(range(c)) for c in counts), utility)
+        )
+        policy = strategy_as_policy(sigma)
+        assert np.array_equal(
+            visitation(game, policy).reshape(-1), reference_operator(game, policy)[1]
+        )
         concepts = [Concept.CE, Concept.CCE]
         if kind_name in ("pure", "product"):
             concepts.append(Concept.NE)
@@ -211,7 +270,7 @@ def test_one_stage_programs_match_the_per_stage_reference(monkeypatch, counts):
             for kind, max_gap in COSTS:
                 config = DesignConfig(slack=0.05, bound=1.0, max_gap=max_gap)
                 programs_match(
-                    monkeypatch,
+                    monkeypatch, game, policy,
                     lambda: build_nfg_lp(
                         sigma, concept, CostSpec(kind), config, baseline=utility
                     )[0],
@@ -248,16 +307,46 @@ def test_one_action_players_give_no_rows(monkeypatch):
     )
     policy = MarkovPolicy(np.array([[[[0.2, 0.3, 0.5]]]]))
     for concept in (Concept.NE, Concept.CE, Concept.CCE):
-        players, _ = design_module._strict_rows(policy, concept, np.eye(3))
+        players = policy.derived(design_module._strict_weights, concept)[2]
         assert set(players.tolist()) == {1}
         rows = programs_match(
-            monkeypatch,
+            monkeypatch, game, policy,
             lambda: build_mg_lp(
                 game, policy, concept, CostSpec(CostKind.OFFLINE),
                 DesignConfig(slack=0.1, bound=1.0),
             )[0],
         )
         assert rows == (6 if concept == Concept.CE else 3)
+
+
+@pytest.mark.skipif(
+    os.environ.get("EQDESIGN_SLOW") != "1",
+    reason="about 3 s and 0.5 GB; set EQDESIGN_SLOW=1 to run",
+)
+@pytest.mark.parametrize("num_s, horizon", [(12, 8), (16, 10)], ids=str)
+def test_large_forward_rows_match_the_reference(num_s, horizon):
+    # The 12,8,(4,4) and 16,10,(4,4) rungs: each row, read from the
+    # program, against its reference weights times its stage's block.
+    counts = (4, 4)
+    rng = make_rng(f"design-rows-large-{num_s},{horizon}")
+    sk = grid_game(rng, counts, num_s, horizon)
+    policy, _ = grid_policies(rng, counts, num_s, horizon)[0]
+    ops, _ = reference_operator(sk, policy)
+    size = ops.shape[0]
+    blocks = ops.reshape(horizon * num_s, -1, size)
+    config = DesignConfig(slack=0.1, bound=2.0)
+    for concept in (Concept.CCE, Concept.CE):
+        lp, _ = build_mg_lp(
+            sk, policy, concept, CostSpec(CostKind.SOCIAL_WELFARE), config
+        )
+        stage, state, players, weights = reference_weights(policy, concept)
+        assert len(lp.constraints) == players.size
+        for k, row in enumerate(lp.constraints):
+            lo = players[k] * size
+            want = weights[k] @ blocks[stage[k] * num_s + state[k]]
+            got = row.coeffs[lo : lo + size]
+            assert np.max(np.abs(got - want)) <= TOL["a"], (concept, k)
+            assert not row.coeffs[:lo].any() and not row.coeffs[lo + size :].any()
 
 
 @pytest.mark.parametrize("counts", SHAPES, ids=str)

@@ -265,6 +265,20 @@ class TestMarkovObjects:
         assert policy.horizon == 1
         np.testing.assert_array_equal(policy.stage(0, 0).probs, sigma_ex().probs)
 
+    def test_one_stage_policy_embeds_its_stage(self):
+        # A loaded one-stage, one-state policy is its stage's embedding, so
+        # the stage's tables are the policy's; a longer policy's stage gets
+        # an embedding of its own.
+        probs = np.array([[[[0.5, -0.0], [0.0, 0.5]]]])
+        policy = MarkovPolicy(stages=probs)
+        sigma = policy.stage(0, 0)
+        assert strategy_as_policy(sigma) is policy
+        assert sigma.probs.tobytes() == policy.stages[0, 0].tobytes()
+        longer = MarkovPolicy(stages=np.repeat(probs, 2, axis=0))
+        embedded = strategy_as_policy(longer.stage(0, 0))
+        assert embedded is not longer
+        assert embedded.stages.tobytes() == policy.stages.tobytes()
+
 
 def warmed_objects() -> dict:
     """One object of each frozen class, with every cached table filled."""

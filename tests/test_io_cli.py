@@ -22,6 +22,7 @@ from eqdesign import (
     DesignConfig,
     JointMixedStrategy,
     MarkovGameSkeleton,
+    MarkovPolicy,
     NormalFormGame,
     RewardFunction,
     build_mg_lp,
@@ -435,6 +436,24 @@ class TestCliWitness:
         assert report["result"]["gamma"] == pytest.approx(1.0, abs=1e-12)
         assert report["result"]["min_gap"] == pytest.approx(1.0, abs=1e-9)
         assert len(report["result"]["utility"]) == 2
+
+    @pytest.mark.parametrize("concept", ["ce", "cce"])
+    def test_canonical_witness_builds_one_policy(self, files, monkeypatch, concept):
+        # gamma and the witness read the loaded policy, which embeds its
+        # stage, instead of a second one-stage policy of the same numbers.
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", CORR_TARGET)
+        built = []
+        post_init = MarkovPolicy.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(MarkovPolicy, "__post_init__", counting)
+        result = invoke(["witness", game, target, "--concept", concept])
+        assert result.exit_code == 0, result.output
+        assert len(built) == 1
 
     @pytest.mark.parametrize("concept", ["ce", "cce"])
     def test_canonical_witness_scales_to_bound(self, files, concept):

@@ -5,6 +5,8 @@ deviation policies, and the one-stage oracle, so no expected number here
 comes from the code path under test.
 """
 
+import collections
+import importlib
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ from eqdesign import (
     Concept,
     DeviationClass,
     JointMixedStrategy,
+    MarkovGameSkeleton,
     MarkovPolicy,
     NotProductError,
     RewardFunction,
@@ -37,6 +40,8 @@ from conftest import (
     sigma_corr,
     zero_game,
 )
+
+verify_module = importlib.import_module("eqdesign.verify")
 
 
 def embed(utility, sigma):
@@ -348,6 +353,41 @@ class TestCheckStrict:
                 sk, rw, pol, Concept.CE,
                 dev_class=DeviationClass.NEVER_TARGET,
             )
+
+
+class TestPreconditions:
+    def test_check_strict_checks_once_and_keeps_its_masks(self, monkeypatch):
+        # One shape check and one concept check per call, not one more per
+        # player through best_response; the deviation masks are the policy's.
+        rng = make_rng("verify-preconditions")
+        counts = (2, 2, 2)
+        sk = MarkovGameSkeleton(
+            action_sets=(("a", "b"),) * 3,
+            states=("s0", "s1"),
+            horizon=2,
+            transitions=rng.dirichlet(np.ones(2), size=(2, 2, 8)).reshape(
+                (2, 2) + counts + (2,)
+            ),
+            initial_dist=np.array([0.4, 0.6]),
+        )
+        pol = random_policy(rng, sk)
+        rw = random_reward(rng, sk)
+        calls = collections.Counter()
+        for name in ("_check_shapes", "require", "deviation_mask"):
+            inner = getattr(verify_module, name)
+
+            def counting(*args, name=name, inner=inner, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(verify_module, name, counting)
+        first = check_strict(sk, rw, pol, Concept.CCE)
+        assert calls == {"_check_shapes": 1, "require": 1, "deviation_mask": 3}
+        calls.clear()
+        assert check_strict(sk, rw, pol, Concept.CCE) == first
+        assert calls["deviation_mask"] == 0
+        for arr in pol.derived(verify_module._deviations, Concept.CCE, 0):
+            assert not arr.flags.writeable
 
 
 class TestNfgOracle:
