@@ -180,24 +180,11 @@ def build_mg_lp(
         base = None
         lower, upper = np.full(blk, -bound), np.full(blk, bound)
     # One auxiliary column after the rewards: the max-gap margin, or the
-    # egalitarian z (max-gap overrides the cost, so never both).
+    # egalitarian z (max-gap overrides the cost, so never both); it is free.
     aux = lower.size
     egalitarian = cost.kind == CostKind.EGALITARIAN and not config.max_gap
-    num_vars = aux + 1 if config.max_gap or egalitarian else aux
-
-    lp = LinearProgram(num_vars)
-    lp.set_bounds(np.arange(lower.size), lower, upper)
-
-    def player_rows(players, blocks):
-        """Rows holding ``blocks[k]`` in the reward (or ``d+``) columns of
-        player ``players[k]``, and the index of those entries."""
-        at = (
-            np.arange(players.size)[:, None],
-            players[:, None] * size + np.arange(size),
-        )
-        rows = np.zeros((players.size, num_vars))
-        rows[at] = blocks
-        return rows, at
+    if config.max_gap or egalitarian:
+        lower, upper = np.append(lower, -math.inf), np.append(upper, math.inf)
 
     # A row puts its weights on its own stage's rewards and their occupancy,
     # carried forward by the policy, on every later stage's.
@@ -205,42 +192,47 @@ def build_mg_lp(
     coeffs = np.zeros((players.size, horizon, num_s, num_a))
     coeffs[np.arange(players.size), stage, state] = weights
     coeffs = _forward(skeleton, policy, coeffs).reshape(players.size, size)
-    rows, at = player_rows(players, coeffs)
-    if config.max_gap:
-        rows[:, aux] = -1.0
-        lp.add_constraint(rows, ">=", 0.0)
-    elif l1:
-        rows[at[0], at[1] + blk] = -coeffs
+    rhs = np.full(players.size, 0.0 if config.max_gap else config.slack)
+    if l1:
         # One dot product per row; a matrix product would round otherwise.
         blocks = base.reshape(n, size)
-        shift = np.array([c @ blocks[i] for i, c in zip(players, coeffs)])
-        lp.add_constraint(rows, ">=", config.slack - shift)
-    else:
-        lp.add_constraint(rows, ">=", config.slack)
+        rhs -= np.array([c @ blocks[i] for i, c in zip(players, coeffs)])
 
-    objective = np.zeros(num_vars)
+    objective = np.zeros(lower.size)
     if config.max_gap:
         objective[aux] = -1.0
     elif cost.kind == CostKind.OFFLINE:
-        objective[: 2 * blk] = 1.0
+        objective[:aux] = 1.0
     else:
         # A reward entry's visitation is its weight in the online cost and
         # in its player's expected initial value.
         mu = np.tile(visitation(skeleton, policy).reshape(-1), n)
         if cost.kind == CostKind.ONLINE:
-            objective[: 2 * blk] = np.tile(mu, 2)
+            objective[:aux] = np.tile(mu, 2)
         elif cost.kind == CostKind.SOCIAL_WELFARE:
-            objective[:blk] = -mu
+            objective[:aux] = -mu
         else:
             objective[aux] = -1.0
             # z <= each player's expected initial value.
-            rows, _ = player_rows(np.arange(n), mu.reshape(n, size))
-            rows[:, aux] = -1.0
-            lp.add_constraint(rows, ">=", 0.0)
-    lp.set_objective(objective)
+            players = np.concatenate([players, np.arange(n)])
+            coeffs = np.concatenate([coeffs, mu.reshape(n, size)])
+            rhs = np.concatenate([rhs, np.zeros(n)])
+
+    # Each row holds its block in its player's reward (or d+) columns, and
+    # under an L1 cost its negation in the d- columns.
+    rows = np.zeros((players.size, lower.size))
+    for i in range(n):
+        mine, at = players == i, i * size
+        rows[mine, at : at + size] = coeffs[mine]
+        if l1:
+            rows[mine, blk + at : blk + at + size] = -coeffs[mine]
+    if config.max_gap:
+        rows[:, aux] = -1.0
+    elif egalitarian:
+        rows[-n:, aux] = -1.0
+    lp = LinearProgram(objective, rows, ">=", rhs, lower, upper)
     layout = {
         "slack_col": aux if config.max_gap else None,
-        "num_vars": num_vars,
         "shape": shape,
         "baseline": base,
     }

@@ -44,9 +44,9 @@ class DistributionError(ValueError):
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
+    """``arr``, a new array its caller just built, made read-only in place."""
+    arr.flags.writeable = False
+    return arr
 
 
 def _read_only(

@@ -2,9 +2,12 @@
 
 Minimization over box-bounded variables with <=, >=, and = rows, solved by
 a bounded-variable simplex on a dense tableau with no artificial columns.
-Each row gets one logical column ``s`` with ``a @ x + s = b``: ``s >= 0`` on
-<=, ``s <= 0`` on >=, ``s = 0`` on =.  Every column keeps its own bounds,
-and a nonbasic column sits at one of them (at 0 if it is free).
+A :class:`LinearProgram` is one record, validated when built: objective,
+rows as one ``(m, n)`` array, relations, right-hand sides and bounds, each a
+read-only copy that ``solve`` reads as it is.  Each row gets one logical
+column ``s`` with ``a @ x + s = b``: ``s >= 0`` on <=, ``s <= 0`` on >=,
+``s = 0`` on =.  Every column keeps its own bounds, and a nonbasic column
+sits at one of them (at 0 if it is free).
 
 A column is pulled when its cost pulls it toward an infinite bound: a
 negative cost with no upper bound, or a positive cost with no lower bound.
@@ -78,8 +81,7 @@ MAX_PIVOTS = 200_000
 # lowest-index rules, which it keeps until a step makes progress again.
 BLAND_AFTER = 10
 
-# The bounds of a row's logical column ``s`` in ``a @ x + s = b``.
-_LOGICAL_BOUNDS = {"<=": (0.0, math.inf), ">=": (-math.inf, 0.0), "=": (0.0, 0.0)}
+_RELATIONS = ("<=", ">=", "=")
 
 
 class LpStatus(str, Enum):
@@ -109,79 +111,67 @@ class LpSolution:
     phase_steps: tuple[int, int]
 
 
+def _filled(value, shape: tuple[int, ...], what: str, dtype=float) -> np.ndarray:
+    """``value`` as a new array of ``shape``: one entry per place, or one for all."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.shape not in ((), shape):
+        raise LpInputError(f"{what}: shape {arr.shape} does not fit {shape}")
+    return arr.copy() if arr.shape else np.full(shape, arr)
+
+
 class LinearProgram:
-    """Builder for a minimization program over box-bounded variables.
+    """Minimize ``objective @ x`` subject to ``rows @ x relations rhs`` and
+    ``lower <= x <= upper``.  ``relations`` (``<=``, ``>=`` or ``=``) and
+    ``rhs`` take one value per row or one for all, ``lower`` and ``upper``
+    one per variable or one for all, free by default.  Each array is a
+    read-only copy of its input, validated once: bad shapes, non-finite data,
+    unknown relations and boxes with no finite point raise LpInputError."""
 
-    Variables default to free (-inf, +inf); the objective defaults to zero
-    (pure feasibility).
-    """
-
-    def __init__(self, num_vars: int):
-        if num_vars < 1:
-            raise LpInputError("program needs at least one variable")
-        self.num_vars = num_vars
-        self.objective = np.zeros(num_vars)
-        self.constraints: list[Constraint] = []
-        self.lower = np.full(num_vars, -math.inf)
-        self.upper = np.full(num_vars, math.inf)
-
-    def set_objective(self, coeffs) -> None:
-        self.objective = self._coeffs(coeffs, "objective", (1,))
-
-    def set_bounds(self, var, lower, upper) -> None:
-        """Box one variable, or each variable of an index array, with
-        ``lower`` and ``upper`` scalars or shaped like ``var``; validated
-        once per call."""
-        idx = np.asarray(var)
-        lo = np.asarray(lower, dtype=float)
-        hi = np.asarray(upper, dtype=float)
-        if idx.dtype.kind not in "iu":
-            raise LpInputError(f"variable index {var!r} is not an integer")
-        if lo.shape not in ((), idx.shape) or hi.shape not in ((), idx.shape):
+    def __init__(
+        self, objective, rows, relations, rhs, lower=-math.inf, upper=math.inf
+    ):
+        self.objective = np.array(objective, dtype=float)
+        n = self.objective.size
+        if self.objective.shape != (n,) or n < 1:
             raise LpInputError(
-                f"bounds of shapes {lo.shape} and {hi.shape} do not fit "
-                f"variables of shape {idx.shape}"
+                f"program needs at least one variable; objective has shape "
+                f"{self.objective.shape}"
             )
-        inside = (idx >= 0) & (idx < self.num_vars)
-        if not inside.all():
-            raise LpInputError(f"variable {idx.flat[inside.argmin()]} out of range")
+        self.rows = np.array(rows, dtype=float)
+        if self.rows.ndim != 2 or self.rows.shape[1] != n:
+            raise LpInputError(f"rows have shape {self.rows.shape}, not {n} per row")
+        for what, arr in (("objective", self.objective), ("constraint", self.rows)):
+            if not np.isfinite(arr).all():
+                raise LpInputError(f"{what} has non-finite coefficients")
+        m = self.rows.shape[:1]
+        self.relations = _filled(relations, m, "relations", str)
+        unknown = [r for r in self.relations.tolist() if r not in _RELATIONS]
+        if unknown:
+            raise LpInputError(f"unknown relation {unknown[0]!r}")
+        self.rhs = _filled(rhs, m, "rhs")
+        if not np.isfinite(self.rhs).all():
+            raise LpInputError("constraint rhs must be finite")
+        self.lower = lo = _filled(lower, (n,), "lower bounds")
+        self.upper = hi = _filled(upper, (n,), "upper bounds")
         # False on NaN, on lower > upper and on a box at +inf or at -inf.
         boxed = (lo <= hi) & (lo < math.inf) & (hi > -math.inf)
         if not boxed.all():
-            k = np.broadcast_to(boxed, idx.shape).argmin()
-            lo, hi = (np.broadcast_to(v, idx.shape).flat[k] for v in (lo, hi))
+            j = boxed.argmin()
             raise LpInputError(
-                f"bounds [{lo}, {hi}] of variable {idx.flat[k]} hold no finite point"
+                f"bounds [{lo[j]}, {hi[j]}] of variable {j} hold no finite point"
             )
-        self.lower[idx] = lo
-        self.upper[idx] = hi
+        for arr in vars(self).values():
+            arr.flags.writeable = False
 
-    def add_constraint(self, coeffs, relation: str, rhs) -> None:
-        """Add the row ``coeffs @ x relation rhs``, or one row per line of a
-        2-D ``coeffs`` with ``rhs`` broadcast to them; validated once per
-        call."""
-        if relation not in _LOGICAL_BOUNDS:
-            raise LpInputError(f"unknown relation {relation!r}")
-        rows = self._coeffs(coeffs, "constraint", (1, 2)).reshape(-1, self.num_vars)
-        b = np.asarray(rhs, dtype=float)
-        if b.shape not in ((), rows.shape[:1]):
-            raise LpInputError(f"rhs of shape {b.shape} does not fit {len(rows)} rows")
-        if not np.isfinite(b).all():
-            raise LpInputError("constraint rhs must be finite")
-        rhs = b.tolist() if b.ndim else [float(b)] * len(rows)
-        self.constraints.extend(
-            Constraint(row, relation, r) for row, r in zip(rows, rhs)
-        )
+    @property
+    def num_vars(self) -> int:
+        return self.objective.size
 
-    def _coeffs(self, coeffs, what: str, ndims: tuple[int, ...]) -> np.ndarray:
-        arr = np.asarray(coeffs, dtype=float)
-        if arr.ndim not in ndims or arr.shape[-1:] != (self.num_vars,):
-            raise LpInputError(
-                f"{what} has shape {arr.shape}, not {self.num_vars} per row"
-            )
-        if not np.isfinite(arr).all():
-            raise LpInputError(f"{what} has non-finite coefficients")
-        return arr.copy()
+    @property
+    def constraints(self) -> list[Constraint]:
+        """One :class:`Constraint` per row, over read-only views of ``rows``."""
+        rels, rhs = self.relations.tolist(), self.rhs.tolist()
+        return [Constraint(*con) for con in zip(self.rows, rels, rhs)]
 
     def dump(self) -> str:
         """Human-readable rendering over variables ``x0, x1, ...``, stable
@@ -189,20 +179,16 @@ class LinearProgram:
         enough to read each float back exactly."""
         names = [f"x{j}" for j in range(self.num_vars)]
 
-        def term(c: float, name: str) -> str:
-            return f"{c:+.17g}*{name}"
+        def terms(coeffs: np.ndarray) -> str:
+            return " ".join(f"{c:+.17g}*{x}" for c, x in zip(coeffs.tolist(), names))
 
-        lines = [
-            "minimize "
-            + " ".join(term(c, n) for c, n in zip(self.objective, names))
-        ]
-        lines.append("subject to")
-        for con in self.constraints:
-            lhs = " ".join(term(c, n) for c, n in zip(con.coeffs, names))
-            lines.append(f"  {lhs} {con.relation} {con.rhs:.17g}")
+        lines = ["minimize " + terms(self.objective), "subject to"]
+        rels, rhs = self.relations.tolist(), self.rhs.tolist()
+        for row, rel, b in zip(self.rows, rels, rhs):
+            lines.append(f"  {terms(row)} {rel} {b:.17g}")
         lines.append("bounds")
-        for j, name in enumerate(names):
-            lines.append(f"  {self.lower[j]:.17g} <= {name} <= {self.upper[j]:.17g}")
+        for lo, hi, name in zip(self.lower.tolist(), self.upper.tolist(), names):
+            lines.append(f"  {lo:.17g} <= {name} <= {hi:.17g}")
         return "\n".join(lines)
 
 
@@ -527,14 +513,12 @@ def _row_prices(
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Dual phase on priced costs, then primal phase on the true costs."""
-    n, cons = lp.num_vars, lp.constraints
-    m = len(cons)
-    a = np.array([con.coeffs for con in cons]).reshape(m, n)
-    b = np.array([con.rhs for con in cons])
-    # One logical column per row, a @ x + s = b, bounded by the relation.
-    s_lower, s_upper = (
-        np.array([_LOGICAL_BOUNDS[con.relation] for con in cons]).reshape(m, 2).T
-    )
+    a, b = lp.rows, lp.rhs
+    m, n = a.shape
+    # One logical column per row, a @ x + s = b, bounded by the relation:
+    # s >= 0 on <=, s <= 0 on >=, s = 0 on =.
+    s_lower = np.where(lp.relations == ">=", -math.inf, 0.0)
+    s_upper = np.where(lp.relations == "<=", math.inf, 0.0)
     # A pulled column's cost pulls it toward an infinite bound.  The dual
     # phase prices the columns at cost - y @ a, with y from the pulled
     # columns' rows, so that their cost bears on the start.

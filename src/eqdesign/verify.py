@@ -133,16 +133,20 @@ def _forward(
     skeleton: MarkovGameSkeleton, policy: MarkovPolicy, mu: np.ndarray
 ) -> np.ndarray:
     """Occupancy of a batch of signed measures over (h, s, a), shaped ``(k,
-    H, S, *counts)``, in place: each stage's mass moves through the
-    transitions and the next stage's policy onto the next stage.  The
-    adjoint of :func:`_backward`: occupancy dotted with a reward is the
-    measure dotted with the reward's action values."""
+    H, S, *counts)``, returned in that shape and computed in ``mu``'s memory
+    when a reshape allows: each stage's mass moves through the transitions
+    and the next stage's policy onto the next stage.  The adjoint of
+    :func:`_backward`: occupancy dotted with a reward is the measure dotted
+    with the reward's action values.  Every dimension is named, so an empty
+    batch (``k = 0``) passes through."""
     k, horizon, num_s = mu.shape[:3]
-    flat = mu.reshape(k, horizon, num_s, -1)
+    num_a = math.prod(mu.shape[3:])
+    flat = mu.reshape(k, horizon, num_s, num_a)
     for h in range(horizon - 1):
-        into = flat[:, h].reshape(k, -1) @ skeleton.transitions[h].reshape(-1, num_s)
-        flat[:, h + 1] += into[:, :, None] * policy.stages[h + 1].reshape(num_s, -1)
-    return mu
+        move = skeleton.transitions[h].reshape(num_s * num_a, num_s)
+        into = flat[:, h].reshape(k, num_s * num_a) @ move
+        flat[:, h + 1] += into[:, :, None] * policy.stages[h + 1].reshape(num_s, num_a)
+    return flat.reshape(mu.shape)
 
 
 def visitation(skeleton: MarkovGameSkeleton, policy: MarkovPolicy) -> np.ndarray:

@@ -359,13 +359,7 @@ def random_lp_case(rng: np.random.Generator, num_vars: int):
 def build_lp(coeffs, rels, rhs, cost, lo, hi):
     from eqdesign import LinearProgram
 
-    lp = LinearProgram(len(cost))
-    lp.set_objective(cost)
-    for j in range(len(cost)):
-        lp.set_bounds(j, lo[j], hi[j])
-    for row, rel, b in zip(coeffs, rels, rhs):
-        lp.add_constraint(row, rel, b)
-    return lp
+    return LinearProgram(cost, coeffs, rels, rhs, lo, hi)
 
 
 def inequality_form(coeffs, rels, rhs, lo, hi):

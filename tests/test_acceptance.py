@@ -439,15 +439,10 @@ def test_criterion_7_lp_against_vertex_enumeration():
                 total += 1
         assert total == 500
 
-        infeasible = LinearProgram(1)
-        infeasible.set_objective([0.0])
-        infeasible.set_bounds(0, 0.0, math.inf)
-        infeasible.add_constraint([1.0], "<=", -1.0)
+        infeasible = LinearProgram([0.0], [[1.0]], "<=", -1.0, 0.0)
         assert solve(infeasible).status == LpStatus.INFEASIBLE
 
-        unbounded = LinearProgram(1)
-        unbounded.set_objective([-1.0])
-        unbounded.set_bounds(0, 0.0, math.inf)
+        unbounded = LinearProgram([-1.0], np.empty((0, 1)), [], [], 0.0)
         assert solve(unbounded).status == LpStatus.UNBOUNDED
 
 

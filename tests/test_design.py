@@ -20,6 +20,7 @@ from eqdesign import (
     CostSpec,
     DesignConfig,
     JointMixedStrategy,
+    LinearProgram,
     LpStatus,
     MarkovGameSkeleton,
     MarkovPolicy,
@@ -85,11 +86,11 @@ def highs(lp):
     """Status and objective of a design program (only >= rows) by scipy's
     HiGHS; skips the test without scipy."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    assert all(c.relation == ">=" for c in lp.constraints)
+    assert (lp.relations == ">=").all()
     res = linprog(
         lp.objective,
-        A_ub=-np.array([c.coeffs for c in lp.constraints]),
-        b_ub=-np.array([c.rhs for c in lp.constraints]),
+        A_ub=-lp.rows,
+        b_ub=-lp.rhs,
         bounds=list(zip(lp.lower, lp.upper)),
         method="highs",
     )
@@ -137,13 +138,12 @@ class TestBuilderLayout:
             CostKind.EGALITARIAN: (blk + 1, 18),
         }
         for kind, (num_vars, num_rows) in cases.items():
-            lp, layout = build_mg_lp(
+            lp, _ = build_mg_lp(
                 sk, pol, Concept.CCE, CostSpec(kind),
                 DesignConfig(slack=0.1, bound=1.0),
             )
             assert lp.num_vars == num_vars, kind
-            assert len(lp.constraints) == num_rows, kind
-            assert layout["num_vars"] == num_vars
+            assert len(lp.rows) == num_rows, kind
         lp, layout = build_mg_lp(
             sk, pol, Concept.CCE, CostSpec(CostKind.OFFLINE),
             DesignConfig(slack=0.0, bound=1.0, max_gap=True),
@@ -523,13 +523,14 @@ def test_dump_shows_a_relative_change_of_1e_7():
     config = DesignConfig(slack=recipe_slack(pol, 2.0), bound=2.0)
     cost = CostSpec(CostKind.SOCIAL_WELFARE)
     lp, _ = build_mg_lp(sk, pol, Concept.CCE, cost, config)
-    before = lp.dump()
-    coeffs = lp.constraints[0].coeffs
-    coeffs[np.flatnonzero(coeffs)[0]] *= 1.0 + 1e-7
-    moved = lp.dump()
-    assert moved != before
-    lp.lower[0] *= 1.0 + 1e-7
-    assert lp.lower[0] != -2.0 and lp.dump() != moved
+    rows, lower = lp.rows.copy(), lp.lower.copy()
+    rows[0, np.flatnonzero(rows[0])[0]] *= 1.0 + 1e-7
+    moved = LinearProgram(lp.objective, rows, lp.relations, lp.rhs, lower, lp.upper)
+    assert moved.dump() != lp.dump()
+    lower[0] *= 1.0 + 1e-7
+    assert lower[0] != -2.0
+    lowered = LinearProgram(lp.objective, rows, lp.relations, lp.rhs, lower, lp.upper)
+    assert lowered.dump() != moved.dump()
 
 
 def pure_policy(horizon, num_s):
@@ -633,13 +634,12 @@ class TestPinnedSolves:
     def random_program(k):
         """A ``random_lp_case`` program; every odd one lifts the upper bound
         of each negative-cost column, so some of them are unbounded."""
-        case = random_lp_case(make_rng(f"pinned-solve-{k}"), 2 + k % 4)
-        lp = build_lp(*case)
+        coeffs, rels, rhs, cost, lo, hi = random_lp_case(
+            make_rng(f"pinned-solve-{k}"), 2 + k % 4
+        )
         if k % 2:
-            cost, lo = case[3], case[4]
-            for j in np.flatnonzero(cost < 0.0):
-                lp.set_bounds(j, lo[j], math.inf)
-        return lp
+            hi = np.where(cost < 0.0, math.inf, hi)
+        return build_lp(coeffs, rels, rhs, cost, lo, hi)
 
     def check_random(self, count):
         sha = hashlib.sha256()
@@ -840,9 +840,12 @@ class TestBoxedMarginColumn:
         free = solve(lp)
         assert free.status == LpStatus.OPTIMAL
         for box in ((-16.0, 16.0), (-1e3, 1e3), (0.0, 16.0), (-8.0, 8.0)):
-            lp, _ = build_mg_lp(sk, pol, Concept.CCE, cost, config)
-            lp.set_bounds(lp.num_vars - 1, *box)
-            sol = solve(lp)
+            lower, upper = lp.lower.copy(), lp.upper.copy()
+            lower[-1], upper[-1] = box
+            boxed = LinearProgram(
+                lp.objective, lp.rows, lp.relations, lp.rhs, lower, upper
+            )
+            sol = solve(boxed)
             assert sol.status == LpStatus.OPTIMAL, box
             assert abs(sol.objective - free.objective) <= 1e-9, box
 
@@ -924,6 +927,34 @@ class TestMgDesign:
         )
         assert result.status == LpStatus.OPTIMAL
         assert result.report.min_gap >= 0.5 - 1e-6
+
+    def test_one_action_per_player_builds_no_strictness_rows(self):
+        # No player can deviate, so no strictness row survives: each cost
+        # is met by the box alone, and the margin has nothing to bound it.
+        sk = chain_skeleton(shape=(1, 1))
+        pol = full_support_policy(shape=(1, 1))
+        best = {
+            CostKind.ONLINE: 0.0,
+            CostKind.OFFLINE: 0.0,
+            CostKind.SOCIAL_WELFARE: -4.0,
+            CostKind.EGALITARIAN: -2.0,
+        }
+        config = DesignConfig(slack=0.1, bound=1.0)
+        for concept in Concept:
+            for kind, objective in best.items():
+                cost = CostSpec(kind)
+                lp, _ = build_mg_lp(sk, pol, concept, cost, config)
+                egalitarian = kind == CostKind.EGALITARIAN
+                assert lp.rows.shape[0] == (2 if egalitarian else 0)
+                result = design(sk, pol, concept, cost, config)
+                assert result.status == LpStatus.OPTIMAL, (concept, kind)
+                assert result.objective == pytest.approx(objective)
+                assert result.report.min_gap == math.inf
+            result = design(
+                sk, pol, concept, CostSpec(CostKind.OFFLINE),
+                DesignConfig(slack=0.0, bound=1.0, max_gap=True),
+            )
+            assert result.status == LpStatus.UNBOUNDED
 
 
 class TestStageCoupling:

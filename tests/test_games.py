@@ -303,12 +303,30 @@ ROUND_TRIPS = {
 }
 
 
+FROZEN_CLASSES = [
+    "JointMixedStrategy", "NormalFormGame", "MarkovGameSkeleton",
+    "MarkovPolicy", "RewardFunction",
+]
+
+
+@pytest.mark.parametrize("name", FROZEN_CLASSES)
+def test_constructor_keeps_one_read_only_copy(name):
+    # Every array field is the constructor's own copy, frozen; the
+    # caller's array is neither shared nor frozen.
+    obj = warmed_objects()[name]
+    given = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    given = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in given.items()}
+    built = type(obj)(**given)
+    arrays = [k for k, v in given.items() if isinstance(v, np.ndarray)]
+    assert arrays
+    for field in arrays:
+        kept = getattr(built, field)
+        assert not kept.flags.writeable and given[field].flags.writeable
+        assert not np.shares_memory(kept, given[field])
+
+
 @pytest.mark.parametrize("trip", sorted(ROUND_TRIPS))
-@pytest.mark.parametrize(
-    "name",
-    ["JointMixedStrategy", "NormalFormGame", "MarkovGameSkeleton",
-     "MarkovPolicy", "RewardFunction"],
-)
+@pytest.mark.parametrize("name", FROZEN_CLASSES)
 def test_round_trip_rebuilds_through_the_constructor(name, trip):
     # A copy's arrays must stay read-only, so that no cached table can
     # disagree with them, and no cached table may ride along.

@@ -48,6 +48,7 @@ from eqdesign.io import (
 from conftest import (
     installable_policy,
     make_rng,
+    random_reward,
     random_skeleton,
     three_stage_skeleton,
 )
@@ -308,6 +309,43 @@ class TestJsonPlumbing:
         path = tmp_path / "doc.json"
         dump_json(doc, str(path))
         assert load_json(str(path)) == doc
+
+    EDGE_DOCS = [
+        {"nan": [1.0, math.nan], "inf": [math.inf, -math.inf], "neg": [-0.0]},
+        {"ints": [1, 2], "bools": [True, False], "none": None, "mixed": [1.0, 2]},
+        {"tuple": (1.0, 2.5), "tuples": ((0.5,), (1.0, "a"))},
+        {"s": ["[", ",", "n", "nan", "[1.0, 2.0]"], "k[,n": "x\ny"},
+        {"empty": [], "dict": {}, "nested": [[], [[]], [{}], {"a": []}]},
+        {"tiny": [5e-324, 1e-5, 1e16, -1.5e300], "np": [np.float64(0.1), 0.2]},
+    ]
+
+    def test_dump_is_json_dumps_byte_for_byte(self, files, monkeypatch):
+        # The file format is json's indented, sorted text: on game, policy,
+        # reward and report documents, as the CLI writes them, and on the
+        # cases a faster encoder of float rows would have to get right.
+        rng = make_rng("dump-json-identity")
+        sk = random_skeleton(rng)
+        pol = installable_policy(rng, sk)
+        docs = [game_doc(sk), policy_doc(pol), reward_to_doc(random_reward(rng, sk))]
+        docs += self.EDGE_DOCS
+        eqcli = importlib.import_module("eqdesign.cli")
+        monkeypatch.setattr(
+            eqcli, "dump_json", lambda doc, target=None: docs.append(doc)
+        )
+        game = files("game.json", docs[0])
+        target = files("target.json", docs[1])
+        reward = files("reward.json", docs[2])
+        for args in (
+            ["check", game, target],
+            ["witness", game, target, "--bound", "2"],
+            ["design", game, target, "--slack", "0.1", "--bound", "2"],
+            ["verify", game, target, reward],
+        ):
+            invoke(args)
+        assert len(docs) == len(self.EDGE_DOCS) + 7
+        for doc in docs:
+            want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            assert dump_json(doc) == want
 
     def test_load_errors(self, tmp_path):
         with pytest.raises(InputFormatError, match="cannot read"):

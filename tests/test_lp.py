@@ -21,30 +21,37 @@ from conftest import (
 )
 
 
+def no_rows(num_vars):
+    """The rows, relations and rhs of a program with no row."""
+    return np.empty((0, num_vars)), [], []
+
+
 def simple_program():
-    lp = LinearProgram(2)
-    lp.set_objective([-1.0, -1.0])
-    lp.add_constraint([1.0, 1.0], "<=", 1.0)
-    lp.set_bounds(0, 0.0, math.inf)
-    lp.set_bounds(1, 0.0, math.inf)
-    return lp
+    return LinearProgram([-1.0, -1.0], [[1.0, 1.0]], "<=", 1.0, 0.0)
+
+
+def infeasible_program():
+    rows = [[1.0, 1.0], [1.0, 1.0]]
+    return LinearProgram(np.zeros(2), rows, [">=", "<="], [3.0, 1.0], 0.0, 10.0)
+
+
+def two_row_program(rows=((1.0, 1.0), (0.25, -1.0))):
+    return LinearProgram(
+        [1.0, -2.5], rows, ["<=", ">="], [1.0, -0.5], [0.0, -math.inf], [2.0, math.inf]
+    )
 
 
 def unbounded_by_free_row_column():
-    lp = LinearProgram(2)
-    lp.set_objective([-1.0, 0.0])
-    lp.add_constraint([0.0, 1.0], "<=", 1.0)
-    lp.set_bounds(1, 0.0, 1.0)
-    return lp
+    return LinearProgram(
+        [-1.0, 0.0], [[0.0, 1.0]], "<=", 1.0, [-math.inf, 0.0], [math.inf, 1.0]
+    )
 
 
 def unbounded_without_rows(lower):
     """One column and no row; its cost pulls it toward -inf when ``lower``
     is -inf, else toward +inf."""
-    lp = LinearProgram(1)
-    lp.set_objective([1.0 if lower == -math.inf else -1.0])
-    lp.set_bounds(0, lower, math.inf)
-    return lp
+    cost = [1.0 if lower == -math.inf else -1.0]
+    return LinearProgram(cost, *no_rows(1), lower)
 
 
 def pulled_program(case, box_rows=True):
@@ -52,12 +59,12 @@ def pulled_program(case, box_rows=True):
     lifted to +inf, so that its cost pulls it there; ``box_rows`` gives the
     old upper bound back as a row, which keeps the vertex oracle exact."""
     coeffs, rels, rhs, cost, lo, hi = case
-    lp = build_lp(*case)
-    for j in np.flatnonzero(cost < 0.0):
-        lp.set_bounds(j, lo[j], math.inf)
-        if box_rows:
-            lp.add_constraint(np.eye(len(cost))[j], "<=", hi[j])
-    return lp
+    pulled = np.flatnonzero(cost < 0.0)
+    if box_rows:
+        coeffs = np.vstack([coeffs, np.eye(len(cost))[pulled]])
+        rels = list(rels) + ["<="] * pulled.size
+        rhs = np.concatenate([rhs, hi[pulled]])
+    return build_lp(coeffs, rels, rhs, cost, lo, np.where(cost < 0.0, math.inf, hi))
 
 
 def check_pulled_battery(tag, count):
@@ -88,12 +95,7 @@ class TestStatuses:
         assert sol.x is not None and sol.iterations > 0
 
     def test_infeasible(self):
-        lp = LinearProgram(2)
-        lp.add_constraint([1.0, 1.0], ">=", 3.0)
-        lp.add_constraint([1.0, 1.0], "<=", 1.0)
-        for j in range(2):
-            lp.set_bounds(j, 0.0, 10.0)
-        sol = solve(lp)
+        sol = solve(infeasible_program())
         assert sol.status == LpStatus.INFEASIBLE
         assert sol.x is None and sol.objective is None
 
@@ -102,11 +104,7 @@ class TestStatuses:
         assert sol.status == LpStatus.UNBOUNDED
 
     def test_degenerate_duplicate_rows(self):
-        lp = LinearProgram(1)
-        lp.set_objective([-1.0])
-        lp.add_constraint([1.0], "<=", 1.0)
-        lp.add_constraint([1.0], "<=", 1.0)
-        lp.set_bounds(0, 0.0, math.inf)
+        lp = LinearProgram([-1.0], [[1.0], [1.0]], "<=", 1.0, 0.0)
         sol = solve(lp)
         assert sol.status == LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(-1.0, abs=1e-9)
@@ -114,10 +112,7 @@ class TestStatuses:
 
 class TestBounds:
     def test_constraint_free_program_hits_lower_bound(self):
-        lp = LinearProgram(1)
-        lp.set_objective([1.0])
-        lp.set_bounds(0, -3.0, math.inf)
-        sol = solve(lp)
+        sol = solve(LinearProgram([1.0], *no_rows(1), -3.0))
         assert sol.status == LpStatus.OPTIMAL
         assert sol.iterations == 0
         assert sol.x[0] == -3.0
@@ -127,53 +122,34 @@ class TestBounds:
         assert sol.status == LpStatus.UNBOUNDED
 
     def test_constraint_free_zero_objective(self):
-        lp = LinearProgram(2)
-        sol = solve(lp)
+        sol = solve(LinearProgram(np.zeros(2), *no_rows(2)))
         assert sol.status == LpStatus.OPTIMAL
         assert sol.objective == 0.0
 
     def test_upper_bound_only(self):
-        lp = LinearProgram(1)
-        lp.set_objective([-1.0])
-        lp.set_bounds(0, -math.inf, 3.0)
-        sol = solve(lp)
+        sol = solve(LinearProgram([-1.0], *no_rows(1), -math.inf, 3.0))
         assert sol.status == LpStatus.OPTIMAL
         assert sol.x[0] == 3.0
 
     def test_upper_bounded_var_in_constraint(self):
-        lp = LinearProgram(1)
-        lp.set_objective([1.0])
-        lp.set_bounds(0, -math.inf, 2.0)
-        lp.add_constraint([1.0], ">=", 0.0)
-        sol = solve(lp)
+        sol = solve(LinearProgram([1.0], [[1.0]], ">=", 0.0, -math.inf, 2.0))
         assert sol.status == LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
     def test_free_vars_with_equalities(self):
-        lp = LinearProgram(2)
-        lp.set_objective([3.0, 1.0])
-        lp.add_constraint([1.0, 1.0], "=", 2.0)
-        lp.add_constraint([1.0, -1.0], "=", 0.0)
+        lp = LinearProgram([3.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], "=", [2.0, 0.0])
         sol = solve(lp)
         assert sol.status == LpStatus.OPTIMAL
         assert sol.x == pytest.approx([1.0, 1.0], abs=1e-9)
         assert sol.objective == pytest.approx(4.0, abs=1e-9)
 
     def test_negative_rhs_flip(self):
-        lp = LinearProgram(1)
-        lp.set_objective([1.0])
-        lp.add_constraint([-1.0], "<=", -2.0)
-        lp.set_bounds(0, 0.0, 5.0)
-        sol = solve(lp)
+        sol = solve(LinearProgram([1.0], [[-1.0]], "<=", -2.0, 0.0, 5.0))
         assert sol.status == LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(2.0, abs=1e-9)
 
     def test_fixed_variable(self):
-        lp = LinearProgram(2)
-        lp.set_objective([1.0, 1.0])
-        lp.set_bounds(0, 2.0, 2.0)
-        lp.set_bounds(1, 0.0, 4.0)
-        lp.add_constraint([1.0, 1.0], ">=", 5.0)
+        lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], ">=", 5.0, [2.0, 0.0], [2.0, 4.0])
         sol = solve(lp)
         assert sol.status == LpStatus.OPTIMAL
         assert sol.x[0] == pytest.approx(2.0, abs=1e-9)
@@ -186,11 +162,7 @@ class TestShiftedStart:
     finishes on the true cost."""
 
     def test_ray_column_stops_at_its_row(self):
-        lp = LinearProgram(1)
-        lp.set_objective([-1.0])
-        lp.set_bounds(0, 0.0, math.inf)
-        lp.add_constraint([1.0], "<=", 3.0)
-        sol = solve(lp)
+        sol = solve(LinearProgram([-1.0], [[1.0]], "<=", 3.0, 0.0))
         assert sol.status == LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(-3.0, abs=1e-9)
         assert sol.phase_steps == (0, 1)
@@ -203,10 +175,9 @@ class TestShiftedStart:
     def test_free_column_in_equality_row(self):
         # x1 = 4 - 2 * x0 with x0 in [0, 1]: the cost 3*x1 - x0 falls as x0
         # rises, so x0 = 1, x1 = 2.
-        lp = LinearProgram(2)
-        lp.set_objective([-1.0, 3.0])
-        lp.set_bounds(0, 0.0, 1.0)
-        lp.add_constraint([2.0, 1.0], "=", 4.0)
+        lp = LinearProgram(
+            [-1.0, 3.0], [[2.0, 1.0]], "=", 4.0, [0.0, -math.inf], [1.0, math.inf]
+        )
         sol = solve(lp)
         assert sol.status == LpStatus.OPTIMAL
         assert sol.x == pytest.approx([1.0, 2.0], abs=1e-9)
@@ -214,11 +185,9 @@ class TestShiftedStart:
 
     def test_fixed_column_stays_fixed(self):
         # The fixed column's cost would push it either way; only x1 moves.
-        lp = LinearProgram(2)
-        lp.set_objective([-5.0, 1.0])
-        lp.set_bounds(0, 1.5, 1.5)
-        lp.set_bounds(1, 0.0, math.inf)
-        lp.add_constraint([1.0, 1.0], ">=", 4.0)
+        lp = LinearProgram(
+            [-5.0, 1.0], [[1.0, 1.0]], ">=", 4.0, [1.5, 0.0], [1.5, math.inf]
+        )
         sol = solve(lp)
         assert sol.status == LpStatus.OPTIMAL
         assert sol.x == pytest.approx([1.5, 2.5], abs=1e-9)
@@ -227,12 +196,7 @@ class TestShiftedStart:
     def test_equality_row_with_nonzero_rhs(self):
         # Both costs prefer finite bounds, so the dual phase alone reaches
         # the optimum and the primal phase takes no step.
-        lp = LinearProgram(2)
-        lp.set_objective([1.0, 2.0])
-        lp.set_bounds(0, 0.0, 5.0)
-        lp.set_bounds(1, 0.0, 5.0)
-        lp.add_constraint([1.0, 1.0], "=", 7.0)
-        sol = solve(lp)
+        sol = solve(LinearProgram([1.0, 2.0], [[1.0, 1.0]], "=", 7.0, 0.0, 5.0))
         assert sol.status == LpStatus.OPTIMAL
         assert sol.x == pytest.approx([5.0, 2.0], abs=1e-9)
         assert sol.objective == pytest.approx(9.0, abs=1e-9)
@@ -242,14 +206,14 @@ class TestShiftedStart:
 
 class TestCycling:
     def beale(self):
-        lp = LinearProgram(4)
-        lp.set_objective([-0.75, 150.0, -0.02, 6.0])
-        lp.add_constraint([0.25, -60.0, -1.0 / 25.0, 9.0], "<=", 0.0)
-        lp.add_constraint([0.5, -90.0, -1.0 / 50.0, 3.0], "<=", 0.0)
-        lp.add_constraint([0.0, 0.0, 1.0, 0.0], "<=", 1.0)
-        for j in range(4):
-            lp.set_bounds(j, 0.0, math.inf)
-        return lp
+        rows = [
+            [0.25, -60.0, -1.0 / 25.0, 9.0],
+            [0.5, -90.0, -1.0 / 50.0, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
+        return LinearProgram(
+            [-0.75, 150.0, -0.02, 6.0], rows, "<=", [0.0, 0.0, 1.0], 0.0
+        )
 
     def test_beale_terminates_at_optimum(self):
         # Dantzig's entering rule cycles on this program; Bland's rule must
@@ -306,9 +270,7 @@ class TestOptimalIsChecked:
 
     def test_left_box_raises(self, monkeypatch):
         self.corrupt_simplex(monkeypatch, -0.5)
-        lp = LinearProgram(1)
-        lp.set_objective([1.0])
-        lp.set_bounds(0, 0.0, 1.0)
+        lp = LinearProgram([1.0], *no_rows(1), 0.0, 1.0)
         with pytest.raises(RuntimeError, match="variable 0 by 0.5"):
             solve(lp)
 
@@ -344,10 +306,7 @@ class TestOptimalDualsAreChecked:
     def test_fixed_columns_are_exempt(self):
         # x0 is fixed at 2 while its cost would pull it up: its reduced
         # cost has the wrong sign for a column at a lower bound.
-        lp = LinearProgram(2)
-        lp.set_objective([-5.0, 1.0])
-        lp.set_bounds(np.arange(2), [2.0, 0.0], [2.0, 4.0])
-        lp.add_constraint([1.0, 1.0], ">=", 3.0)
+        lp = LinearProgram([-5.0, 1.0], [[1.0, 1.0]], ">=", 3.0, [2.0, 0.0], [2.0, 4.0])
         sol = solve(lp)
         assert sol.status == LpStatus.OPTIMAL
         assert sol.x.tolist() == [2.0, 1.0]
@@ -357,14 +316,6 @@ class TestInfeasibleIsCertified:
     """An infeasible verdict must come with a row of the basis inverse that
     proves it on the original data; one that proves nothing is a tool
     failure, not a verdict."""
-
-    def infeasible_program(self):
-        lp = LinearProgram(2)
-        lp.add_constraint([1.0, 1.0], ">=", 3.0)
-        lp.add_constraint([1.0, 1.0], "<=", 1.0)
-        for j in range(2):
-            lp.set_bounds(j, 0.0, 10.0)
-        return lp
 
     def test_zero_certificate_raises(self, monkeypatch):
         lp_module = importlib.import_module("eqdesign.lp")
@@ -378,7 +329,7 @@ class TestInfeasibleIsCertified:
 
         monkeypatch.setattr(lp_module, "_dual_simplex", corrupted)
         with pytest.raises(RuntimeError, match="certificate"):
-            solve(self.infeasible_program())
+            solve(infeasible_program())
 
     def test_nan_certificate_raises(self, monkeypatch):
         lp_module = importlib.import_module("eqdesign.lp")
@@ -392,10 +343,10 @@ class TestInfeasibleIsCertified:
 
         monkeypatch.setattr(lp_module, "_dual_simplex", corrupted)
         with pytest.raises(RuntimeError, match="certificate"):
-            solve(self.infeasible_program())
+            solve(infeasible_program())
 
     def test_verdict_reports_dual_steps_only(self):
-        sol = solve(self.infeasible_program())
+        sol = solve(infeasible_program())
         assert sol.status == LpStatus.INFEASIBLE
         assert sol.phase_steps == (sol.iterations, 0)
 
@@ -521,12 +472,9 @@ class TestUnboundedIsCertified:
                 continue
             unbounded += 1
             d = rays[-1][: lp.num_vars]
-            for con in lp.constraints:
-                lhs = con.coeffs @ d
-                if con.relation != ">=":
-                    assert lhs <= 1e-9
-                if con.relation != "<=":
-                    assert lhs >= -1e-9
+            lhs = lp.rows @ d
+            assert np.all(lhs[lp.relations != ">="] <= 1e-9)
+            assert np.all(lhs[lp.relations != "<="] >= -1e-9)
             assert np.all(d[np.isfinite(lp.lower)] >= -1e-9)
             assert np.all(d[np.isfinite(lp.upper)] <= 1e-9)
             assert lp.objective @ d < 0.0
@@ -569,108 +517,107 @@ class TestUnboundedIsCertified:
 
 class TestValidation:
     def test_rejects_empty_program(self):
-        with pytest.raises(LpInputError):
-            LinearProgram(0)
+        with pytest.raises(LpInputError, match="at least one variable"):
+            LinearProgram([], *no_rows(0))
 
     def test_rejects_bad_objective(self):
-        lp = LinearProgram(2)
-        with pytest.raises(LpInputError):
-            lp.set_objective([1.0])
-        with pytest.raises(LpInputError):
-            lp.set_objective([1.0, math.inf])
+        with pytest.raises(LpInputError, match="shape"):
+            LinearProgram([1.0], [[1.0, 1.0]], "<=", 1.0)
+        with pytest.raises(LpInputError, match="shape"):
+            LinearProgram([[1.0, 1.0]], *no_rows(2))
+        with pytest.raises(LpInputError, match="non-finite"):
+            LinearProgram([1.0, math.inf], *no_rows(2))
 
     def test_rejects_bad_bounds(self):
-        lp = LinearProgram(2)
-        with pytest.raises(LpInputError):
-            lp.set_bounds(2, 0.0, 1.0)
-        with pytest.raises(LpInputError):
-            lp.set_bounds(0, math.nan, 1.0)
-        with pytest.raises(LpInputError):
-            lp.set_bounds(0, 2.0, 1.0)
+        with pytest.raises(LpInputError, match="does not fit"):
+            LinearProgram([1.0, 1.0], *no_rows(2), [0.0, 0.0, 0.0], 1.0)
+        with pytest.raises(LpInputError, match="does not fit"):
+            LinearProgram([1.0, 1.0], *no_rows(2), 0.0, [[1.0, 1.0]])
+        with pytest.raises(LpInputError, match="variable 0 hold no finite point"):
+            LinearProgram([1.0, 1.0], *no_rows(2), [math.nan, 0.0], 1.0)
+        with pytest.raises(LpInputError, match=r"\[2.0, 1.0\] of variable 0"):
+            LinearProgram([1.0, 1.0], *no_rows(2), 2.0, 1.0)
 
     def test_rejects_boxes_with_no_finite_point(self):
         # A box at +inf or at -inf is not empty by lower > upper, yet no
-        # point lies in it; the array path validates the same way.
-        lp = LinearProgram(2)
+        # point lies in it; one bound for all validates the same way.
         for lo, hi in ((math.inf, math.inf), (-math.inf, -math.inf)):
-            with pytest.raises(LpInputError, match="no finite point"):
-                lp.set_bounds(1, lo, hi)
+            with pytest.raises(LpInputError, match="variable 0 hold no finite"):
+                LinearProgram([1.0, 1.0], *no_rows(2), lo, hi)
             with pytest.raises(LpInputError, match="variable 1 hold no finite"):
-                lp.set_bounds(np.arange(2), [0.0, lo], [1.0, hi])
-        # A rejected call changes no bound.
-        assert lp.lower.tolist() == [-math.inf] * 2
-        assert lp.upper.tolist() == [math.inf] * 2
-
-    def test_rejects_bad_bound_arrays(self):
-        lp = LinearProgram(3)
-        with pytest.raises(LpInputError, match="out of range"):
-            lp.set_bounds(np.array([0, 3]), 0.0, 1.0)
-        with pytest.raises(LpInputError, match="not an integer"):
-            lp.set_bounds(np.array([0.0, 1.0]), 0.0, 1.0)
-        with pytest.raises(LpInputError, match="do not fit"):
-            lp.set_bounds(np.arange(2), [0.0, 0.0, 0.0], 1.0)
-        with pytest.raises(LpInputError, match="no finite point"):
-            lp.set_bounds(np.arange(3), [0.0, 2.0, math.nan], 1.0)
+                LinearProgram([1.0, 1.0], *no_rows(2), [0.0, lo], [1.0, hi])
 
     def test_rejects_bad_constraints(self):
-        lp = LinearProgram(2)
-        with pytest.raises(LpInputError):
-            lp.add_constraint([1.0, 1.0], "<", 1.0)
-        with pytest.raises(LpInputError):
-            lp.add_constraint([1.0, 1.0], "<=", math.inf)
-        with pytest.raises(LpInputError):
-            lp.add_constraint([math.nan, 1.0], "<=", 1.0)
+        with pytest.raises(LpInputError, match="unknown relation '<'"):
+            LinearProgram([1.0, 1.0], [[1.0, 1.0]], "<", 1.0)
+        with pytest.raises(LpInputError, match="unknown relation '=>'"):
+            LinearProgram([1.0, 1.0], np.ones((2, 2)), ["<=", "=>"], 1.0)
+        with pytest.raises(LpInputError, match="rhs must be finite"):
+            LinearProgram([1.0, 1.0], [[1.0, 1.0]], "<=", math.inf)
+        with pytest.raises(LpInputError, match="non-finite"):
+            LinearProgram([1.0, 1.0], [[math.nan, 1.0]], "<=", 1.0)
 
 
-class TestStackedCalls:
-    """A stack of rows or an index array of bounds gives the same program as
-    one call per row or per variable."""
+class TestOneValueForAll:
+    """A relation, rhs or bound given once holds for every row or variable,
+    as if it were given for each."""
 
-    def test_same_program_as_one_call_each(self):
+    def test_same_program_as_one_value_each(self):
         rng = make_rng("lp-stacked")
         coeffs = rng.normal(size=(5, 4))
         # x = 0 lies in the box and meets every row.
-        rhs = -1.0 - rng.random(5)
-        lo, hi = -rng.random(4), rng.random(4)
         cost = rng.normal(size=4)
-        one, stacked = LinearProgram(4), LinearProgram(4)
-        for j in range(4):
-            one.set_bounds(j, lo[j], hi[j])
-        for row, b in zip(coeffs, rhs):
-            one.add_constraint(row, ">=", b)
-        one.add_constraint(coeffs[0], "=", 0.0)
-        stacked.set_bounds(np.arange(4), lo, hi)
-        stacked.add_constraint(coeffs, ">=", rhs)
-        stacked.add_constraint(coeffs[:1], "=", 0.0)
-        for lp in (one, stacked):
-            lp.set_objective(cost)
-        assert stacked.dump() == one.dump()
-        for a, b in zip(stacked.constraints, one.constraints):
-            assert a.coeffs.tobytes() == b.coeffs.tobytes()
-            assert (a.relation, a.rhs) == (b.relation, b.rhs)
-        sol, ref = solve(stacked), solve(one)
+        shared = LinearProgram(cost, coeffs, ">=", 0.0, -0.5, 0.5)
+        each = LinearProgram(
+            cost, coeffs, [">="] * 5, [0.0] * 5, [-0.5] * 4, [0.5] * 4
+        )
+        assert shared.dump() == each.dump()
+        for name in ("objective", "rows", "relations", "rhs", "lower", "upper"):
+            a, b = getattr(shared, name), getattr(each, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        sol, ref = solve(shared), solve(each)
         assert sol.status == LpStatus.OPTIMAL and sol.iterations > 0
         assert sol.x.tobytes() == ref.x.tobytes()
 
     def test_rejects_bad_stacks(self):
-        lp = LinearProgram(2)
-        with pytest.raises(LpInputError, match="does not fit"):
-            lp.add_constraint(np.ones((3, 2)), "<=", [1.0, 2.0])
+        fit = r"rhs: shape \(2,\) does not fit \(3,\)"
+        with pytest.raises(LpInputError, match=fit):
+            LinearProgram([1.0, 1.0], np.ones((3, 2)), "<=", [1.0, 2.0])
+        with pytest.raises(LpInputError, match="relations: shape"):
+            LinearProgram([1.0, 1.0], np.ones((3, 2)), ["<=", ">="], 1.0)
         with pytest.raises(LpInputError, match="shape"):
-            lp.add_constraint(np.ones((3, 3)), "<=", 1.0)
+            LinearProgram([1.0, 1.0], np.ones((3, 3)), "<=", 1.0)
         with pytest.raises(LpInputError, match="rhs must be finite"):
-            lp.add_constraint(np.ones((2, 2)), "<=", [1.0, math.nan])
-        assert lp.constraints == []
+            LinearProgram([1.0, 1.0], np.ones((2, 2)), "<=", [1.0, math.nan])
+
+
+class TestRecord:
+    def test_arrays_are_read_only_copies_that_solve_leaves(self):
+        rows = np.array([[1.0, 1.0], [0.25, -1.0]])
+        lp = two_row_program(rows)
+        arrays = (lp.objective, lp.rows, lp.relations, lp.rhs, lp.lower, lp.upper)
+        before = [a.copy() for a in arrays]
+        assert not np.shares_memory(lp.rows, rows)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+        assert solve(lp).status == LpStatus.OPTIMAL
+        for arr, old in zip(arrays, before):
+            assert arr.tobytes() == old.tobytes()
+
+    def test_constraints_view_the_rows(self):
+        lp = two_row_program()
+        cons = lp.constraints
+        assert np.array_equal([c.coeffs for c in cons], lp.rows)
+        assert [c.relation for c in cons] == ["<=", ">="]
+        assert [c.rhs for c in cons] == [1.0, -0.5]
+        assert all(np.shares_memory(c.coeffs, lp.rows) for c in cons)
 
 
 class TestDump:
     def test_stable_rendering(self):
-        lp = LinearProgram(2)
-        lp.set_objective([1.0, -2.5])
-        lp.add_constraint([1.0, 1.0], "<=", 1.0)
-        lp.add_constraint([0.25, -1.0], ">=", -0.5)
-        lp.set_bounds(0, 0.0, 2.0)
-        assert lp.dump() == "\n".join(
+        assert two_row_program().dump() == "\n".join(
             [
                 "minimize +1*x0 -2.5*x1",
                 "subject to",
