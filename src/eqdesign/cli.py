@@ -4,8 +4,8 @@ Four subcommands share one input convention: a game file, a target file
 (strategy or policy), and for ``verify`` a reward file.  Every runner
 works on the Markov form of the game: a one-shot game is its one-stage
 embedding, which changes only how the report renders rewards (as the
-``utility`` of stage 0, state 0).  The canonical CE/CCE witness with its
-``gamma`` is the one construction a one-shot game has of its own.
+``utility`` of stage 0, state 0) and, for a one-shot CE/CCE canonical
+witness, adds the target's ``installable`` flag and ``gamma``.
 Every run prints a JSON report whose ``config`` lists the command and every
 option it ran with; exit status 0 means a positive verdict (installable,
 strict, optimal), 1 a negative one, 2 a usage or input error, and 3 a
@@ -22,7 +22,7 @@ import click
 
 from . import __version__
 from .design import CostKind, CostSpec, DesignConfig, _solve_design, build_mg_lp
-from .games import NormalFormGame, RewardFunction, ShapeError, nfg_as_markov
+from .games import NormalFormGame, ShapeError, nfg_as_markov
 from .installability import (
     Concept,
     DeviationClass,
@@ -51,7 +51,6 @@ from .witness import (
     gamma_ce,
     gamma_cce,
     markov_witness,
-    witness_utility,
 )
 
 
@@ -126,11 +125,10 @@ def _run_check(game, target, concept) -> tuple[int, dict]:
 def _run_witness(
     game, target, concept, deviation_class, bound, epsilon, **_
 ) -> tuple[int, dict]:
-    """Check the concept rules, build the witness on the Markov form, and
-    measure it with :func:`check_strict` at the requested class and
-    epsilon.  The one witness only a one-shot game has is the canonical
-    CE/CCE witness, ``bound * witness_utility`` with its ``gamma``; every
-    other one is :func:`markov_witness` or :func:`epsilon_markov_witness`."""
+    """Check the concept rules, build :func:`markov_witness` or
+    :func:`epsilon_markov_witness` on the Markov form and measure it with
+    :func:`check_strict` at the requested class and epsilon; a one-shot
+    CE/CCE canonical witness also reports ``installable`` and ``gamma``."""
     game, skeleton, policy = _load_inputs(game, target)
     cfg = EpsilonConfig(
         epsilon=epsilon or 0.0, bound=bound, deviation_class=deviation_class
@@ -138,17 +136,14 @@ def _run_witness(
     require(concept, policy, deviation_class)
     one_shot = isinstance(game, NormalFormGame)
     result = {"feasible": True}
+    if one_shot and epsilon is None and concept != Concept.NE:
+        gamma = (gamma_ce if concept == Concept.CE else gamma_cce)(policy.stage(0, 0))
+        result = {"installable": gamma.installable, "gamma": gamma.value}
+        if not gamma.installable:
+            return 1, result
     try:
         if epsilon is not None:
             reward = epsilon_markov_witness(policy, skeleton, concept, cfg)
-        elif one_shot and concept != Concept.NE:
-            sigma = policy.stage(0, 0)
-            gamma = gamma_ce(sigma) if concept == Concept.CE else gamma_cce(sigma)
-            result = {"installable": gamma.installable, "gamma": gamma.value}
-            if not gamma.installable:
-                return 1, result
-            utility = bound * witness_utility(sigma)
-            reward = RewardFunction(utility[:, None, None], bound)
         else:
             reward = markov_witness(policy, skeleton, bound, concept)
     except StageCheckError as exc:
@@ -231,8 +226,8 @@ def _execute(runner, opts: dict) -> None:
     The report's ``config`` is the command plus every option that is set,
     apart from the output paths, with the concept's default deviation class
     filled in.  Input errors, an unwritable output path among them, exit 2
-    and tool failures 3, with no report; the report is printed only after
-    every file is written.
+    and every other exception, a failure of the tool, 3, with no report;
+    the report is printed only after every file is written.
     """
     command = click.get_current_context().command.name
     config = {"command": command}
@@ -262,8 +257,9 @@ def _execute(runner, opts: dict) -> None:
     except OSError as exc:  # inputs are read by load_json, so a write failed
         click.echo(f"error: cannot write {exc.filename}: {exc}", err=True)
         sys.exit(2)
-    except RuntimeError as exc:
-        click.echo(f"error: {exc}", err=True)
+    except Exception as exc:  # a RuntimeError, or any other failure of the tool
+        kind = "" if isinstance(exc, RuntimeError) else f"{type(exc).__name__}: "
+        click.echo(f"error: {kind}{exc}", err=True)
         sys.exit(3)
     dump_json(report, sys.stdout)
     sys.exit(code)

@@ -29,6 +29,7 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .games import (
     JointMixedStrategy,
@@ -194,9 +195,8 @@ def build_mg_lp(
     coeffs = _forward(skeleton, policy, coeffs).reshape(players.size, size)
     rhs = np.full(players.size, 0.0 if config.max_gap else config.slack)
     if l1:
-        # One dot product per row; a matrix product would round otherwise.
-        blocks = base.reshape(n, size)
-        rhs -= np.array([c @ blocks[i] for i, c in zip(players, coeffs)])
+        # A batched product rounds as a per-row dot product; einsum would not.
+        rhs -= (coeffs[:, None] @ base.reshape(n, size)[players, :, None])[:, 0, 0]
 
     objective = np.zeros(lower.size)
     if config.max_gap:
@@ -218,14 +218,16 @@ def build_mg_lp(
             coeffs = np.concatenate([coeffs, mu.reshape(n, size)])
             rhs = np.concatenate([rhs, np.zeros(n)])
 
-    # Each row holds its block in its player's reward (or d+) columns, and
-    # under an L1 cost its negation in the d- columns.
+    # ``blocks`` views the reward (or d+, d-) columns as (row, block, entry):
+    # a row's block goes to its player's block, and under L1, negated, to d-.
     rows = np.zeros((players.size, lower.size))
-    for i in range(n):
-        mine, at = players == i, i * size
-        rows[mine, at : at + size] = coeffs[mine]
-        if l1:
-            rows[mine, blk + at : blk + at + size] = -coeffs[mine]
+    grid, step = (players.size, lower.size // size, size), rows.itemsize
+    blocks = as_strided(rows, grid, (rows.strides[0], size * step, step))
+    at = np.arange(players.size)
+    blocks[at, players] = coeffs
+    if l1:
+        blocks[at, n + players] = -coeffs
+    del coeffs  # freed before LinearProgram copies the rows
     if config.max_gap:
         rows[:, aux] = -1.0
     elif egalitarian:

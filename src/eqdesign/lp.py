@@ -377,30 +377,20 @@ def _step(
     basis[row] = col
 
 
-def _outside(v: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """How far each entry of ``v`` lies outside ``[lower, upper]``."""
-    return np.maximum(lower - v, v - upper)
-
-
-def _check_point(
-    a: np.ndarray,
-    b: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    x: np.ndarray,
+def _check_box(
+    name: str, v: np.ndarray, s: np.ndarray, lower: np.ndarray,
+    upper: np.ndarray, var_text: str, row_text: str,
 ) -> None:
-    """Raise unless ``x`` and its logical columns ``s = b - a @ x`` lie in
-    the box ``[lower, upper]`` within ``FEAS_TOL``, so that ``x`` meets
-    every row and bound; a NaN anywhere fails."""
-    off = _outside(np.concatenate([x, b - a @ x]), lower, upper)
+    """Raise unless ``v`` and its logical columns ``s`` lie in the box
+    ``[lower, upper]`` within ``FEAS_TOL``; a NaN anywhere fails.  The
+    message names ``name`` and the worst entry: ``var_text`` and its
+    variable, or ``row_text`` and its row."""
+    both = np.concatenate([v, s])
+    off = np.maximum(lower - both, both - upper)
     worst = off.argmax()
     if not off[worst] <= FEAS_TOL:
-        where = (
-            f"misses row {worst - x.size}"
-            if worst >= x.size
-            else f"leaves the box of variable {worst}"
-        )
-        raise RuntimeError(f"simplex point {where} by {off[worst]:.3g}")
+        text, at = (row_text, worst - v.size) if worst >= v.size else (var_text, worst)
+        raise RuntimeError(f"{name} {text} {at} by {off[worst]:.3g}")
 
 
 def _check_ray(
@@ -416,15 +406,10 @@ def _check_ray(
     d`` is negative; a NaN anywhere fails."""
     cone_lower = np.where(np.isfinite(lower), 0.0, lower)
     cone_upper = np.where(np.isfinite(upper), 0.0, upper)
-    off = _outside(np.concatenate([d, -(a @ d)]), cone_lower, cone_upper)
-    worst = off.argmax()
-    if not off[worst] <= FEAS_TOL:
-        where = (
-            f"leaves row {worst - d.size}"
-            if worst >= d.size
-            else f"leaves the bounds of variable {worst}"
-        )
-        raise RuntimeError(f"unbounded ray {where} by {off[worst]:.3g}")
+    _check_box(
+        "unbounded ray", d, -(a @ d), cone_lower, cone_upper,
+        "leaves the bounds of variable", "leaves row",
+    )
     slope = float(objective @ d)
     if not slope < -FEAS_TOL:
         raise RuntimeError(f"unbounded ray does not lower the objective: {slope:.3g}")
@@ -566,7 +551,11 @@ def solve(lp: LinearProgram) -> LpSolution:
     if ray is not None:
         _check_ray(a, lower, upper, cost, ray[:n])
         return LpSolution(LpStatus.UNBOUNDED, None, None, sum(steps), steps)
-    _check_point(a, b, lower, upper, x[:n])
+    # x meets every row and bound: it and its logical columns lie in the box.
+    _check_box(
+        "simplex point", x[:n], b - a @ x[:n], lower, upper,
+        "leaves the box of variable", "misses row",
+    )
     _check_duals(a, full, tableau, basis, x, lower, upper)
     return LpSolution(
         LpStatus.OPTIMAL, x[:n].copy(), float(cost @ x[:n]), sum(steps), steps

@@ -7,8 +7,9 @@ strictness margins have an exact cosine form, giving its unit-bound margin
 Markov targets get a variant whose rewards cancel the continuation value so
 that every stage inherits the normal-form margins; all stages' utilities,
 and so their on-path values, come at once from the policy's conditional
-table.  The epsilon-strict witness exists only in that form: a one-shot
-target takes it on its one-stage embedding.
+table.  The canonical and the epsilon-strict witness bound each stage's
+utility by ``b = B / min(H, 2)``, so rewards stay within ``B``; a one-shot
+target takes either on its one-stage embedding, where ``b = B``.
 """
 
 from __future__ import annotations
@@ -173,6 +174,15 @@ def _cancel_continuation(
     return RewardFunction(rewards=rewards, bound=bound)
 
 
+def _stage_error(
+    num_states: int, k: int, text: str, max_gap: Optional[float] = None
+) -> StageCheckError:
+    """The error naming flat stage ``k`` (row-major ``(h, s)``), with
+    ``text`` right after the stage's name."""
+    h, s = divmod(k, num_states)
+    return StageCheckError(f"stage (h={h}, s={s}){text}", (h, s), max_gap)
+
+
 def markov_witness(
     policy: MarkovPolicy,
     skeleton: MarkovGameSkeleton,
@@ -181,25 +191,26 @@ def markov_witness(
 ) -> RewardFunction:
     """Stage rewards installing a stage-installable Markov policy.
 
-    Each stage pays half the bound times the normal-form witness field (the
-    L2-normalized conditional rows), minus the expected continuation value;
-    the subtraction makes every stage's action values coincide with a scaled
-    one-shot witness, so strictness margins are per-stage.  Rewards stay
-    within ``bound`` and the induced values within ``bound / 2``.
+    Each stage pays the stage bound ``b = B / min(H, 2)`` times the
+    normal-form witness field (the L2-normalized conditional rows), minus
+    the expected continuation value; the subtraction makes every stage's
+    action values coincide with a scaled one-shot witness, so strictness
+    margins are per-stage.  Rewards stay within ``bound`` and values within
+    ``b`` (``B`` on one stage); the first stage, row-major, that the concept
+    cannot install raises :class:`StageCheckError`.
     """
     policy.check_fits(skeleton)
     if not (math.isfinite(bound) and bound > 0.0):
         raise ValueError(f"bound {bound} must be finite and > 0")
-    verdict = check_markov(policy, concept)
-    if not verdict.installable:
-        bad = min(hs for hs, rep in verdict.stages.items() if not rep.installable)
-        raise StageCheckError(
-            f"stage (h={bad[0]}, s={bad[1]}) is not "
-            f"{concept.value}-installable",
-            stage=bad,
-        )
-    stage_u = _witness_field(policy.conditional_table, policy.action_counts)
-    return _cancel_continuation(policy, skeleton, 0.5 * bound * stage_u, bound)
+    require(concept, policy)
+    table = policy.conditional_table
+    for k, rep in enumerate(stage_reports(table, concept)):
+        if not rep.installable:
+            text = f" is not {concept.value}-installable"
+            raise _stage_error(skeleton.num_states, k, text)
+    stage_u = _witness_field(table, policy.action_counts)
+    b = bound / min(skeleton.horizon, 2)
+    return _cancel_continuation(policy, skeleton, b * stage_u, bound)
 
 
 def epsilon_markov_witness(
@@ -245,60 +256,47 @@ def epsilon_markov_witness(
             "correlated epsilon-strictness is guaranteed only for the "
             "never-recommended deviation class"
         )
-    eps, bound = config.epsilon, config.bound / min(skeleton.horizon, 2)
-    probs, table = policy.stages, policy.conditional_table
-    counts = policy.action_counts
-
-    def fail(k: int, message: str, max_gap: float) -> StageCheckError:
-        """The error naming flat stage ``k`` and the margin it carries."""
-        h, s = divmod(k, skeleton.num_states)
-        return StageCheckError(
-            f"stage (h={h}, s={s}): {message}", stage=(h, s), max_gap=max_gap
-        )
-
+    eps, b = config.epsilon, config.bound / min(skeleton.horizon, 2)
+    probs, table, counts = policy.stages, policy.conditional_table, policy.action_counts
+    nash = concept == Concept.NE
     reports = stage_reports(table, concept)
-    if concept == Concept.NE:
-        # An NE stage is installable iff it is pure.
-        mixed = [k for k, rep in enumerate(reports) if not rep.installable]
-        max_gap = 2.0 * bound
-        if mixed and (mixed[0] == 0 or eps < max_gap):
-            message = "strict Nash scaling requires a pure target"
-            raise fail(mixed[0], message, 0.0)
-        if eps >= max_gap:
-            raise fail(
-                0,
-                f"epsilon {eps} not achievable: margin must stay below {max_gap}",
-                max_gap,
-            )
-        fields = np.repeat(np.where(probs > 0, bound, -bound)[None], len(counts), 0)
-        return _cancel_continuation(policy, skeleton, fields, config.bound)
-
-    gammas = _gamma_values(table, concept).reshape(-1).tolist()
+    # The Nash witness's unit-bound margin is 2: +1 on the profile, -1 off it.
+    gammas = np.full(len(reports), 2.0) if nash else _gamma_values(table, concept)
     alphas = []
-    for k, (rep, gamma) in enumerate(zip(reports, gammas)):
-        if not rep.installable:
-            raise fail(k, f"target is not {concept.value}-installable", 0.0)
+    for k, (rep, gamma) in enumerate(zip(reports, gammas.reshape(-1).tolist())):
         # A single-support player with spare actions would let a deviator
         # replicate play exactly, so no positive margin covers unrestricted
         # deviations.  Players with one action have no deviations and are
-        # exempt.
-        for i, entry in enumerate(rep.evidence):
-            if entry[0] == "single" and counts[i] > 1:
-                raise fail(
-                    k,
-                    "coarse epsilon-strictness needs two supported "
-                    "actions with differing conditionals for every "
-                    f"player; player {i} has a single supported action",
-                    0.0,
-                )
-        max_gap = bound * gamma
-        if eps > max_gap:
+        # exempt.  Only CCE reports carry this evidence.
+        single = [
+            i for i, entry in enumerate(rep.evidence)
+            if entry[0] == "single" and counts[i] > 1
+        ]
+        max_gap = b * gamma if rep.installable and not single else 0.0
+        if not rep.installable:
+            message = f"target is not {concept.value}-installable"
+            if nash:  # an NE stage is installable iff it is pure
+                message = "strict Nash scaling requires a pure target"
+        elif single:
+            message = (
+                "coarse epsilon-strictness needs two supported "
+                "actions with differing conditionals for every "
+                f"player; player {single[0]} has a single supported action"
+            )
+        elif nash and eps >= max_gap:
+            message = f"epsilon {eps} not achievable: margin must stay below {max_gap}"
+        elif eps > max_gap:
             message = f"epsilon {eps} exceeds the achievable margin {max_gap}"
-            raise fail(k, message, max_gap)
-        # eps / gamma can round above the bound when eps is its largest
-        # value, and a stage whose gamma is 0 can only be asked for eps 0.
-        scaled = eps > 0.0 and math.isfinite(gamma)
-        alphas.append(min(eps / gamma, bound) if scaled else 0.0)
-    scale = np.reshape(alphas, probs.shape[:2] + (1,) * len(counts))
-    fields = scale * _witness_field(table, counts)
+        else:
+            # eps / gamma can round above the bound when eps is its largest
+            # value, and a stage whose gamma is 0 can only be asked for eps 0.
+            scaled = eps > 0.0 and math.isfinite(gamma)
+            alphas.append(min(eps / gamma, b) if scaled else 0.0)
+            continue
+        raise _stage_error(skeleton.num_states, k, f": {message}", max_gap)
+    if nash:
+        fields = np.repeat(np.where(probs > 0, b, -b)[None], len(counts), 0)
+    else:
+        scale = np.reshape(alphas, probs.shape[:2] + (1,) * len(counts))
+        fields = scale * _witness_field(table, counts)
     return _cancel_continuation(policy, skeleton, fields, config.bound)

@@ -237,9 +237,10 @@ def test_criterion_4_markov_witness_bounds():
             reward = markov_witness(policy, skeleton, bound)
             assert np.max(np.abs(reward.rewards)) <= bound
             values = policy_eval(skeleton, reward, policy).v
-            # Algebraic bound is bound / 2; the slop covers re-derivation
-            # dust from the independent backward induction.
-            assert np.max(np.abs(values)) <= 0.5 * bound + 1e-9
+            # Algebraic bound is the stage bound bound / min(H, 2); the slop
+            # covers re-derivation dust from the independent backward
+            # induction.
+            assert np.max(np.abs(values)) <= bound / min(skeleton.horizon, 2) + 1e-9
             report = check_strict(skeleton, reward, policy, Concept.CCE)
             assert report.min_gap > 0.0
             covered = {key[:3] for key in report.per_constraint}

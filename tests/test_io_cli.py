@@ -533,12 +533,13 @@ class TestCliWitness:
         assert report["result"]["max_epsilon"] == pytest.approx(1.0, abs=1e-9)
 
     def test_nash_witness_on_pure_target(self, files):
-        # Without --epsilon the Markov witness: bound / 2 on the target
-        # profile, margin B / 2; --epsilon 0 pays +-B, margin 2B.
+        # Without --epsilon the Markov witness pays the stage bound, B on
+        # one stage, on the target profile: margin B.  --epsilon 0 pays +-B,
+        # margin 2B.
         game = files("game.json", NFG_DOC)
         target = files("target.json", PURE_TARGET)
         for extra, utility, gap in (
-            ([], [[0.5, 0.0, 0.0, 0.0]] * 2, 0.5),
+            ([], [[1.0, 0.0, 0.0, 0.0]] * 2, 1.0),
             (["--epsilon", "0"], [[1.0, -1.0, -1.0, -1.0]] * 2, 2.0),
         ):
             result = invoke(["witness", game, target, "--concept", "ne"] + extra)
@@ -933,6 +934,20 @@ class TestCliEnvelope:
         args = ["witness", game, target, "--concept", "ce"]
         assert invoke(args).output == invoke(args).output
 
+    def test_unexpected_exception_exits_three(self, files, monkeypatch):
+        # An exception that is no input error is a failure of the tool: exit
+        # 3 with a message, not a traceback's exit 1, the negative verdict.
+        def broken(*args, **kwargs):
+            raise IndexError("index 7 is out of bounds")
+
+        monkeypatch.setattr("eqdesign.cli.check_markov", broken)
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", CORR_TARGET)
+        result = invoke(["check", game, target])
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        assert result.stderr == "error: IndexError: index 7 is out of bounds\n"
+
     def test_version(self):
         result = invoke(["--version"])
         assert result.exit_code == 0
@@ -1017,7 +1032,36 @@ WITNESS_PARITY_CASES = [
 ]
 
 
+# Witnesses that both forms build: the one-shot report's ``utility`` is the
+# one-stage report's stage-0, state-0 reward, and the two margins are equal.
+WITNESS_OUTPUT_CASES = [
+    (PURE_TARGET, ["--concept", "ne"]),
+    (PURE_TARGET, ["--concept", "ne", "--epsilon", "0.5"]),
+    (CORR_TARGET, ["--concept", "ce", "--bound", "2"]),
+    (CORR_TARGET, ["--concept", "ce", "--bound", "2", "--epsilon", "0.5"]),
+    (CORR_TARGET, ["--concept", "cce", "--bound", "2"]),
+    (CORR_TARGET, ["--concept", "cce", "--bound", "2", "--epsilon", "0.25"]),
+]
+
+
 class TestCliWitnessParity:
+    @pytest.mark.parametrize(
+        "target,args", WITNESS_OUTPUT_CASES,
+        ids=[f"{case[0]['probs']} {' '.join(case[1])}" for case in WITNESS_OUTPUT_CASES],
+    )
+    def test_same_witness(self, files, target, args):
+        reports = []
+        for game_doc_, target_doc in ((NFG_DOC, target), one_stage(NFG_DOC, target)):
+            game = files("game.json", game_doc_)
+            path = files("target.json", target_doc)
+            result = invoke(["witness", game, path] + args)
+            assert result.exit_code == 0, result.output
+            reports.append(json.loads(result.stdout)["result"])
+        one_shot, markov = reports
+        rewards = markov["reward"]["rewards"]
+        assert one_shot["utility"] == [player[0][0] for player in rewards]
+        assert one_shot["min_gap"] == markov["min_gap"]
+
     @pytest.mark.parametrize("markov", [False, True], ids=["one-shot", "markov"])
     @pytest.mark.parametrize(
         "target,args,code", WITNESS_PARITY_CASES,

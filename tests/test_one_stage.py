@@ -7,8 +7,9 @@ checks that route against the one-shot API and against the independent
 one-stage oracle ``nfg_oracle``:
 
 - ``check`` equals ``check_markov`` at stage (0, 0), errors included;
-- ``markov_witness`` on the embedding is half the bound times
-  ``witness_utility``, byte for byte, and fails exactly when ``check`` does;
+- ``markov_witness`` on the embedding is the bound times
+  ``witness_utility`` (the stage bound ``B / min(H, 2)`` is ``B`` at
+  ``H = 1``), byte for byte, and fails exactly when ``check`` does;
 - ``epsilon_markov_witness`` on the embedding is the epsilon witness written
   from its definition with the one-shot API, byte for byte, with the same
   stage error, message and largest margin when it fails;
@@ -148,8 +149,8 @@ def check_case(k: int) -> dict:
         else:
             assert installable
             utility = reward.rewards[:, 0, 0]
-            half = 0.5 * bound * witness_utility(sigma)
-            assert utility.tobytes() == half.tobytes()
+            full = bound * witness_utility(sigma)
+            assert utility.tobytes() == full.tobytes()
             report = check_strict(skeleton, reward, policy, concept)
             counts["oracle"] += assert_oracle_agrees(report, utility, sigma, concept)
         counts["witness"] += 1

@@ -197,7 +197,8 @@ def ref_markov_witness(policy, skeleton, bound, concept):
                 f"stage (h={h}, s={s}) is not {concept.value}-installable",
                 stage=(h, s),
             )
-        stage_u[(h, s)] = 0.5 * bound * witness_utility(sigma)
+        # The stage bound: a one-stage game has no continuation to cancel.
+        stage_u[(h, s)] = bound / min(skeleton.horizon, 2) * witness_utility(sigma)
     return ref_cancel(policy, skeleton, stage_u, bound)
 
 
@@ -484,8 +485,10 @@ class TestPinnedGaps:
             "ne-never-target": (
                 -1.5509087952464704, (2, 0, 2, 0), 15, 0.28393058697638596
             ),
+            # One stage: the witness is paid the stage bound B / min(H, 2),
+            # which is the whole bound.
             "witness": (
-                0.0019981481038279236, (0, 0, 1, 1), 18, 2.0652540821134826
+                0.003996296207655847, (0, 0, 1, 1), 18, 4.130508164226965
             ),
             "epsilon-witness": (
                 0.0019981481038279097, (0, 0, 2, 1), 18, 0.5448696810719447

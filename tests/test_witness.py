@@ -286,8 +286,9 @@ class TestMarkovWitness:
         policy = MarkovPolicy(
             stages=sigma.probs.reshape((1, 1) + skeleton.action_counts)
         )
+        # One stage has no continuation, so its stage bound is the bound.
         reward = markov_witness(policy, skeleton, 2.0)
-        expected = witness_utility(sigma)
+        expected = 2.0 * witness_utility(sigma)
         np.testing.assert_allclose(
             reward.rewards[:, 0, 0], expected, atol=1e-12
         )
