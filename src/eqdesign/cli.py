@@ -47,9 +47,8 @@ from .verify import GapReport, check_strict
 from .witness import (
     EpsilonConfig,
     StageCheckError,
+    _gamma_values,
     epsilon_markov_witness,
-    gamma_ce,
-    gamma_cce,
     markov_witness,
 )
 
@@ -128,29 +127,31 @@ def _run_witness(
     """Check the concept rules, build :func:`markov_witness` or
     :func:`epsilon_markov_witness` on the Markov form and measure it with
     :func:`check_strict` at the requested class and epsilon; a one-shot
-    CE/CCE canonical witness also reports ``installable`` and ``gamma``."""
+    CE/CCE canonical witness adds ``installable``, the witness's own stage
+    check, and ``gamma``, 0 when not installable."""
     game, skeleton, policy = _load_inputs(game, target)
     cfg = EpsilonConfig(
         epsilon=epsilon or 0.0, bound=bound, deviation_class=deviation_class
     )
     require(concept, policy, deviation_class)
     one_shot = isinstance(game, NormalFormGame)
-    result = {"feasible": True}
-    if one_shot and epsilon is None and concept != Concept.NE:
-        gamma = (gamma_ce if concept == Concept.CE else gamma_cce)(policy.stage(0, 0))
-        result = {"installable": gamma.installable, "gamma": gamma.value}
-        if not gamma.installable:
-            return 1, result
+    with_gamma = one_shot and epsilon is None and concept != Concept.NE
     try:
         if epsilon is not None:
             reward = epsilon_markov_witness(policy, skeleton, concept, cfg)
         else:
             reward = markov_witness(policy, skeleton, bound, concept)
     except StageCheckError as exc:
+        if with_gamma:
+            return 1, {"installable": False, "gamma": 0.0}
         result = {"feasible": False, "stage": list(exc.stage), "message": str(exc)}
         if exc.max_gap is not None:
             result["max_epsilon"] = exc.max_gap
         return 1, result
+    result = {"feasible": True}
+    if with_gamma:
+        gamma = _gamma_values(policy.conditional_table, concept)[0, 0]
+        result = {"installable": True, "gamma": float(gamma)}
     result["min_gap"] = check_strict(
         skeleton, reward, policy, concept,
         epsilon=cfg.epsilon, dev_class=deviation_class,

@@ -5,13 +5,16 @@ to index ``a_0 * |A_1| * ... * |A_{n-1}| + ... + a_{n-1}``.  Probability
 rows are cleaned on ingestion by :func:`~eqdesign.games.clean_distribution`
 (tiny negative dust clamped, each row renormalized) and rejected when
 genuinely negative or off-sum; messages name the field and, for fields with
-several rows, the flat row index, as in ``game.transitions[5]``.  Writers
-are deterministic: sorted keys, two-space indent, full-precision floats.
+several rows, the flat row index, as in ``game.transitions[5]``.  Written
+text is ``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte, from a
+writer of its own: with an indent, CPython's json leaves its C encoder for
+a pure-Python one, and a game file is mostly rows of floats.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import IO, Optional, Union
 
 import numpy as np
@@ -231,9 +234,35 @@ def load_json(path: str) -> dict:
     return doc
 
 
+def _indented(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` placed at ``indent``:
+    a row of finite floats is one join of ``float.__repr__``, a str-keyed
+    object is walked here, and json writes every other value, so it decides
+    scalars, escapes and errors."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)) and value:
+        if all(type(x) is float for x in value):
+            text = sep.join(map(float.__repr__, value))
+            if "n" not in text:  # "nan" and "inf" are not json's spelling
+                return f"[\n{inner}{text}\n{indent}]"
+        else:
+            text = sep.join([_indented(x, inner) for x in value])
+            return f"[\n{inner}{text}\n{indent}]"
+    elif isinstance(value, dict) and value and all(type(k) is str for k in value):
+        text = sep.join([
+            f"{encode_basestring_ascii(k)}: {_indented(value[k], inner)}"
+            for k in sorted(value)
+        ])
+        return f"{{\n{inner}{text}\n{indent}}}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def dump_json(doc: dict, target: Optional[Union[str, IO[str]]] = None) -> str:
-    """Serialize deterministically; write to a path or handle when given."""
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, written to
+    a path or handle when given.  A self-referencing document, which the
+    package never builds, raises ``RecursionError``, not json's ValueError."""
+    text = _indented(doc) + "\n"
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -84,16 +84,24 @@ def recipe_slack(pol, bound):
 
 def highs(lp):
     """Status and objective of a design program (only >= rows) by scipy's
-    HiGHS; skips the test without scipy."""
+    HiGHS; skips the test without scipy.  HiGHS reports some unbounded
+    programs as infeasible (status 2), so a status 2 whose rows a zero
+    objective can meet is unbounded."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     assert (lp.relations == ">=").all()
-    res = linprog(
-        lp.objective,
-        A_ub=-lp.rows,
-        b_ub=-lp.rhs,
-        bounds=list(zip(lp.lower, lp.upper)),
-        method="highs",
-    )
+
+    def run(objective):
+        return linprog(
+            objective,
+            A_ub=-lp.rows,
+            b_ub=-lp.rhs,
+            bounds=list(zip(lp.lower, lp.upper)),
+            method="highs",
+        )
+
+    res = run(lp.objective)
+    if res.status == 2 and run(np.zeros(lp.num_vars)).status == 0:
+        return LpStatus.UNBOUNDED, None
     status = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
     return status[res.status], res.fun if res.status == 0 else None
 
@@ -710,6 +718,37 @@ class TestAgainstHighs:
     )
     def test_every_cost_and_max_gap_at_8_6_4x4(self):
         self.check_every_cost_and_max_gap(8, 6, (4, 4))
+
+    def test_unbounded_program_highs_calls_infeasible(self, monkeypatch):
+        # From a fuzz of small random programs: raw HiGHS says status 2,
+        # "infeasible", and the ray solve returns proves it unbounded.
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        lp = LinearProgram(
+            [-1.0, 2.0, -1.0, 2.0],
+            [[-3.0, -3.0, -3.0, -3.0], [-1.0, 1.0, 1.0, -2.0]],
+            ">=",
+            [3.0, -2.0],
+            lower=[0.0, -math.inf, 0.0, 0.0],
+        )
+        lp_module = importlib.import_module("eqdesign.lp")
+        simplex, rays = lp_module._simplex, []
+
+        def recording(*args):
+            ray, count = simplex(*args)
+            rays.append(ray)
+            return ray, count
+
+        monkeypatch.setattr(lp_module, "_simplex", recording)
+        assert self.check(lp).status == LpStatus.UNBOUNDED
+        d = rays[-1][: lp.num_vars]
+        assert np.all(lp.rows @ d >= -1e-9)
+        assert np.all(d[np.isfinite(lp.lower)] >= -1e-9)
+        assert lp.objective @ d < 0.0
+        raw = linprog(
+            lp.objective, A_ub=-lp.rows, b_ub=-lp.rhs,
+            bounds=list(zip(lp.lower, lp.upper)), method="highs",
+        )
+        assert raw.status == 2
 
     def test_offline_at_4_4_3x3(self):
         sk, pol = recipe_instance(4, 4, (3, 3))

@@ -14,6 +14,8 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqdesign import (
     Concept,
@@ -299,6 +301,25 @@ class TestPolicyAndRewardLoading:
         )
 
 
+# Floats as json writes them, np.float64 among them, and documents of rows of
+# them beside every other kind of value json writes.
+JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]),
+    st.floats().map(np.float64),
+)
+JSON_DOCS = st.recursive(
+    st.one_of(JSON_FLOATS, st.integers(), st.booleans(), st.none(), st.text()),
+    lambda kids: st.one_of(
+        st.lists(JSON_FLOATS, min_size=1),
+        st.lists(kids),
+        st.lists(kids).map(tuple),
+        st.dictionaries(st.text(), kids),
+    ),
+    max_leaves=40,
+)
+
+
 class TestJsonPlumbing:
     def test_dump_is_deterministic(self, tmp_path):
         doc = {"b": [1.0, 2.5], "a": {"z": 1, "k": None}}
@@ -317,6 +338,7 @@ class TestJsonPlumbing:
         {"s": ["[", ",", "n", "nan", "[1.0, 2.0]"], "k[,n": "x\ny"},
         {"empty": [], "dict": {}, "nested": [[], [[]], [{}], {"a": []}]},
         {"tiny": [5e-324, 1e-5, 1e16, -1.5e300], "np": [np.float64(0.1), 0.2]},
+        {"ints": {10: [1.0, 2.0], 2: {"a": [0.5]}}, "bool": [1.0, True, 2.5]},
     ]
 
     def test_dump_is_json_dumps_byte_for_byte(self, files, monkeypatch):
@@ -346,6 +368,23 @@ class TestJsonPlumbing:
         for doc in docs:
             want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
             assert dump_json(doc) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=JSON_DOCS)
+    def test_dump_is_json_dumps_on_any_document(self, doc):
+        assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "bad", [np.int64(1), {1.0, 2.0}, {1: 0.5, "a": 0.5}],
+        ids=["np.int64", "set", "mixed-keys"],
+    )
+    def test_dump_raises_as_json_does(self, bad):
+        for doc in (bad, {"row": [1.0, bad]}, {"a": {"b": bad}}):
+            with pytest.raises(Exception) as want:
+                json.dumps(doc, indent=2, sort_keys=True)
+            with pytest.raises(Exception) as got:
+                dump_json(doc)
+            assert got.type is want.type
 
     def test_load_errors(self, tmp_path):
         with pytest.raises(InputFormatError, match="cannot read"):
@@ -492,6 +531,25 @@ class TestCliWitness:
         result = invoke(["witness", game, target, "--concept", concept])
         assert result.exit_code == 0, result.output
         assert len(built) == 1
+
+    def test_canonical_witness_checks_installability_once(self, files, monkeypatch):
+        # The witness's stage reports decide ``installable``; gamma reads the
+        # same conditional table without a second check.
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", CORR_TARGET)
+        calls = []
+        installability = importlib.import_module("eqdesign.installability")
+        stage_reports = installability.stage_reports
+
+        def counting(*args):
+            calls.append(args)
+            return stage_reports(*args)
+
+        for name in ("eqdesign.installability", "eqdesign.witness"):
+            monkeypatch.setattr(importlib.import_module(name), "stage_reports", counting)
+        result = invoke(["witness", game, target, "--concept", "ce"])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("concept", ["ce", "cce"])
     def test_canonical_witness_scales_to_bound(self, files, concept):
