@@ -14,8 +14,7 @@ package relies on:
   [-NEG_CLAMP, 0] to exact zeros and renormalizes each row along the last
   axis, so that support queries (exact ``> 0``) are stable afterwards.
 - Policy-game fit: :meth:`MarkovPolicy.check_fits`.
-- Product stages: :func:`is_product` and
-  :meth:`MarkovPolicy.first_correlated`.
+- Product stages: :meth:`MarkovPolicy.first_correlated`.
 """
 
 from __future__ import annotations
@@ -185,14 +184,17 @@ def conditional_matrix(sigma: JointMixedStrategy, player: int) -> tuple[np.ndarr
     Returns ``(p, conds)`` where ``p[j]`` is the marginal mass on action j and
     ``conds[j]`` is the flattened conditional opponent distribution (all zeros
     for unsupported j), over opponent profiles in row-major order of the
-    other players' axes.  The arrays are computed afresh, not read from
-    any cached table.
+    other players' axes.  The arrays are computed afresh, by arithmetic of
+    their own: neither :func:`_conditionals` nor any cached table is read.
     """
     n = sigma.num_players
     if not 0 <= player < n:
         raise ShapeError(f"player {player} out of range for {n} players")
-    p, conds = _conditionals(sigma.probs[None, None], player)
-    return p[0, 0], conds[0, 0]
+    count = sigma.action_counts[player]
+    mat = np.moveaxis(sigma.probs, player, 0).reshape(count, -1)
+    p = mat.sum(axis=-1)
+    col = p[:, None]
+    return p, np.divide(mat, col, out=np.zeros_like(mat), where=col > 0.0)
 
 
 def _factor_gap(probs: np.ndarray) -> np.ndarray:
@@ -204,12 +206,6 @@ def _factor_gap(probs: np.ndarray) -> np.ndarray:
         marg = probs.sum(axis=tuple(a for a in axes if a != ax), keepdims=True)
         outer = marg if outer is None else outer * marg
     return np.abs(probs - outer).max(axis=axes)
-
-
-def is_product(sigma: JointMixedStrategy) -> bool:
-    """Whether the joint strategy factorizes into independent marginals
-    (within ``COND_ATOL``): its embedding has no correlated stage."""
-    return strategy_as_policy(sigma).first_correlated() is None
 
 
 @dataclass(frozen=True)
@@ -360,14 +356,10 @@ class MarkovPolicy(_Rebuilt):
 
     @cached_property
     def _stage_table(self) -> list[list[JointMixedStrategy]]:
-        table = [[JointMixedStrategy(p) for p in per_h] for per_h in self.stages]
-        if self.stages.shape[:2] == (1, 1):
-            table[0][0].__dict__["_embedding"] = self
-        return table
+        return [[JointMixedStrategy(p) for p in per_h] for per_h in self.stages]
 
     def stage(self, h: int, s: int) -> JointMixedStrategy:
-        """The joint mixed strategy played at stage ``h`` in state ``s``; a
-        one-stage, one-state policy is its stage's embedding."""
+        """The joint mixed strategy played at stage ``h`` in state ``s``."""
         return self._stage_table[h][s]
 
     def marginal(self, player: int) -> np.ndarray:
@@ -440,10 +432,6 @@ class RewardFunction(_Rebuilt):
         if mx > self.bound:
             raise ShapeError(f"reward magnitude {mx} exceeds bound {self.bound}")
         object.__setattr__(self, "rewards", _freeze(arr))
-
-    @property
-    def num_players(self) -> int:
-        return self.rewards.shape[0]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .games import (
     DistributionError,
-    JointMixedStrategy,
     MarkovGameSkeleton,
     MarkovPolicy,
     NormalFormGame,
@@ -133,41 +132,27 @@ def load_game(doc: dict, where: str = "game") -> Game:
     )
 
 
-def load_strategy(
-    doc: dict, counts: tuple[int, ...], where: str = "target"
-) -> JointMixedStrategy:
-    """Parse a joint strategy: ``{"probs": [...]}`` over flattened profiles."""
-    num_a = int(np.prod(counts))
-    probs = _as_array(_require(doc, "probs", where), (num_a,), f"{where}.probs")
-    probs = _clean_rows(probs, f"{where}.probs")
-    return _build(JointMixedStrategy, where, probs.reshape(counts))
-
-
 def load_policy(
     doc: dict, skeleton: MarkovGameSkeleton, where: str = "target"
 ) -> MarkovPolicy:
     """Parse a policy: ``stages[h][s][a]`` over flattened joint actions.
 
-    A bare-strategy document (``probs`` only) is accepted for one-stage,
-    one-state games.
+    A bare-strategy document, ``{"probs": [a]}``, is the one stage of a
+    one-stage, one-state game.
     """
     counts = skeleton.action_counts
     num_a = int(np.prod(counts))
     horizon, num_s = skeleton.horizon, skeleton.num_states
+    field, shape = "stages", (horizon, num_s, num_a)
     if "probs" in doc and "stages" not in doc:
         if horizon != 1 or num_s != 1:
             raise InputFormatError(
                 f"{where}: bare strategy given for a game with "
                 f"horizon {horizon} and {num_s} states"
             )
-        stages = load_strategy(doc, counts, where).probs
-    else:
-        stages = _as_array(
-            _require(doc, "stages", where),
-            (horizon, num_s, num_a),
-            f"{where}.stages",
-        )
-        stages = _clean_rows(stages, f"{where}.stages")
+        field, shape = "probs", (num_a,)
+    stages = _as_array(_require(doc, field, where), shape, f"{where}.{field}")
+    stages = _clean_rows(stages, f"{where}.{field}")
     return _build(MarkovPolicy, where, stages.reshape((horizon, num_s) + counts))
 
 

@@ -1,6 +1,6 @@
 """Shared fixtures: canonical strategies, the strategy grid, random games,
-the one-stage embedding of a joint strategy, and the scalar conditional
-that ``conditional_matrix`` is checked against.
+the one-stage embedding of a joint strategy and its product test, and the
+scalar conditional that ``conditional_matrix`` is checked against.
 
 Every random object derives from a fixed seed plus a crc32 tag so tests stay
 deterministic and order-independent.  Grid entries are screened so that any
@@ -80,6 +80,11 @@ def embed(sigma: JointMixedStrategy) -> tuple[MarkovGameSkeleton, MarkovPolicy]:
     """The one-stage embedding of a joint strategy, on an all-zero game."""
     game = zero_game(sigma.action_counts, sigma.num_players)
     return nfg_as_markov(game), strategy_as_policy(sigma)
+
+
+def is_product(sigma: JointMixedStrategy) -> bool:
+    """Whether the strategy factorizes: its embedding has no correlated stage."""
+    return strategy_as_policy(sigma).first_correlated() is None
 
 
 def epsilon_utility(sigma: JointMixedStrategy, concept, config: EpsilonConfig):

@@ -34,7 +34,6 @@ from eqdesign import (
     design,
     gamma_cce,
     gamma_ce,
-    is_product,
     markov_witness,
     nfg_as_markov,
     nfg_oracle,
@@ -49,6 +48,7 @@ from conftest import (
     epsilon_utility,
     installable_policy,
     installable_stage,
+    is_product,
     make_rng,
     random_lp_case,
     random_policy,

@@ -38,11 +38,10 @@ from eqdesign import (
     evaluate_cost,
     gamma_cce,
     gamma_ce,
-    is_product,
     nfg_as_markov,
     strategy_as_policy,
 )
-from conftest import make_rng
+from conftest import is_product, make_rng
 
 design_module = importlib.import_module("eqdesign.design")
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -17,13 +18,13 @@ from eqdesign import (
     ShapeError,
     clean_distribution,
     conditional_matrix,
-    is_product,
     nfg_as_markov,
     strategy_as_policy,
     support,
 )
 from conftest import (
     conditional,
+    is_product,
     make_rng,
     random_policy,
     random_reward,
@@ -177,6 +178,15 @@ class TestProduct:
         assert is_product(JointMixedStrategy(np.outer(a, b)))
 
 
+def one_state_skeleton(**fields) -> MarkovGameSkeleton:
+    """A one-stage, one-state 2x2 skeleton with ``fields`` replaced."""
+    base = dict(
+        action_sets=(("a", "b"), ("a", "b")), states=("s",), horizon=1,
+        transitions=np.ones((1, 1, 2, 2, 1)), initial_dist=np.array([1.0]),
+    )
+    return MarkovGameSkeleton(**dict(base, **fields))
+
+
 class TestMarkovObjects:
     def test_skeleton_shape_validation(self):
         with pytest.raises(ShapeError):
@@ -240,6 +250,32 @@ class TestMarkovObjects:
         assert policy.stage(1, 2) is policy.stage(1, 2)
         np.testing.assert_array_equal(policy.stage(1, 2).probs, policy.stages[1, 2])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: JointMixedStrategy(np.array(1.0)),
+         "joint strategy needs at least one player axis"),
+        (lambda: NormalFormGame(action_sets=(("a",), ()), utility=np.zeros((2, 1, 0))),
+         "every player needs a nonempty action set"),
+        (lambda: NormalFormGame(action_sets=(("a", "b"),), utility=np.zeros((1, 3))),
+         r"utility shape \(1, 3\), expected \(1, 2\)"),
+        (lambda: one_state_skeleton(states=()), "at least one state required"),
+        (lambda: one_state_skeleton(horizon=0), "horizon 0 must be >= 1"),
+        (lambda: one_state_skeleton(initial_dist=np.array([0.5, 0.5])),
+         r"initial_dist shape \(2,\), expected \(1,\)"),
+        (lambda: MarkovPolicy(stages=np.ones((1, 1))),
+         r"policy needs axes \(stage, state, actions...\)"),
+        (lambda: RewardFunction(rewards=np.zeros((1, 1, 2)), bound=1.0),
+         r"rewards need axes \(player, stage, state, actions...\)"),
+        (lambda: RewardFunction(rewards=np.full((1, 1, 1, 2), np.nan), bound=1.0),
+         "rewards have non-finite entries"),
+        (lambda: RewardFunction(rewards=np.zeros((1, 1, 1, 2)), bound=-1.0),
+         "bound -1.0 must be finite and >= 0"),
+        (lambda: RewardFunction(rewards=np.zeros((1, 1, 1, 2)), bound=math.inf),
+         "bound inf must be finite and >= 0"),
+    ])
+    def test_constructor_shape_errors(self, build, message):
+        with pytest.raises(ShapeError, match=message):
+            build()
+
     def test_reward_bound_exact(self):
         with pytest.raises(ShapeError):
             RewardFunction(
@@ -266,13 +302,11 @@ class TestMarkovObjects:
         np.testing.assert_array_equal(policy.stage(0, 0).probs, sigma_ex().probs)
 
     def test_one_stage_policy_embeds_its_stage(self):
-        # A loaded one-stage, one-state policy is its stage's embedding, so
-        # the stage's tables are the policy's; a longer policy's stage gets
-        # an embedding of its own.
+        # A stage's embedding carries the stage's bytes, signed zeros
+        # included, and is a policy of its own.
         probs = np.array([[[[0.5, -0.0], [0.0, 0.5]]]])
         policy = MarkovPolicy(stages=probs)
         sigma = policy.stage(0, 0)
-        assert strategy_as_policy(sigma) is policy
         assert sigma.probs.tobytes() == policy.stages[0, 0].tobytes()
         longer = MarkovPolicy(stages=np.repeat(probs, 2, axis=0))
         embedded = strategy_as_policy(longer.stage(0, 0))

@@ -31,7 +31,6 @@ from eqdesign import (
     design,
     gamma_cce,
     nfg_as_markov,
-    strategy_as_policy,
 )
 from eqdesign.cli import main
 from eqdesign.io import (
@@ -42,7 +41,6 @@ from eqdesign.io import (
     load_json,
     load_policy,
     load_reward,
-    load_strategy,
     reward_to_doc,
     utility_to_doc,
 )
@@ -139,18 +137,19 @@ class TestGameLoading:
 
     def test_dust_is_clamped_and_renormalized(self):
         doc = dict(NFG_DOC)
-        sigma = load_strategy(
-            {"probs": [0.5 + 5e-13, -1e-13, 0.0, 0.5]}, (2, 2)
+        policy = load_policy(
+            {"probs": [0.5 + 5e-13, -1e-13, 0.0, 0.5]}, nfg_as_markov(load_game(doc))
         )
-        assert np.all(sigma.probs >= 0.0)
-        assert sigma.probs.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.all(policy.stages >= 0.0)
+        assert policy.stages.sum() == pytest.approx(1.0, abs=1e-15)
         assert doc  # untouched input
 
     def test_genuine_violations_rejected(self):
+        sk = nfg_as_markov(load_game(NFG_DOC))
         with pytest.raises(InputFormatError, match="probs"):
-            load_strategy({"probs": [0.6, -0.1, 0.25, 0.25]}, (2, 2))
+            load_policy({"probs": [0.6, -0.1, 0.25, 0.25]}, sk)
         with pytest.raises(InputFormatError, match="probs"):
-            load_strategy({"probs": [0.6, 0.3, 0.2, 0.2]}, (2, 2))
+            load_policy({"probs": [0.6, 0.3, 0.2, 0.2]}, sk)
 
     def test_bad_rows_named_by_index(self):
         sk = random_skeleton(make_rng("io-bad-row"), max_states=2)
@@ -229,6 +228,17 @@ class TestPolicyAndRewardLoading:
         pol = load_policy(CORR_TARGET, sk)
         assert pol.stage(0, 0).probs[0, 0] == 0.5
 
+    @pytest.mark.parametrize("load", [
+        load_game,
+        lambda doc: load_policy(doc, nfg_as_markov(load_game(NFG_DOC))),
+        lambda doc: load_reward(doc, load_game(NFG_DOC)),
+    ])
+    def test_non_object_documents_rejected(self, load):
+        # A file that is no object stops in load_json; a library caller's
+        # document stops at the first field the loader reads.
+        with pytest.raises(InputFormatError, match=": expected an object"):
+            load([1.0, 0.0])
+
     def test_bare_strategy_rejected_for_markov_games(self):
         rng = make_rng("io-bare")
         sk = random_skeleton(rng)
@@ -281,10 +291,10 @@ class TestPolicyAndRewardLoading:
         with pytest.raises(InputFormatError, match="expected \\(2, 1, 1, 4\\)"):
             load_baseline({"rewards": utility_to_doc(game.utility)["utility"]}, game)
         # The embedding carries the loaded one-shot baseline as it is.
-        sigma = load_strategy(CORR_TARGET, game.action_counts)
+        skeleton = nfg_as_markov(game)
         res = design(
-            dataclasses.replace(nfg_as_markov(game), baseline_reward=rpl),
-            strategy_as_policy(sigma), Concept.CE, CostSpec(CostKind.OFFLINE),
+            dataclasses.replace(skeleton, baseline_reward=rpl),
+            load_policy(CORR_TARGET, skeleton), Concept.CE, CostSpec(CostKind.OFFLINE),
             DesignConfig(slack=0.1, bound=1.0),
         )
         assert res.status.value == "optimal"
@@ -480,6 +490,21 @@ class TestCliCheck:
         result = invoke(["check", game, "absent.json"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"actions": [["heads", "tails"], []]},
+         ".actions: expected a nonempty list per player"),
+        ({"actions": "heads"}, ".actions: expected a nonempty list per player"),
+        ({"states": [], "horizon": 1}, ".states: expected a nonempty list"),
+        ({"states": "s0", "horizon": 1}, ".states: expected a nonempty list"),
+    ])
+    def test_malformed_game_fields_exit_two(self, files, fields, message):
+        game = files("game.json", dict(NFG_DOC, **fields))
+        target = files("target.json", CORR_TARGET)
+        result = invoke(["check", game, target])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == f"error: {game}{message}\n"
+
     def test_markov_game_constructor_errors_name_the_file(self, files):
         # The skeleton's own checks, reported with the file they read.
         rng = make_rng("cli-skeleton-errors")
@@ -589,6 +614,22 @@ class TestCliWitness:
         report = json.loads(too_big.output)
         assert report["result"]["feasible"] is False
         assert report["result"]["max_epsilon"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_coarse_epsilon_needs_two_supported_actions(self, files):
+        # A pure CCE target has margin 1 without --epsilon, but no epsilon
+        # witness at any epsilon or class: a negative verdict, not exit 2.
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", PURE_TARGET)
+        canonical = invoke(["witness", game, target, "--concept", "cce"])
+        assert canonical.exit_code == 0, canonical.output
+        assert json.loads(canonical.output)["result"]["min_gap"] == 1.0
+        for extra in (["--epsilon", "0.5"], ["--epsilon", "0"],
+                      ["--epsilon", "0.5", "--deviation-class", "never-target"]):
+            result = invoke(["witness", game, target, "--concept", "cce"] + extra)
+            assert result.exit_code == 1, result.output
+            report = json.loads(result.output)["result"]
+            assert report["feasible"] is False and report["max_epsilon"] == 0.0
+            assert "player 0 has a single supported action" in report["message"]
 
     def test_nash_witness_on_pure_target(self, files):
         # Without --epsilon the Markov witness pays the stage bound, B on
@@ -741,6 +782,32 @@ class TestCliDesign:
         )
         assert "error: simplex exceeded 7 pivots" in result.stderr
         assert result.stdout == ""
+
+    def test_missed_margin_is_a_tool_failure(self, files, monkeypatch):
+        # The post-solve check is the last word on a designed reward: a
+        # margin below the slack raises, in the library and the CLI alike.
+        design_module = importlib.import_module("eqdesign.design")
+        measure = design_module.check_strict
+
+        def short(*args, **kwargs):
+            return dataclasses.replace(measure(*args, **kwargs), min_gap=0.0625)
+
+        monkeypatch.setattr(design_module, "check_strict", short)
+        message = "designed reward missed its margin: 0.0625 < 0.25"
+        skeleton = nfg_as_markov(load_game(NFG_DOC))
+        with pytest.raises(RuntimeError, match=message):
+            design(
+                skeleton, load_policy(CORR_TARGET, skeleton), Concept.CE,
+                CostSpec(CostKind.OFFLINE), DesignConfig(slack=0.25, bound=1.0),
+            )
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", CORR_TARGET)
+        result = invoke(
+            ["design", game, target, "--concept", "ce", "--slack", "0.25"]
+        )
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
     def test_max_gap_mode(self, files):
         game = files("game.json", NFG_DOC)

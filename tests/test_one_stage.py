@@ -50,14 +50,13 @@ from eqdesign import (
     epsilon_markov_witness,
     gamma_cce,
     gamma_ce,
-    is_product,
     markov_witness,
     nfg_as_markov,
     nfg_oracle,
     strategy_as_policy,
     witness_utility,
 )
-from conftest import InfeasibleMargin, epsilon_stage_reference, make_rng
+from conftest import InfeasibleMargin, epsilon_stage_reference, is_product, make_rng
 
 SHAPES = ((2, 2), (3, 2), (3, 3), (2, 2, 2))
 KINDS = ("full", "sparse", "pure", "product")

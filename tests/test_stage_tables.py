@@ -29,7 +29,6 @@ from eqdesign import (
     epsilon_markov_witness,
     gamma_ce,
     gamma_cce,
-    is_product,
     markov_witness,
     policy_eval,
     support,
@@ -42,6 +41,7 @@ from conftest import (
     conditional,
     epsilon_stage_reference,
     installable_policy,
+    is_product,
     make_rng,
     random_policy,
     random_reward,

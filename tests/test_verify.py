@@ -24,7 +24,6 @@ from eqdesign import (
     best_response,
     check_strict,
     conditional_matrix,
-    is_product,
     nfg_as_markov,
     nfg_oracle,
     policy_eval,
@@ -33,6 +32,7 @@ from eqdesign import (
 )
 
 from conftest import (
+    is_product,
     make_rng,
     random_policy,
     random_reward,
@@ -41,6 +41,7 @@ from conftest import (
     zero_game,
 )
 
+games_module = importlib.import_module("eqdesign.games")
 verify_module = importlib.import_module("eqdesign.verify")
 
 
@@ -409,6 +410,26 @@ class TestNfgOracle:
             ora = nfg_oracle(utility, sigma, concept).per_constraint
             assert ora and all(key[0] == 1 for key in ora), concept
             assert check_strict(sk, rw, pol, concept).per_constraint == ora
+
+    def test_independent_of_the_conditional_table(self, monkeypatch):
+        # Breaking the rule that builds the cached conditional tables moves
+        # check_strict, which reads them, but not the oracle.
+        probs = np.array([[0.3, 0.1], [0.05, 0.25], [0.2, 0.1]])
+        utility = make_rng("oracle-independent").uniform(-2.0, 2.0, (2, 3, 2))
+        honest = nfg_oracle(utility, JointMixedStrategy(probs), Concept.CE)
+        sk, rw, pol = embed(utility, JointMixedStrategy(probs))
+        true_gaps = check_strict(sk, rw, pol, Concept.CE).per_constraint
+        build = games_module._conditionals
+
+        def reversed_rows(stages, player):
+            p, conds = build(stages, player)
+            return p, conds[..., ::-1, :]
+
+        monkeypatch.setattr(games_module, "_conditionals", reversed_rows)
+        sigma = JointMixedStrategy(probs)
+        assert nfg_oracle(utility, sigma, Concept.CE) == honest
+        sk, rw, pol = embed(utility, sigma)
+        assert check_strict(sk, rw, pol, Concept.CE).per_constraint != true_gaps
 
     def test_weak_boundary_keeps_replica_out_of_gaps(self):
         # A pure target's own action replicates play, so only genuine

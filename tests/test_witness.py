@@ -279,6 +279,12 @@ class TestMarkovWitness:
         assert err.value.stage == (skeleton.horizon - 1, skeleton.num_states - 1)
         assert err.value.max_gap is None
 
+    @pytest.mark.parametrize("bound", [0.0, -1.0, math.inf, math.nan])
+    def test_bound_must_be_finite_and_positive(self, bound):
+        skeleton, policy = self._fixture("mw-bound")
+        with pytest.raises(ValueError, match=f"bound {bound} must be finite and > 0"):
+            markov_witness(policy, skeleton, bound)
+
     def test_one_stage_matches_plain_witness(self):
         rng = make_rng("mw-one-stage")
         skeleton = random_skeleton(rng, max_states=1, max_horizon=1)
