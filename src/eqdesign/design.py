@@ -29,7 +29,6 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .games import (
     JointMixedStrategy,
@@ -185,7 +184,8 @@ def build_mg_lp(
     aux = lower.size
     egalitarian = cost.kind == CostKind.EGALITARIAN and not config.max_gap
     if config.max_gap or egalitarian:
-        lower, upper = np.append(lower, -math.inf), np.append(upper, math.inf)
+        lower = np.concatenate([lower, [-math.inf]])
+        upper = np.concatenate([upper, [math.inf]])
 
     # A row puts its weights on its own stage's rewards and their occupancy,
     # carried forward by the policy, on every later stage's.
@@ -205,24 +205,23 @@ def build_mg_lp(
         objective[:aux] = 1.0
     else:
         # A reward entry's visitation is its weight in the online cost and
-        # in its player's expected initial value.
-        mu = np.tile(visitation(skeleton, policy).reshape(-1), n)
+        # in its player's expected initial value, in every block.
+        mu = visitation(skeleton, policy).reshape(-1)
         if cost.kind == CostKind.ONLINE:
-            objective[:aux] = np.tile(mu, 2)
+            objective[:aux].reshape(-1, size)[:] = mu
         elif cost.kind == CostKind.SOCIAL_WELFARE:
-            objective[:aux] = -mu
+            objective[:aux].reshape(-1, size)[:] = -mu
         else:
             objective[aux] = -1.0
             # z <= each player's expected initial value.
             players = np.concatenate([players, np.arange(n)])
-            coeffs = np.concatenate([coeffs, mu.reshape(n, size)])
+            coeffs = np.concatenate([coeffs] + [mu[None]] * n)
             rhs = np.concatenate([rhs, np.zeros(n)])
 
     # ``blocks`` views the reward (or d+, d-) columns as (row, block, entry):
     # a row's block goes to its player's block, and under L1, negated, to d-.
     rows = np.zeros((players.size, lower.size))
-    grid, step = (players.size, lower.size // size, size), rows.itemsize
-    blocks = as_strided(rows, grid, (rows.strides[0], size * step, step))
+    blocks = rows[:, :aux].reshape(players.size, aux // size, size)
     at = np.arange(players.size)
     blocks[at, players] = coeffs
     if l1:
@@ -318,7 +317,7 @@ def _solve_design(
     flat = sol.x[:blk]
     if layout["baseline"] is not None:
         flat = layout["baseline"] + flat - sol.x[blk : 2 * blk]
-    rewards = np.clip(flat.reshape(shape), -config.bound, config.bound)
+    rewards = flat.reshape(shape).clip(-config.bound, config.bound)
     reward = RewardFunction(rewards=rewards, bound=config.bound)
     achieved = float(sol.x[layout["slack_col"]]) if config.max_gap else None
     required = achieved if config.max_gap else config.slack

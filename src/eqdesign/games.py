@@ -424,11 +424,12 @@ class RewardFunction(_Rebuilt):
         arr = np.array(self.rewards, dtype=float)
         if arr.ndim < 4:
             raise ShapeError("rewards need axes (player, stage, state, actions...)")
-        if not np.all(np.isfinite(arr)):
+        # The largest magnitude is NaN or inf exactly when some entry is.
+        mx = float(np.maximum.reduce(np.abs(arr), axis=None)) if arr.size else 0.0
+        if not math.isfinite(mx):
             raise ShapeError("rewards have non-finite entries")
         if not (math.isfinite(self.bound) and self.bound >= 0.0):
             raise ShapeError(f"bound {self.bound} must be finite and >= 0")
-        mx = float(np.max(np.abs(arr))) if arr.size else 0.0
         if mx > self.bound:
             raise ShapeError(f"reward magnitude {mx} exceeds bound {self.bound}")
         object.__setattr__(self, "rewards", _freeze(arr))

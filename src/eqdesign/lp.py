@@ -49,9 +49,10 @@ leaving row is one ``argmax``, and ``_step`` copies the pivot column once,
 both to carry the basic values and as the factors of the update.  Every
 such shortcut is exact: it makes the same choices with the same roundings.
 
-``iterations`` counts pivots and bound flips, and ``phase_steps`` splits
-them between the two phases; a phase that takes more than ``MAX_PIVOTS`` of
-them raises ``RuntimeError``.  Before an optimal point is returned it is
+``iterations`` counts pivots and bound flips, ``phase_steps`` splits them
+between the two phases, and ``cells`` counts the tableau cells each phase's
+pivots rewrite; a phase that takes more than ``MAX_PIVOTS`` of them raises
+``RuntimeError``.  Before an optimal point is returned it is
 checked against the original rows and bounds within ``FEAS_TOL``, and its
 final basis against the original data: the row duals it implies must leave
 no nonbasic column able to lower the cost by more than ``FEAS_TOL``.  A
@@ -109,6 +110,8 @@ class LpSolution:
     iterations: int
     # Steps of the dual phase and of the primal phase; they sum to iterations.
     phase_steps: tuple[int, int]
+    # Tableau cells each phase rewrote: m × (n+m) a pivot, none a bound flip.
+    cells: tuple[int, int]
 
 
 def _filled(value, shape: tuple[int, ...], what: str, dtype=float) -> np.ndarray:
@@ -161,7 +164,7 @@ class LinearProgram:
                 f"bounds [{lo[j]}, {hi[j]}] of variable {j} hold no finite point"
             )
         for arr in vars(self).values():
-            arr.flags.writeable = False
+            arr.setflags(write=False)
 
     @property
     def num_vars(self) -> int:
@@ -199,10 +202,11 @@ def _simplex(
     lower: np.ndarray,
     upper: np.ndarray,
     cost: np.ndarray,
-) -> tuple[Optional[np.ndarray], int]:
+) -> tuple[Optional[np.ndarray], tuple[int, int]]:
     """Minimize ``cost @ x`` in place from a basis whose columns are all
-    within their bounds; returns (ray, steps taken), with ``ray`` None at an
-    optimum, else a direction along which the cost falls without end.
+    within their bounds; returns (ray, (steps taken, pivots among them)),
+    with ``ray`` None at an optimum, else a direction along which the cost
+    falls without end.
 
     Each step either moves the entering column to its other bound (a bound
     flip) or pivots it into the basis.  The entering column is the eligible
@@ -220,14 +224,14 @@ def _simplex(
     crow = cost - cost[basis] @ tableau
     # The bounds of each row's basic column, kept in step with the basis.
     row_lower, row_upper = lower[basis], upper[basis]
-    count = stalled = 0
+    count = pivots = stalled = 0
     while True:
         crow[basis] = 0.0
         eligible = (
             ((crow < -PIVOT_TOL) & (x < upper)) | ((crow > PIVOT_TOL) & (x > lower))
         ).nonzero()[0]
         if not eligible.size:
-            return None, count
+            return None, (count, pivots)
         if stalled >= BLAND_AFTER:
             col = eligible[0]
         else:
@@ -248,7 +252,7 @@ def _simplex(
                 ray = np.zeros(x.size)
                 ray[basis] = -alpha
                 ray[col] = direction
-                return ray, count
+                return ray, (count, pivots)
             x[col] = upper[col] if direction > 0.0 else lower[col]
             x[basis] -= span * alpha
             stalled = 0
@@ -264,6 +268,7 @@ def _simplex(
             stalled = stalled + 1 if step == 0.0 else 0
             _step(tableau, crow, basis, x, row, col, direction * step, bound)
             row_lower[row], row_upper[row] = lower[col], upper[col]
+            pivots += 1
         count += 1
         if count > MAX_PIVOTS:
             raise RuntimeError(f"simplex exceeded {MAX_PIVOTS} pivots")
@@ -428,9 +433,8 @@ def _check_infeasible(
     spans over the box.  A NaN anywhere fails."""
     g = np.concatenate([y @ a, y])
     # The bounds at which each term of g @ (x, s) is least, then greatest.
-    ends = np.stack(
-        [np.where(g > 0.0, lower, upper), np.where(g > 0.0, upper, lower)]
-    )
+    up = g > 0.0
+    ends = np.array([np.where(up, lower, upper), np.where(up, upper, lower)])
     # A rounding-sized coefficient on an infinite bound counts as zero.
     ends = np.where(np.isfinite(ends) | (np.abs(g) > PIVOT_TOL), ends, 0.0)
     least, greatest = ends @ g
@@ -498,42 +502,31 @@ def _row_prices(
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Dual phase on priced costs, then primal phase on the true costs."""
-    a, b = lp.rows, lp.rhs
+    a, b, cost, lo, hi = lp.rows, lp.rhs, lp.objective, lp.lower, lp.upper
     m, n = a.shape
     # One logical column per row, a @ x + s = b, bounded by the relation:
     # s >= 0 on <=, s <= 0 on >=, s = 0 on =.
-    s_lower = np.where(lp.relations == ">=", -math.inf, 0.0)
-    s_upper = np.where(lp.relations == "<=", math.inf, 0.0)
-    # A pulled column's cost pulls it toward an infinite bound.  The dual
-    # phase prices the columns at cost - y @ a, with y from the pulled
-    # columns' rows, so that their cost bears on the start.
-    cost = lp.objective
-    pulled = ((cost < 0.0) & (lp.upper == math.inf)) | (
-        (cost > 0.0) & (lp.lower == -math.inf)
-    )
-    if pulled.any():
-        price = cost - _row_prices(a, s_lower, s_upper, cost, pulled) @ a
-    else:
-        price = cost
+    lower = np.concatenate([lo, np.where(lp.relations == ">=", -math.inf, 0.0)])
+    upper = np.concatenate([hi, np.where(lp.relations == "<=", math.inf, 0.0)])
     # Each column starts at the bound its price prefers.  Where that bound
     # is infinite it starts at its finite bound, or at 0 if free, and the
     # dual phase prices it at 0, so the all-logical start is dual feasible.
-    start = np.where(
-        np.isfinite(lp.lower),
-        lp.lower,
-        np.where(np.isfinite(lp.upper), lp.upper, 0.0),
-    )
-    preferred = np.where(
-        price > 0.0, lp.lower, np.where(price < 0.0, lp.upper, start)
-    )
-    kept = np.isfinite(preferred)
+    start = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    preferred = np.where(cost > 0.0, lo, np.where(cost < 0.0, hi, start))
+    kept, price = np.isfinite(preferred), cost
+    # On the cost, the columns not kept are the pulled ones, whose cost
+    # pulls them toward an infinite bound.  The dual phase prices the
+    # columns at cost - y @ a, with y from their rows, so that their cost
+    # bears on the start.
+    if not kept.all():
+        price = cost - _row_prices(a, lower[n:], upper[n:], cost, ~kept) @ a
+        preferred = np.where(price > 0.0, lo, np.where(price < 0.0, hi, start))
+        kept = np.isfinite(preferred)
     x0 = np.where(kept, preferred, start)
-    basis = n + np.arange(m)
+    basis = np.arange(n, n + m)
     tableau = np.zeros((m, n + m))
     tableau[:, :n] = a
-    tableau[np.arange(m), basis] = 1.0
-    lower = np.concatenate([lp.lower, s_lower])
-    upper = np.concatenate([lp.upper, s_upper])
+    tableau.reshape(-1)[n :: n + m + 1] = 1.0  # the logical block is I
     x = np.concatenate([x0, b - a @ x0])
 
     shifted = np.zeros(n + m)
@@ -542,15 +535,17 @@ def solve(lp: LinearProgram) -> LpSolution:
     if row is not None:
         _check_infeasible(a, b, lower, upper, tableau[row, n:])
         return LpSolution(
-            LpStatus.INFEASIBLE, None, None, dual_steps, (dual_steps, 0)
+            LpStatus.INFEASIBLE, None, None, dual_steps, (dual_steps, 0),
+            (dual_steps * tableau.size, 0),
         )
     full = np.zeros(n + m)
     full[:n] = cost
-    ray, primal_steps = _simplex(tableau, basis, x, lower, upper, full)
+    ray, (primal_steps, pivots) = _simplex(tableau, basis, x, lower, upper, full)
     steps = (dual_steps, primal_steps)
+    cells = (dual_steps * tableau.size, pivots * tableau.size)
     if ray is not None:
         _check_ray(a, lower, upper, cost, ray[:n])
-        return LpSolution(LpStatus.UNBOUNDED, None, None, sum(steps), steps)
+        return LpSolution(LpStatus.UNBOUNDED, None, None, sum(steps), steps, cells)
     # x meets every row and bound: it and its logical columns lie in the box.
     _check_box(
         "simplex point", x[:n], b - a @ x[:n], lower, upper,
@@ -558,5 +553,6 @@ def solve(lp: LinearProgram) -> LpSolution:
     )
     _check_duals(a, full, tableau, basis, x, lower, upper)
     return LpSolution(
-        LpStatus.OPTIMAL, x[:n].copy(), float(cost @ x[:n]), sum(steps), steps
+        LpStatus.OPTIMAL, x[:n].copy(), float(cost @ x[:n]), sum(steps), steps,
+        cells,
     )

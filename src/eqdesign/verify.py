@@ -13,7 +13,9 @@ and one-stage embeddings alike.  A one-stage re-implementation
 instances, against which the tests and the benchmark check
 :func:`check_strict` bit-tightly; it shares only the precondition check,
 :func:`~eqdesign.installability.require` on the strategy's embedding, with
-the rest of the package.
+the rest of the package.  :func:`check_strict` reads :class:`GapReport`'s
+minimum off each player's gap array; ``_finalize``, the reference side,
+applies its rule to the whole table.
 
 Deviation semantics: margins quantify over deviations that actually change
 play, the sets :func:`~eqdesign.installability.deviation_mask` gives.  An
@@ -50,8 +52,9 @@ class GapReport:
 
     Keys are ``(player, stage, state, deviation)`` for NE/CCE and
     ``(player, stage, state, recommended, replacement)`` for CE.  ``min_gap``
-    is the minimum entry (+inf when no constraints exist) and ``argmin`` the
-    first key attaining it in ascending order.  ``strict`` means
+    is the least entry (+inf when no constraints exist) and ``argmin`` the
+    least key attaining it, ``min(gaps, key=lambda k: (gaps[k], k))``: the
+    lowest such player's first minimum in row-major order.  ``strict`` means
     ``min_gap > epsilon``.
     """
 
@@ -107,14 +110,16 @@ def _backward(
     """On-path values of a batch of rewards shaped ``(k, H, S, *counts)``:
     ``v[k, h, s]`` for h in 0..H (terminal layer all zero), and ``q`` shaped
     like ``rewards``."""
-    horizon, num_s = skeleton.horizon, skeleton.num_states
-    v = np.zeros((rewards.shape[0], horizon + 1, num_s))
+    k, horizon, num_s = rewards.shape[:3]
+    v = np.zeros((k, horizon + 1, num_s))
     q = np.zeros(rewards.shape)
+    stage_shape = (k,) + rewards.shape[2:]
     action_axes = tuple(range(2, rewards.ndim - 1))
     for h in range(horizon - 1, -1, -1):
-        cont = np.tensordot(skeleton.transitions[h], v[:, h + 1], axes=([-1], [1]))
-        q[:, h] = rewards[:, h] + np.moveaxis(cont, -1, 0)
-        v[:, h] = np.sum(policy.stages[h][None] * q[:, h], axis=action_axes)
+        # The product np.tensordot makes, (S·A, S) @ (S, k), with its rounding.
+        cont = np.dot(skeleton.transitions[h].reshape(-1, num_s), v[:, h + 1].T)
+        np.add(rewards[:, h], cont.T.reshape(stage_shape), out=q[:, h])
+        v[:, h] = np.add.reduce(policy.stages[h] * q[:, h], axis=action_axes)
     return v, q
 
 
@@ -176,7 +181,8 @@ def best_response(
     require(Concept.CCE, policy, dev_class)
     if not 0 <= player < skeleton.num_players:
         raise ShapeError(f"player {player} out of range")
-    return _best_response(skeleton, reward, policy, player, dev_class)
+    v, q, actions = _best_response(skeleton, reward, policy, player, dev_class)
+    return BestResponse(player, dev_class, v, q, actions)
 
 
 def _deviations(policy: MarkovPolicy, concept: Concept, player: int) -> tuple:
@@ -186,8 +192,8 @@ def _deviations(policy: MarkovPolicy, concept: Concept, player: int) -> tuple:
     return (mask,) + np.nonzero(mask)
 
 
-def _best_response(skeleton, reward, policy, player, dev_class) -> BestResponse:
-    """:func:`best_response` for a caller that has checked its arguments."""
+def _best_response(skeleton, reward, policy, player, dev_class) -> tuple:
+    """:func:`best_response`'s ``(v, q, actions)``, its arguments checked."""
     horizon, num_s = skeleton.horizon, skeleton.num_states
     count = skeleton.action_counts[player]
     v = np.zeros((horizon + 1, num_s))
@@ -213,9 +219,7 @@ def _best_response(skeleton, reward, policy, player, dev_class) -> BestResponse:
             best = np.where(allowed[h], best, -math.inf)
         actions[h] = best.argmax(axis=1)
         v[h] = np.maximum.reduce(best, axis=1)
-    return BestResponse(
-        player=player, deviation_class=dev_class, v=v, q=q, actions=actions
-    )
+    return v, q, actions
 
 
 def _finalize(
@@ -224,6 +228,7 @@ def _finalize(
     dev_class: Optional[DeviationClass],
     gaps: dict,
 ) -> GapReport:
+    """:class:`GapReport`'s rule as written, the reference for :func:`nfg_oracle`."""
     if gaps:
         argmin = min(gaps, key=lambda key: (gaps[key], key))
         min_gap = gaps[argmin]
@@ -263,23 +268,31 @@ def check_strict(
     require(concept, policy, dev_class)
     v, q = _backward(skeleton, policy, reward.rewards)
     gaps: dict = {}
-    for i in range(skeleton.num_players):
+    min_gap, argmin = math.inf, None
+    n = skeleton.num_players
+    for i in range(n):
         if concept == Concept.CE:
             conds = policy.conditional_table[i][1]
-            qmat = np.moveaxis(q[i], 2 + i, 2).reshape(conds.shape)
+            axes = [0, 1, 2 + i] + [2 + j for j in range(n) if j != i]
+            qmat = q[i].transpose(axes).reshape(conds.shape)
             on_rec = np.einsum("...jr,...jr->...j", conds, qmat)
             cross = conds @ qmat.swapaxes(-1, -2)  # [.., j, k] = E_cond_j[q_k]
             table = on_rec[..., None] - cross
         elif skeleton.action_counts[i] > 1:  # one action has no deviation
-            br = _best_response(skeleton, reward, policy, i, dev_class)
-            table = v[i, :-1, :, None] - br.q
+            deviate = _best_response(skeleton, reward, policy, i, dev_class)[1]
+            table = v[i, :-1, :, None] - deviate
         else:
             continue
-        # Keyed (player, *index of the mask), row-major.
+        # Keyed (player, *index of the mask), row-major: ascending keys.
         mask, *index = policy.derived(_deviations, concept, i)
-        keys = zip([i] * index[0].size, *(ax.tolist() for ax in index))
-        gaps.update(zip(keys, table[mask].tolist()))
-    return _finalize(concept, epsilon, dev_class, gaps)
+        values = table[mask]
+        keys = list(zip([i] * values.size, *(ax.tolist() for ax in index)))
+        gaps.update(zip(keys, values.tolist()))
+        if keys:
+            j = values.argmin()
+            if values[j] < min_gap:  # a tie keeps the lower player
+                min_gap, argmin = float(values[j]), keys[j]
+    return GapReport(concept, epsilon, dev_class, min_gap, argmin, gaps)
 
 
 def nfg_oracle(

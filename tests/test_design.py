@@ -860,7 +860,7 @@ class TestOptimalDualsAreChecked:
         )
         assert solve(lp).phase_steps[1] > 0
         lp_module = importlib.import_module("eqdesign.lp")
-        monkeypatch.setattr(lp_module, "_simplex", lambda *args: (None, 0))
+        monkeypatch.setattr(lp_module, "_simplex", lambda *args: (None, (0, 0)))
         with pytest.raises(RuntimeError, match="dual check"):
             solve(lp)
 

@@ -267,6 +267,17 @@ class TestMarkovObjects:
          r"rewards need axes \(player, stage, state, actions...\)"),
         (lambda: RewardFunction(rewards=np.full((1, 1, 1, 2), np.nan), bound=1.0),
          "rewards have non-finite entries"),
+        (lambda: RewardFunction(rewards=np.full((1, 1, 1, 2), -np.inf), bound=1.0),
+         "rewards have non-finite entries"),
+        # A non-finite entry is named before a bad bound.
+        (lambda: RewardFunction(rewards=[[[[0.5, np.inf]]]], bound=-1.0),
+         "rewards have non-finite entries"),
+        (lambda: support(sigma_corr(), 2), "player 2 out of range"),
+        (lambda: support(sigma_corr(), -1), "player -1 out of range"),
+        (lambda: conditional_matrix(sigma_corr(), 2),
+         "player 2 out of range for 2 players"),
+        (lambda: conditional_matrix(sigma_corr(), -1),
+         "player -1 out of range for 2 players"),
         (lambda: RewardFunction(rewards=np.zeros((1, 1, 1, 2)), bound=-1.0),
          "bound -1.0 must be finite and >= 0"),
         (lambda: RewardFunction(rewards=np.zeros((1, 1, 1, 2)), bound=math.inf),

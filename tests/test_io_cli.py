@@ -783,6 +783,19 @@ class TestCliDesign:
         assert "error: simplex exceeded 7 pivots" in result.stderr
         assert result.stdout == ""
 
+    def test_dual_pivot_limit_exits_three(self, files, monkeypatch):
+        # The CE offline design of matching pennies' diagonal target takes
+        # four dual steps; a cap of one is a tool failure, not a verdict.
+        monkeypatch.setattr(importlib.import_module("eqdesign.lp"), "MAX_PIVOTS", 1)
+        game = files("game.json", NFG_DOC)
+        target = files("target.json", CORR_TARGET)
+        result = invoke(
+            ["design", game, target, "--concept", "ce", "--slack", "0.1"]
+        )
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        assert result.stderr == "error: dual simplex exceeded 1 pivots\n"
+
     def test_missed_margin_is_a_tool_failure(self, files, monkeypatch):
         # The post-solve check is the last word on a designed reward: a
         # margin below the slack raises, in the library and the CLI alike.

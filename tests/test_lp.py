@@ -10,11 +10,24 @@ import math
 import numpy as np
 import pytest
 
-from eqdesign import LinearProgram, LpInputError, LpStatus, solve
+from eqdesign import (
+    Concept,
+    CostKind,
+    CostSpec,
+    DesignConfig,
+    JointMixedStrategy,
+    LinearProgram,
+    LpInputError,
+    LpStatus,
+    build_nfg_lp,
+    gamma_cce,
+    solve,
+)
 
 from conftest import (
     build_lp,
     inequality_form,
+    installable_stage,
     make_rng,
     random_lp_case,
     vertex_optimum,
@@ -39,6 +52,17 @@ def two_row_program(rows=((1.0, 1.0), (0.25, -1.0))):
     return LinearProgram(
         [1.0, -2.5], rows, ["<=", ">="], [1.0, -0.5], [0.0, -math.inf], [2.0, math.inf]
     )
+
+
+def cce_social_program():
+    """A 3x3 CCE social design program: 6 rows over 18 rewards, whose dual
+    phase takes 6 steps and whose primal phase takes none."""
+    sigma = JointMixedStrategy(
+        installable_stage(make_rng("dual-cap"), (3, 3), allow_pure=False)
+    )
+    config = DesignConfig(slack=0.5 * gamma_cce(sigma).value, bound=1.0)
+    cost = CostSpec(CostKind.SOCIAL_WELFARE)
+    return build_nfg_lp(sigma, Concept.CCE, cost, config)[0]
 
 
 def unbounded_by_free_row_column():
@@ -246,6 +270,46 @@ class TestCycling:
         monkeypatch.setattr(importlib.import_module("eqdesign.lp"), "MAX_PIVOTS", 1)
         with pytest.raises(RuntimeError, match="pivots"):
             solve(self.beale())
+
+    def test_dual_pivot_limit_raises(self, monkeypatch):
+        lp = cce_social_program()
+        assert solve(lp).phase_steps == (6, 0)
+        monkeypatch.setattr(importlib.import_module("eqdesign.lp"), "MAX_PIVOTS", 1)
+        with pytest.raises(RuntimeError, match="dual simplex exceeded 1 pivots"):
+            solve(lp)
+
+
+class TestCells:
+    """``LpSolution.cells``: each pivot rewrites the whole m x (n+m)
+    tableau, and a bound flip rewrites none of it."""
+
+    def test_dual_pivots(self):
+        lp = cce_social_program()
+        one, two = solve(lp), solve(lp)
+        assert one.phase_steps == (6, 0)
+        assert one.cells == (6 * 6 * (18 + 6), 0)
+        assert two.cells == one.cells and two.phase_steps == one.phase_steps
+
+    def test_bound_flips_update_no_cell(self):
+        # x1's cost pulls it up without end: two of the primal phase's
+        # three steps move x0 and x2 to their other bounds, and one pivots
+        # x1 into the row, rewriting a 1 x (3 + 1) tableau.
+        lp = LinearProgram(
+            [2.0, -1.0, 2.0], [[-4.0, 1.0, 4.0]], "<=", 4.0, -2.0,
+            [1.0, math.inf, 3.0],
+        )
+        sol = solve(lp)
+        assert sol.x.tolist() == [1.0, 16.0, -2.0]
+        assert sol.phase_steps == (0, 3)
+        assert sol.cells == (0, 1 * (3 + 1))
+
+    def test_infeasible_and_unbounded(self):
+        sol = solve(infeasible_program())
+        assert sol.status == LpStatus.INFEASIBLE
+        assert sol.cells == (sol.phase_steps[0] * 2 * (2 + 2), 0)
+        sol = solve(unbounded_by_free_row_column())
+        assert sol.status == LpStatus.UNBOUNDED
+        assert sol.cells == (0, 0)
 
 
 class TestOptimalIsChecked:

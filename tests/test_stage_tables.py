@@ -10,6 +10,9 @@ verdicts, certificates, evidence, deviation sets, error stages and messages
 exactly; rewards and gaps within 1e-12, with the gap keys in the same order.
 """
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -504,6 +507,81 @@ class TestPinnedGaps:
             assert got[1:3] == (argmin, count), name
             assert got[0] == pytest.approx(min_gap, rel=0, abs=1e-12), name
             assert got[3] == pytest.approx(total, rel=0, abs=1e-12), name
+
+
+def report_bytes(report) -> str:
+    """SHA-256 of ``repr(min_gap)``, ``argmin`` and every gap's key and
+    float bytes in sorted key order: a last-bit change in any gap moves it."""
+    sha = hashlib.sha256(f"{report.min_gap!r} {report.argmin!r}".encode())
+    for key, gap in sorted(report.per_constraint.items()):
+        sha.update(repr(key).encode() + struct.pack("<d", gap))
+    return sha.hexdigest()
+
+
+def large_reports():
+    """CE (never-recommended) and CCE on one seeded 8,6,(4,4) target under
+    its witness and under a noise reward."""
+    rng = make_rng("pinned-report-bytes")
+    sk = skeleton_for(rng, (4, 4), 8, 6)
+    pol = installable_policy(rng, sk, allow_pure=False)
+    noise = random_reward(rng, sk)
+    reports = {}
+    for concept, dev in (
+        (Concept.CE, DeviationClass.NEVER_RECOMMENDED),
+        (Concept.CCE, DeviationClass.UNRESTRICTED),
+    ):
+        rewards = {"witness": markov_witness(pol, sk, BOUND, concept), "noise": noise}
+        for name, rw in rewards.items():
+            reports[f"{concept.value}-{name}"] = check_strict(
+                sk, rw, pol, concept, dev_class=dev
+            )
+    return reports
+
+
+class TestPinnedReportBytes:
+    """:func:`report_bytes` of every :func:`pinned_reports` sample and of
+    :func:`large_reports`, recorded before ``check_strict``'s array paths
+    were trimmed: unlike :class:`TestPinnedGaps` they see the last bit.
+    Being bit-exact, they can move with the numpy or BLAS build."""
+
+    EXPECTED = {
+        "0/ce": "0ac4a0aedd0dc1410145b26062f34fae90b0cc7eef654b4550eab8f25bf66e09",
+        "0/cce": "886c45303c709a38cfc325e26dd943ce765102e8b96b7062f6f1cae42579384a",
+        "0/ne-never-target": "2b90f263f52c07a2c8c18a8ccaf8c19f6a71623c507d5c4e9977f89ac440c80d",
+        "0/witness": "9489225a4e495c98affcd813d5943ec8cefe7e5242aa0ee42aaeb117e5827fdb",
+        "0/epsilon-witness": "b5adc4eb8d21e4cac1a670f769227491c2b79023d62c71b13aa92e5e31391b6f",
+        "1/ce": "9b04cb92743eecc19b08b49afedd5668b2a124c6e42a8b74098948d644d236a6",
+        "1/cce": "6476c600ca5cbb6e9c6789c665e022e68d694544460b6c05e0c41bc730cc5c82",
+        "1/ne-never-target": "8ce5d1c765f703de4dccd306e0f140af27abe4c1400c955884eb9fec32cfa9b1",
+        "1/witness": "ce17d0811d603c61650aa7e8324642630aad4ce0c3051a3946b4e5f6d830b5a4",
+        "1/epsilon-witness": "538908299207fc57ea9a780757b904ad793ea72e11c55ce82a0dbc6ab092a9dd",
+        "2/ce": "f779d8c452fedf03708ad1373b4b0cb880cfb4070d21209ecac12079a950810f",
+        "2/cce": "2773c04795e6f4ccc54c5b236efe2e82bee33e42258ba47afd32a5b1f84464f4",
+        "2/ne-never-target": "e1f17710b5372241becbfa6cdd6c85950c630608dc3392ad84c71f28bdd86e34",
+        "2/witness": "6d18cf80c0598684686b9c1d9e7098aa73341cadd4bffd30e1aa5b4ff5d4ed3e",
+        "2/epsilon-witness": "e8a9f7b5fa5084a9c6d4a9cc0cbbd9374fbced2e1def143c6e784f76ff85fd68",
+        "3/ce": "33c419d468c4a732804eac8bfcb2e3b2e41e4550e8e5ae975d90425d656b1a59",
+        "3/cce": "0bf04dcd21ed586c051b971cf9ac3d6de7e9fd452cfc7cfe3606fef2c956f82c",
+        "3/ne-never-target": "ecda91980bc3642dd31337ebcb54acbdfdddccb87bb4d8ce08f1a8d3f041f5b9",
+        "3/witness": "bf25c9838a7c5a19d4d8c3927678afe714254f042ed962fe94ed1be84d1fabb9",
+        "3/epsilon-witness": "7ece4422d81de4a3ec947eeac9411c2cec817d20cf34064b46a1c184319c594b",
+        "8_6_4x4/ce-witness": "0935c09990123ac58b152d7a869b17b616f7b86f16755e11beb03cfbdd2c420e",
+        "8_6_4x4/ce-noise": "2952b634410cac0222a80ac589a12d430baeaf9260a30587054ba363668000da",
+        "8_6_4x4/cce-witness": "56c6ae3f478cb431728d999b704394bdfac59da6e914dea610606c442904efe0",
+        "8_6_4x4/cce-noise": "121d61e1f81082422bd63cf3fa0f6056f0c3de650233a85a7b9b9c473c4349fa",
+    }
+
+    def test_reports_are_pinned_bitwise(self):
+        got = {
+            f"{k}/{name}": report_bytes(report)
+            for k in range(4)
+            for name, report in pinned_reports(k).items()
+        }
+        got.update(
+            (f"8_6_4x4/{name}", report_bytes(report))
+            for name, report in large_reports().items()
+        )
+        assert got == self.EXPECTED
 
 
 # ------------------------------------------------------- error stages

@@ -7,6 +7,7 @@ comes from the code path under test.
 
 import collections
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -354,6 +355,69 @@ class TestCheckStrict:
                 sk, rw, pol, Concept.CE,
                 dev_class=DeviationClass.NEVER_TARGET,
             )
+
+
+def product_policy(rng, skeleton, pure_share=0.3):
+    """Every stage the product of per-player marginals, some of them pure."""
+    grid = (skeleton.horizon, skeleton.num_states)
+    stages = np.ones(grid)
+    for c in skeleton.action_counts:
+        pure = np.eye(c)[rng.integers(c, size=grid)]
+        mixed = rng.dirichlet(np.ones(c), size=grid)
+        marg = np.where(rng.random(grid + (1,)) < pure_share, pure, mixed)
+        stages = stages[..., None] * marg.reshape(
+            grid + (1,) * (stages.ndim - 2) + (c,)
+        )
+    return MarkovPolicy(stages=stages)
+
+
+class TestArgminRule:
+    """``check_strict`` reads ``min_gap`` and ``argmin`` off each player's
+    gap array; they must follow ``nfg_oracle``'s rule over the whole table,
+    the least gap and then the least key.  Ties are the rule here, not the
+    exception: under a zero reward every gap is 0, and integer rewards
+    repeat gaps."""
+
+    CLASSES = {
+        Concept.NE: (DeviationClass.UNRESTRICTED, DeviationClass.NEVER_TARGET),
+        Concept.CCE: (DeviationClass.UNRESTRICTED, DeviationClass.NEVER_TARGET),
+        Concept.CE: (
+            DeviationClass.UNRESTRICTED, DeviationClass.NEVER_RECOMMENDED,
+        ),
+    }
+
+    @staticmethod
+    def instances():
+        rng = make_rng("argmin-ties")
+        outer = np.multiply.outer(rng.dirichlet(np.ones(3)), [0.0, 1.0])
+        for sigma in (sigma_corr(), JointMixedStrategy(outer)):
+            counts = sigma.action_counts
+            yield nfg_as_markov(zero_game(counts)), strategy_as_policy(sigma)
+        for k in range(6):
+            sk = random_skeleton(rng, num_players=2 + k % 2, max_actions=2 + k % 2)
+            yield sk, random_policy(rng, sk)
+            yield sk, product_policy(rng, sk)
+
+    def test_ties_go_to_the_least_key(self):
+        rng = make_rng("argmin-ties-rewards")
+        tied = 0
+        for sk, pol in self.instances():
+            shape = (sk.num_players, sk.horizon, sk.num_states) + sk.action_counts
+            rewards = [
+                RewardFunction(rewards=np.zeros(shape), bound=1.0),
+                RewardFunction(rewards=rng.integers(-1, 2, shape), bound=1.0),
+            ]
+            for concept, classes in self.CLASSES.items():
+                if concept == Concept.NE and pol.first_correlated() is not None:
+                    continue
+                for dev_class, rw in itertools.product(classes, rewards):
+                    rep = check_strict(sk, rw, pol, concept, dev_class=dev_class)
+                    gaps = rep.per_constraint
+                    want = min(gaps, key=lambda key: (gaps[key], key))
+                    assert rep.argmin == want, (concept, dev_class)
+                    assert repr(rep.min_gap) == repr(gaps[want])
+                    tied += list(gaps.values()).count(rep.min_gap) > 1
+        assert tied >= 50
 
 
 class TestPreconditions:
