@@ -91,9 +91,7 @@ def _gap_doc(report: GapReport) -> dict:
     return {
         "concept": report.concept.value,
         "epsilon": report.epsilon,
-        "deviation_class": report.deviation_class.value
-        if report.deviation_class is not None
-        else None,
+        "deviation_class": report.deviation_class.value,
         "strict": report.strict,
         "min_gap": report.min_gap,
         "argmin": list(report.argmin) if report.argmin is not None else None,

@@ -58,7 +58,7 @@ class CostKind(str, Enum):
 @dataclass(frozen=True)
 class CostSpec:
     """Objective choice.  The modification costs measure the distance from
-    the game's ``baseline_reward``, or from all zeros when it has none."""
+    the game's ``baseline_reward``, zeros when it was built without one."""
 
     kind: CostKind
 
@@ -168,8 +168,7 @@ def build_mg_lp(
     if l1:
         # r = base + d+ - d-, with d+ the first block and d- the second; the
         # bounds keep r in the box whatever the baseline.
-        base = skeleton.baseline_reward
-        base = (np.zeros(shape) if base is None else base).reshape(-1)
+        base = skeleton.baseline_reward.reshape(-1)
         lower = np.concatenate(
             [np.maximum(0.0, -bound - base), np.maximum(0.0, base - bound)]
         )
@@ -352,8 +351,7 @@ def evaluate_cost(
     the modification costs run from the game's baseline reward, as in
     :func:`design`."""
     if cost.kind in (CostKind.ONLINE, CostKind.OFFLINE):
-        base = skeleton.baseline_reward
-        diff = np.abs(reward.rewards - (0.0 if base is None else base))
+        diff = np.abs(reward.rewards - skeleton.baseline_reward)
         if cost.kind == CostKind.OFFLINE:
             return float(diff.sum())
         mu = visitation(skeleton, policy)

@@ -48,14 +48,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _read_only(
-    table: tuple[tuple[np.ndarray, np.ndarray], ...]
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    for p, conds in table:
-        p.flags.writeable = conds.flags.writeable = False
-    return table
-
-
 class _Rebuilt:
     """Pickle and copy through the constructor: arrays come back frozen and
     no cached table is carried over."""
@@ -209,27 +201,27 @@ def _factor_gap(probs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NormalFormGame(_Rebuilt):
-    """A finite normal-form game: labeled action sets and a payoff tensor.
-
-    ``utility[i]`` is player i's payoff over joint action profiles.
-    """
+class _Game(_Rebuilt):
+    """Labeled action sets, nonempty tuples of strings, and payoffs over them."""
 
     action_sets: tuple[tuple[str, ...], ...]
-    utility: np.ndarray
 
     def __post_init__(self) -> None:
         sets = tuple(tuple(str(a) for a in acts) for acts in self.action_sets)
         if not sets or any(len(acts) == 0 for acts in sets):
             raise ShapeError("every player needs a nonempty action set")
-        arr = np.array(self.utility, dtype=float)
-        expected = (len(sets),) + tuple(len(acts) for acts in sets)
-        if arr.shape != expected:
-            raise ShapeError(f"utility shape {arr.shape}, expected {expected}")
-        if not np.all(np.isfinite(arr)):
-            raise ShapeError("utility has non-finite entries")
         object.__setattr__(self, "action_sets", sets)
-        object.__setattr__(self, "utility", _freeze(arr))
+
+    def _payoff(self, values, name: str, lead: tuple[int, ...] = ()) -> np.ndarray:
+        """``values`` as a frozen, finite float copy shaped ``(n, *lead, *counts)``."""
+        counts = tuple(len(acts) for acts in self.action_sets)
+        expected = (len(counts),) + lead + counts
+        arr = np.array(values, dtype=float)
+        if arr.shape != expected:
+            raise ShapeError(f"{name} shape {arr.shape}, expected {expected}")
+        if not np.all(np.isfinite(arr)):
+            raise ShapeError(f"{name} has non-finite entries")
+        return _freeze(arr)
 
     @property
     def num_players(self) -> int:
@@ -238,6 +230,20 @@ class NormalFormGame(_Rebuilt):
     @cached_property
     def action_counts(self) -> tuple[int, ...]:
         return tuple(len(acts) for acts in self.action_sets)
+
+
+@dataclass(frozen=True)
+class NormalFormGame(_Game):
+    """A finite normal-form game: labeled action sets and a payoff tensor.
+
+    ``utility[i]`` is player i's payoff over joint action profiles.
+    """
+
+    utility: np.ndarray
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "utility", self._payoff(self.utility, "utility"))
 
     @cached_property
     def _embedding(self) -> MarkovGameSkeleton:
@@ -253,17 +259,16 @@ class NormalFormGame(_Rebuilt):
 
 
 @dataclass(frozen=True)
-class MarkovGameSkeleton(_Rebuilt):
+class MarkovGameSkeleton(_Game):
     """Dynamics of a finite-horizon Markov game, with rewards left open.
 
     ``transitions[h, s, a_0, ..., a_{n-1}]`` is the next-state distribution
     after profile ``a`` in state ``s`` at stage ``h``; ``initial_dist`` is the
-    stage-0 state distribution.  ``baseline_reward`` (optional) is a reference
-    reward tensor shaped like :class:`RewardFunction` rewards, used as the
-    modification baseline by reward-design costs.
+    stage-0 state distribution.  ``baseline_reward`` is a reference reward
+    tensor shaped like :class:`RewardFunction` rewards, the modification
+    baseline of reward-design costs; given as None, it is stored as zeros.
     """
 
-    action_sets: tuple[tuple[str, ...], ...]
     states: tuple[str, ...]
     horizon: int
     transitions: np.ndarray
@@ -271,15 +276,13 @@ class MarkovGameSkeleton(_Rebuilt):
     baseline_reward: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        sets = tuple(tuple(str(a) for a in acts) for acts in self.action_sets)
+        super().__post_init__()
         states = tuple(str(s) for s in self.states)
-        if not sets or any(len(acts) == 0 for acts in sets):
-            raise ShapeError("every player needs a nonempty action set")
         if not states:
             raise ShapeError("at least one state required")
         if self.horizon < 1:
             raise ShapeError(f"horizon {self.horizon} must be >= 1")
-        counts = tuple(len(acts) for acts in sets)
+        counts = tuple(len(acts) for acts in self.action_sets)
         num_s = len(states)
         trans = np.array(self.transitions, dtype=float)
         expected = (self.horizon, num_s) + counts + (num_s,)
@@ -291,33 +294,17 @@ class MarkovGameSkeleton(_Rebuilt):
             raise ShapeError(f"initial_dist shape {init.shape}, expected ({num_s},)")
         _check_rows(init.reshape(1, -1), lambda k: "initial_dist")
         base = self.baseline_reward
-        if base is not None:
-            base = np.array(base, dtype=float)
-            expected_r = (len(sets), self.horizon, num_s) + counts
-            if base.shape != expected_r:
-                raise ShapeError(
-                    f"baseline_reward shape {base.shape}, expected {expected_r}"
-                )
-            if not np.all(np.isfinite(base)):
-                raise ShapeError("baseline_reward has non-finite entries")
-            base = _freeze(base)
-        object.__setattr__(self, "action_sets", sets)
+        if base is None:
+            base = np.zeros((len(counts), self.horizon, num_s) + counts)
+        base = self._payoff(base, "baseline_reward", (self.horizon, num_s))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transitions", _freeze(trans))
         object.__setattr__(self, "initial_dist", _freeze(init))
         object.__setattr__(self, "baseline_reward", base)
 
     @property
-    def num_players(self) -> int:
-        return len(self.action_sets)
-
-    @property
     def num_states(self) -> int:
         return len(self.states)
-
-    @cached_property
-    def action_counts(self) -> tuple[int, ...]:
-        return tuple(len(acts) for acts in self.action_sets)
 
 
 @dataclass(frozen=True)
@@ -373,7 +360,9 @@ class MarkovPolicy(_Rebuilt):
         """Per player, :func:`conditional_matrix` of every :meth:`stage` at
         once: ``(p, conds)`` shaped ``(H, S, c_i)`` and ``(H, S, c_i, R_i)``."""
         players = range(len(self.action_counts))
-        return _read_only(tuple(_conditionals(self.stages, i) for i in players))
+        return tuple(
+            tuple(map(_freeze, _conditionals(self.stages, i))) for i in players
+        )
 
     def derived(self, build: Callable, *args):
         """``build(self, *args)``, a tuple of arrays, computed on the first
@@ -382,9 +371,7 @@ class MarkovPolicy(_Rebuilt):
         memo = self.__dict__.setdefault("_derived", {})
         key = (build, args)
         if key not in memo:
-            memo[key] = build(self, *args)
-            for arr in memo[key]:
-                arr.flags.writeable = False
+            memo[key] = tuple(map(_freeze, build(self, *args)))
         return memo[key]
 
     def check_fits(self, skeleton: MarkovGameSkeleton) -> None:

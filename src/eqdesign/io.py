@@ -5,10 +5,11 @@ to index ``a_0 * |A_1| * ... * |A_{n-1}| + ... + a_{n-1}``.  Probability
 rows are cleaned on ingestion by :func:`~eqdesign.games.clean_distribution`
 (tiny negative dust clamped, each row renormalized) and rejected when
 genuinely negative or off-sum; messages name the field and, for fields with
-several rows, the flat row index, as in ``game.transitions[5]``.  Written
-text is ``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte, from a
-writer of its own: with an indent, CPython's json leaves its C encoder for
-a pure-Python one, and a game file is mostly rows of floats.
+several rows, the flat row index, as in ``game.transitions[5]``; a
+non-object document fails first, as ``<where>: expected an object``.
+Written text is ``json.dumps(doc, indent=2, sort_keys=True)`` byte for
+byte, from a writer of its own: with an indent, CPython's json leaves its
+C encoder for a pure-Python one, and a game file is mostly rows of floats.
 """
 
 from __future__ import annotations
@@ -36,9 +37,14 @@ class InputFormatError(ValueError):
     """A document is malformed; the message names the offending field."""
 
 
-def _require(doc: dict, field: str, where: str):
+def _object(doc, where: str) -> dict:
+    """``doc``, checked to be an object before any loader reads a field."""
     if not isinstance(doc, dict):
         raise InputFormatError(f"{where}: expected an object")
+    return doc
+
+
+def _require(doc: dict, field: str, where: str):
     if field not in doc:
         raise InputFormatError(f"{where}: missing field {field!r}")
     return doc[field]
@@ -75,7 +81,7 @@ def _build(cls, where: str, *fields):
         raise InputFormatError(f"{where}: {exc}") from None
 
 
-def _action_sets(doc: dict, where: str) -> tuple[tuple[str, ...], ...]:
+def _action_sets(doc: dict, where: str) -> list[list]:
     actions = _require(doc, "actions", where)
     if not isinstance(actions, list) or not all(
         isinstance(acts, list) and acts for acts in actions
@@ -83,7 +89,7 @@ def _action_sets(doc: dict, where: str) -> tuple[tuple[str, ...], ...]:
         raise InputFormatError(
             f"{where}.actions: expected a nonempty list per player"
         )
-    return tuple(tuple(str(a) for a in acts) for acts in actions)
+    return actions
 
 
 def load_game(doc: dict, where: str = "game") -> Game:
@@ -93,6 +99,7 @@ def load_game(doc: dict, where: str = "game") -> Game:
     ``transitions[h][s][a][s']`` over flattened joint actions; documents
     with a ``utility[i][a]`` tensor describe one-shot games.
     """
+    _object(doc, where)
     sets = _action_sets(doc, where)
     counts = tuple(len(acts) for acts in sets)
     num_a = int(np.prod(counts))
@@ -104,7 +111,6 @@ def load_game(doc: dict, where: str = "game") -> Game:
     states = _require(doc, "states", where)
     if not isinstance(states, list) or not states:
         raise InputFormatError(f"{where}.states: expected a nonempty list")
-    states = tuple(str(s) for s in states)
     horizon = _require(doc, "horizon", where)
     if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
         raise InputFormatError(f"{where}.horizon: expected an integer >= 1")
@@ -140,6 +146,7 @@ def load_policy(
     A bare-strategy document, ``{"probs": [a]}``, is the one stage of a
     one-stage, one-state game.
     """
+    _object(doc, where)
     counts = skeleton.action_counts
     num_a = int(np.prod(counts))
     horizon, num_s = skeleton.horizon, skeleton.num_states
@@ -161,6 +168,7 @@ def _reward_tensor(doc: dict, game: Game, where: str) -> tuple[np.ndarray, str]:
     one-shot game also the ``utility`` of a utility document, ``[i][a]``, in
     the Markov form's shape ``(n, H, S, *counts)``, where a one-shot game
     has one stage and one state.  Returns the tensor and the field read."""
+    _object(doc, where)
     counts = game.action_counts
     n, num_a = len(counts), int(np.prod(counts))
     if isinstance(game, NormalFormGame):
@@ -214,9 +222,7 @@ def load_json(path: str) -> dict:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise InputFormatError(f"{path}: expected a JSON object")
-    return doc
+    return _object(doc, path)
 
 
 def _indented(value, indent: str = "") -> str:

@@ -282,10 +282,39 @@ class TestMarkovObjects:
          "bound -1.0 must be finite and >= 0"),
         (lambda: RewardFunction(rewards=np.zeros((1, 1, 1, 2)), bound=math.inf),
          "bound inf must be finite and >= 0"),
+        # Both game types hold the one action-set rule and the one payoff
+        # rule: a game's utility, a skeleton's baseline reward.
+        (lambda: NormalFormGame(action_sets=(), utility=np.zeros((0,))),
+         "every player needs a nonempty action set"),
+        (lambda: one_state_skeleton(action_sets=()),
+         "every player needs a nonempty action set"),
+        (lambda: one_state_skeleton(action_sets=(("a",), ())),
+         "every player needs a nonempty action set"),
+        (lambda: one_state_skeleton(baseline_reward=np.zeros((2, 1, 1, 2, 3))),
+         r"baseline_reward shape \(2, 1, 1, 2, 3\), expected \(2, 1, 1, 2, 2\)"),
+        (lambda: NormalFormGame(action_sets=(("a", "b"),), utility=[[0.0, np.nan]]),
+         "utility has non-finite entries"),
+        (lambda: NormalFormGame(action_sets=(("a", "b"),), utility=[[-np.inf, 0.0]]),
+         "utility has non-finite entries"),
+        (lambda: one_state_skeleton(baseline_reward=np.full((2, 1, 1, 2, 2), np.nan)),
+         "baseline_reward has non-finite entries"),
     ])
     def test_constructor_shape_errors(self, build, message):
         with pytest.raises(ShapeError, match=message):
             build()
+
+    def test_missing_baseline_is_read_only_zeros(self):
+        rng = make_rng("games-zeros-baseline")
+        skeleton = random_skeleton(rng)
+        shape = (skeleton.num_players, skeleton.horizon, skeleton.num_states)
+        shape += skeleton.action_counts
+        other = dataclasses.replace(
+            skeleton, baseline_reward=random_reward(rng, skeleton).rewards
+        )
+        for game in (skeleton, dataclasses.replace(other, baseline_reward=None)):
+            base = game.baseline_reward
+            assert base.shape == shape and not base.flags.writeable
+            assert base.tobytes() == np.zeros(shape).tobytes()
 
     def test_reward_bound_exact(self):
         with pytest.raises(ShapeError):

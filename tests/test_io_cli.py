@@ -110,6 +110,8 @@ class TestGameLoading:
         assert game.action_counts == (2, 2)
         assert game.utility[0, 0, 1] == -1.0
         assert game.action_sets[1] == ("heads", "tails")
+        labels = load_game(dict(NFG_DOC, actions=[[0, 1], [True, None]]))
+        assert labels.action_sets == (("0", "1"), ("True", "None"))
 
     def test_markov_document_round_trip(self):
         rng = make_rng("io-game")
@@ -228,16 +230,25 @@ class TestPolicyAndRewardLoading:
         pol = load_policy(CORR_TARGET, sk)
         assert pol.stage(0, 0).probs[0, 0] == 0.5
 
+    @pytest.mark.parametrize("doc", [[1.0, 0.0], 5, "utility", "probs"])
     @pytest.mark.parametrize("load", [
         load_game,
         lambda doc: load_policy(doc, nfg_as_markov(load_game(NFG_DOC))),
+        lambda doc: load_policy(doc, random_skeleton(make_rng("io-non-object"))),
         lambda doc: load_reward(doc, load_game(NFG_DOC)),
+        lambda doc: load_reward(doc, random_skeleton(make_rng("io-non-object"))),
+        lambda doc: load_baseline(doc, load_game(NFG_DOC)),
+        lambda doc: load_baseline(doc, random_skeleton(make_rng("io-non-object"))),
+    ], ids=[
+        "game", "one-shot policy", "Markov policy", "one-shot reward",
+        "Markov reward", "one-shot baseline", "Markov baseline",
     ])
-    def test_non_object_documents_rejected(self, load):
+    def test_non_object_documents_rejected(self, load, doc):
         # A file that is no object stops in load_json; a library caller's
-        # document stops at the first field the loader reads.
+        # document stops before the loader reads a field, even a string
+        # that holds a field's name.
         with pytest.raises(InputFormatError, match=": expected an object"):
-            load([1.0, 0.0])
+            load(doc)
 
     def test_bare_strategy_rejected_for_markov_games(self):
         rng = make_rng("io-bare")
@@ -455,6 +466,16 @@ class TestCliCheck:
         stages = report["result"]["stages"]
         assert len(stages) == sk.horizon * sk.num_states
         assert all(entry["installable"] for entry in stages.values())
+
+    @pytest.mark.parametrize("text", ["[0.5, 0.5]", "5"])
+    def test_non_object_file_exits_two(self, files, tmp_path, text):
+        game = files("game.json", NFG_DOC)
+        target = tmp_path / "target.json"
+        target.write_text(text)
+        result = invoke(["check", game, str(target)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {target}: expected an object\n"
+        assert result.stdout == ""
 
     def test_precondition_violation_exits_two(self, files):
         game = files("game.json", NFG_DOC)
@@ -914,6 +935,32 @@ class TestCliDesign:
             with open(dump, "r", encoding="utf-8") as handle:
                 texts.append(handle.read())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("cost", ["online", "offline"])
+    def test_missing_baseline_designs_as_zeros(self, files, tmp_path, cost):
+        # A Markov game file without a baseline designs as one whose
+        # baseline is all zeros: the same program and the same reward bytes.
+        rng = make_rng("cli-zeros-baseline")
+        sk = random_skeleton(rng, max_states=2, max_horizon=2)
+        game = files("game.json", game_doc(sk))
+        target = files("target.json", policy_doc(installable_policy(rng, sk)))
+        num_a = int(np.prod(sk.action_counts))
+        zeros = np.zeros((sk.num_players, sk.horizon, sk.num_states, num_a))
+        base = files("base.json", {"rewards": zeros.tolist()})
+        runs = []
+        for extra in ([], ["--baseline", base]):
+            dump, out = tmp_path / f"p{len(runs)}.lp", tmp_path / f"r{len(runs)}.json"
+            result = invoke(
+                ["design", game, target, "--cost", cost, "--slack", "0.05",
+                 "--bound", "2", "--lp-dump", str(dump), "--out", str(out)]
+                + extra
+            )
+            assert result.exit_code == 0, result.output
+            runs.append((
+                dump.read_bytes(), out.read_bytes(),
+                json.loads(result.output)["result"],
+            ))
+        assert runs[0] == runs[1]
 
     def test_non_finite_baseline_names_its_file(self, files):
         # As verify's error names its reward file, design's names the

@@ -235,8 +235,11 @@ class TestBestResponse:
 
 class TestCheckStrict:
     def test_matches_one_stage_oracle(self, strategy_grid):
+        # The last input, a game in which every player has one action, has
+        # no deviation at all: both sides report the empty gap report.
+        lone = ("one-action", JointMixedStrategy(np.ones((1, 1))))
         worst = 0.0
-        for tag, sigma in strategy_grid:
+        for tag, sigma in strategy_grid + [lone]:
             rng = make_rng(f"oracle-{tag}")
             utility = rng.uniform(-2.0, 2.0, (2,) + sigma.action_counts)
             sk, rw, pol = embed(utility, sigma)
@@ -250,6 +253,13 @@ class TestCheckStrict:
                 for key, gap in rep.per_constraint.items():
                     worst = max(worst, abs(gap - ora.per_constraint[key]))
                 assert rep.argmin == ora.argmin, tag
+                if tag == lone[0]:
+                    for report in (rep, ora):
+                        assert report.min_gap == math.inf
+                        assert report.argmin is None
+                        assert report.per_constraint == {}
+        # The one-action game is a product, so NE ran on it too.
+        assert concepts == [Concept.CE, Concept.CCE, Concept.NE]
         assert worst <= 1e-12
 
     def test_ce_gaps_decompose_deviation_value(self):
